@@ -3,29 +3,24 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build build-nodefault test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
+.PHONY: check build loc test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
 
-# Full gate: build everything (with and without the default `telemetry`
-# feature), lint with warnings denied, enforce formatting, run the suite
-# (which includes the golden-report snapshots), the mcr-lint static
+# Full gate: build everything, lint with warnings denied, enforce
+# formatting, run the suite (which includes the golden-report
+# snapshots), the mcr-lint static
 # passes (source lint + timing/mode-table/region checks), the exhaustive
 # protocol model check + wake-soundness certification, then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
 # fault-injected loadtest smoke, the cross-backend compare smoke, and
 # the event-wheel, persistent-store and per-backend wall-clock gates.
-check: build build-nodefault clippy fmt-check test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
+check: build clippy fmt-check test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
 
-# The instrumented crates must keep compiling with telemetry disabled
-# (recording call sites are feature-gated; the structs always exist).
-build-nodefault:
-	$(CARGO) build $(OFFLINE) -p mcr-telemetry
-	$(CARGO) build $(OFFLINE) -p dram-device --no-default-features
-	$(CARGO) build $(OFFLINE) -p mem-controller --no-default-features
-	$(CARGO) build $(OFFLINE) -p cpu-model --no-default-features
-	$(CARGO) build $(OFFLINE) -p mcr-dram --no-default-features
+# Workspace Rust line count, the size metric ROADMAP.md tracks.
+loc:
+	@find crates tests examples -name '*.rs' | xargs cat | wc -l
 
 # Golden-report snapshots (tests/goldens/): byte-exact scalar outcomes of
 # the Table-3 modes. Runs as part of `make test` too; this target gives

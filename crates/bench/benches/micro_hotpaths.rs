@@ -7,7 +7,7 @@ use dram_device::{Channel, Geometry, PhysAddr, RowTimingClass, TimingSet};
 use mcr_bench::{header, timed};
 use mcr_dram::{McrMode, System, SystemConfig};
 use mcr_telemetry::{Counter, LatencyHistogram};
-use mem_controller::{ControllerConfig, MemoryController, NormalPolicy, PageInterleave};
+use mem_controller::{BaselinePolicy, ControllerConfig, MemoryController, PageInterleave};
 use std::time::Instant;
 use trace_gen::{workload, TraceGenerator};
 
@@ -49,7 +49,7 @@ fn bench_controller() {
             TimingSet::default(),
             ControllerConfig::msc_default(),
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         );
         for i in 0..32u64 {
             ctl.enqueue_read(0, PhysAddr(i * 8192));

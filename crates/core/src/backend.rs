@@ -21,15 +21,17 @@
 //!   (two physical rows store one logical row) for faster activation,
 //!   and decoupled again when the coupled set overflows.
 //!
-//! Backends other than MCR keep the refresh schedule and restore
-//! behavior of the baseline; their timing classes are validated by the
-//! same mcr-lint invariant checks that guard the MCR mode table
-//! (`registered_backends` is the registry those checks iterate).
+//! Every backend is one [`DevicePolicy`], built by
+//! [`crate::SystemConfig::make_policy`]. Backends other than MCR keep
+//! the trait's refresh, restore and skip defaults; their timing classes
+//! are validated by the same mcr-lint invariant checks that guard the
+//! MCR mode table (`registered_backends` is the registry those checks
+//! iterate).
 
 use crate::layout::SUBARRAY_ROWS;
 use dram_device::{DramAddress, RowTiming, RowTimingClass};
-use mem_controller::{DevicePolicy, RefreshAction};
-use std::any::Any;
+pub use mem_controller::BaselinePolicy;
+use mem_controller::DevicePolicy;
 use std::collections::{HashMap, VecDeque};
 
 /// TL-DRAM near-segment ACTIVATE → READ latency (cycles): short
@@ -47,11 +49,11 @@ pub const CLRDRAM_COUPLED_TRCD: u32 = 7;
 /// CLR-DRAM coupled-row `tRAS` (cycles).
 pub const CLRDRAM_COUPLED_TRAS: u32 = 17;
 
-/// Default TL-DRAM near-segment size in rows per 512-row subarray.
+/// TL-DRAM near-segment size in rows per 512-row subarray.
 pub const DEFAULT_NEAR_ROWS: u64 = 32;
-/// Default CLR-DRAM coupling threshold (ACTs to the same row).
+/// CLR-DRAM coupling threshold (ACTs to the same row).
 pub const DEFAULT_COUPLE_THRESHOLD: u32 = 4;
-/// Default CLR-DRAM coupled-set capacity (rows per device).
+/// CLR-DRAM coupled-set capacity (rows per device).
 pub const DEFAULT_COUPLE_CAP: usize = 64;
 
 /// Which DRAM-architecture backend a [`crate::SystemConfig`] simulates.
@@ -117,120 +119,17 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A backend choice plus its architecture-specific knobs.
-///
-/// The knobs only matter to the kind that reads them (`near_rows` to
-/// TL-DRAM, the coupling pair to CLR-DRAM) but all ride along so the
-/// spec stays a plain copyable value; `config_key` folds only the
-/// non-default part, keeping every pre-backend MCR key unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A backend choice. Each kind runs at its `DEFAULT_*` constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendSpec {
     /// Which architecture to simulate.
     pub kind: BackendKind,
-    /// TL-DRAM: rows per 512-row subarray in the fast near segment.
-    pub near_rows: u64,
-    /// CLR-DRAM: ACTs to one row before it is coupled.
-    pub couple_threshold: u32,
-    /// CLR-DRAM: maximum simultaneously coupled rows (FIFO eviction).
-    pub couple_cap: usize,
-}
-
-impl Default for BackendSpec {
-    fn default() -> Self {
-        BackendSpec::new(BackendKind::Mcr)
-    }
 }
 
 impl BackendSpec {
-    /// The default knob set for `kind`.
+    /// The spec for `kind`.
     pub fn new(kind: BackendKind) -> Self {
-        BackendSpec {
-            kind,
-            near_rows: DEFAULT_NEAR_ROWS,
-            couple_threshold: DEFAULT_COUPLE_THRESHOLD,
-            couple_cap: DEFAULT_COUPLE_CAP,
-        }
-    }
-
-    /// Checks the knob ranges; the message names the offending knob.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.kind == BackendKind::TlDram && !(1..SUBARRAY_ROWS).contains(&self.near_rows) {
-            return Err(format!(
-                "tldram near_rows must be in 1..{SUBARRAY_ROWS}, got {}",
-                self.near_rows
-            ));
-        }
-        if self.kind == BackendKind::ClrDram {
-            if self.couple_threshold == 0 {
-                return Err("clrdram couple_threshold must be at least 1".into());
-            }
-            if self.couple_cap == 0 {
-                return Err("clrdram couple_cap must be at least 1".into());
-            }
-        }
-        Ok(())
-    }
-
-    /// Builds the backend's device policy. MCR has richer construction
-    /// inputs (region map, mechanisms, timing table) and is built by
-    /// `System::try_build` directly, so this returns `None` for it.
-    pub fn build(&self) -> Option<Box<dyn ArchBackend>> {
-        match self.kind {
-            BackendKind::Mcr => None,
-            BackendKind::Baseline => Some(Box::new(BaselinePolicy)),
-            BackendKind::TlDram => Some(Box::new(TlDramPolicy::new(self.near_rows))),
-            BackendKind::ClrDram => Some(Box::new(ClrDramPolicy::new(
-                self.couple_threshold,
-                self.couple_cap,
-            ))),
-        }
-    }
-}
-
-/// A DRAM-architecture backend: the [`DevicePolicy`] per-command seam
-/// plus the whole-architecture facts the system layer needs at build
-/// time — which restore classes exist (for retention tracking) and how
-/// far the refresh schedule may legally stray from JEDEC (for the
-/// online auditor's budget).
-pub trait ArchBackend: DevicePolicy {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// `(M, K)` of each non-baseline timing class, in class-index
-    /// order. Classes beyond this list (and an empty list) restore
-    /// cells fully; MCR's partial-restore classes override this.
-    fn restore_classes(&self) -> Vec<(u32, u32)> {
-        Vec::new()
-    }
-
-    /// Largest legal refresh-slot skip period: 1 means every slot must
-    /// issue (the JEDEC baseline contract).
-    fn max_refresh_skip(&self) -> u32 {
-        1
-    }
-}
-
-/// Plain DDR3: class 0 for every row, a normal REFRESH in every slot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselinePolicy;
-
-impl DevicePolicy for BaselinePolicy {
-    fn activate_class(&self, _addr: &DramAddress) -> (RowTimingClass, u32) {
-        (RowTimingClass(0), 0)
-    }
-
-    fn refresh_action(&mut self, _rank: u8, _slot_row: u64) -> RefreshAction {
-        RefreshAction::Normal
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl ArchBackend for BaselinePolicy {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Baseline
+        BackendSpec { kind }
     }
 }
 
@@ -264,10 +163,6 @@ impl DevicePolicy for TlDramPolicy {
         }
     }
 
-    fn refresh_action(&mut self, _rank: u8, _slot_row: u64) -> RefreshAction {
-        RefreshAction::Normal
-    }
-
     fn timing_classes(&self) -> Vec<RowTiming> {
         vec![
             RowTiming {
@@ -279,16 +174,6 @@ impl DevicePolicy for TlDramPolicy {
                 t_ras: TLDRAM_FAR_TRAS,
             },
         ]
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-impl ArchBackend for TlDramPolicy {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TlDram
     }
 }
 
@@ -350,10 +235,6 @@ impl DevicePolicy for ClrDramPolicy {
         }
     }
 
-    fn refresh_action(&mut self, _rank: u8, _slot_row: u64) -> RefreshAction {
-        RefreshAction::Normal
-    }
-
     fn timing_classes(&self) -> Vec<RowTiming> {
         vec![RowTiming {
             t_rcd: CLRDRAM_COUPLED_TRCD,
@@ -381,38 +262,9 @@ impl DevicePolicy for ClrDramPolicy {
             }
         }
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
-impl ArchBackend for ClrDramPolicy {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ClrDram
-    }
-}
-
-impl ArchBackend for crate::McrPolicy {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mcr
-    }
-
-    fn restore_classes(&self) -> Vec<(u32, u32)> {
-        self.class_modes()
-    }
-
-    fn max_refresh_skip(&self) -> u32 {
-        self.regions()
-            .regions()
-            .iter()
-            .map(|r| r.mode().skip_period())
-            .max()
-            .unwrap_or(1)
-    }
-}
-
-/// The backend registry: one default-knob spec per kind, in canonical
+/// The backend registry: one spec per kind, in canonical
 /// order. mcr-lint's invariant checks iterate this list so every
 /// registered backend's timing classes stay legal, not just MCR's.
 pub fn registered_backends() -> Vec<BackendSpec> {
@@ -425,6 +277,7 @@ pub fn registered_backends() -> Vec<BackendSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DeviceClass, McrMode, McrPolicy, McrTimingTable, RegionMap, SystemConfig};
 
     fn addr(row: u64) -> DramAddress {
         DramAddress {
@@ -449,20 +302,6 @@ mod tests {
             .map(|k| k.key_discriminant())
             .collect();
         assert_eq!(d, vec![1, 0, 2, 3]);
-    }
-
-    #[test]
-    fn spec_validation_names_the_bad_knob() {
-        let mut s = BackendSpec::new(BackendKind::TlDram);
-        s.near_rows = SUBARRAY_ROWS;
-        assert!(s.validate().unwrap_err().contains("near_rows"));
-        let mut c = BackendSpec::new(BackendKind::ClrDram);
-        c.couple_threshold = 0;
-        assert!(c.validate().unwrap_err().contains("couple_threshold"));
-        c.couple_threshold = 1;
-        c.couple_cap = 0;
-        assert!(c.validate().unwrap_err().contains("couple_cap"));
-        assert!(BackendSpec::new(BackendKind::Mcr).validate().is_ok());
     }
 
     #[test]
@@ -507,15 +346,45 @@ mod tests {
         let specs = registered_backends();
         assert_eq!(specs.len(), BackendKind::all().len());
         for spec in &specs {
-            spec.validate().expect("default knobs are valid");
-            if let Some(backend) = spec.build() {
-                assert_eq!(backend.kind(), spec.kind);
-                for t in backend.timing_classes() {
-                    assert!(t.t_rcd >= 1 && t.t_ras >= t.t_rcd);
-                }
-            } else {
-                assert_eq!(spec.kind, BackendKind::Mcr);
+            let cfg = SystemConfig::single_core("libq", 1).with_backend(*spec);
+            let policy = cfg.make_policy();
+            for t in policy.timing_classes() {
+                assert!(t.t_rcd >= 1 && t.t_ras >= t.t_rcd);
             }
+            if spec.kind != BackendKind::Mcr {
+                assert!(policy.restore_classes().is_empty(), "{}", spec.kind);
+                assert_eq!(policy.max_refresh_skip(), 1, "{}", spec.kind);
+            }
+        }
+        // MCR: both build-time facts follow the modes of the region map,
+        // for every Table-3 mode and for a combined 2x + 4x map.
+        let mut configs: Vec<SystemConfig> = McrTimingTable::paper(DeviceClass::OneGb)
+            .entries()
+            .iter()
+            .map(|e| {
+                let mode = McrMode::new(e.m, e.k, 0.5).expect("Table 3 modes are valid");
+                SystemConfig::single_core("libq", 1).with_mode(mode)
+            })
+            .collect();
+        configs.push(SystemConfig::single_core("libq", 1).with_combined_regions(2, 0.25, 1, 0.25));
+        for cfg in configs {
+            let regions = cfg
+                .region_map
+                .clone()
+                .unwrap_or_else(|| RegionMap::single(cfg.mode));
+            let largest = regions
+                .regions()
+                .iter()
+                .map(|r| r.mode().k() / r.mode().m())
+                .max()
+                .unwrap_or(1);
+            let policy = cfg.make_policy();
+            assert_eq!(policy.max_refresh_skip(), largest, "{}", cfg.mode);
+            let any: &dyn std::any::Any = policy.as_ref();
+            let mcr = any
+                .downcast_ref::<McrPolicy>()
+                .expect("the MCR backend builds an McrPolicy");
+            assert_eq!(policy.restore_classes(), mcr.class_modes());
         }
     }
 }

@@ -42,8 +42,8 @@ pub const DEFAULT_COMPARE_SEED: u64 = 2015;
 ///
 /// Exactly one of [`CompareSpec::workload`] / [`CompareSpec::mix`] must
 /// be set. The MCR row runs under [`CompareSpec::mode`]; every other
-/// backend runs with MCR fully off (its timing behavior comes from its
-/// [`BackendSpec`] instead — the validator in
+/// backend runs with MCR fully off (its timing behavior comes from the
+/// device policy its [`BackendSpec`] selects — the validator in
 /// [`SystemConfig::validate`] enforces that separation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareSpec {

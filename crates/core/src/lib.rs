@@ -82,8 +82,7 @@ mod timing;
 
 pub use alloc::RowRemapper;
 pub use backend::{
-    registered_backends, ArchBackend, BackendKind, BackendSpec, BaselinePolicy, ClrDramPolicy,
-    TlDramPolicy,
+    registered_backends, BackendKind, BackendSpec, BaselinePolicy, ClrDramPolicy, TlDramPolicy,
 };
 pub use cache::{CacheOutcome, RowCache, RowCacheConfig, RowCacheStats, RowCopy};
 pub use compare::{CompareSpec, CompareTable};

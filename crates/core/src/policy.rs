@@ -10,7 +10,6 @@ use crate::mode::McrMode;
 use crate::timing::{DeviceClass, McrTimingTable};
 use dram_device::{DramAddress, RowTiming, RowTimingClass};
 use mem_controller::{DevicePolicy, RefreshAction};
-use std::any::Any;
 
 /// One registered timing class: a Table 3 mode with mechanisms applied.
 #[derive(Debug, Clone, Copy)]
@@ -334,8 +333,17 @@ impl DevicePolicy for McrPolicy {
         McrPolicy::apply_degrade_level(self, level);
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn restore_classes(&self) -> Vec<(u32, u32)> {
+        self.class_modes()
+    }
+
+    fn max_refresh_skip(&self) -> u32 {
+        self.regions
+            .regions()
+            .iter()
+            .map(|r| r.mode().skip_period())
+            .max()
+            .unwrap_or(1)
     }
 }
 

@@ -1,7 +1,10 @@
 //! Full-system simulation: cores + controller + MCR-DRAM + power.
 
 use crate::alloc::RowRemapper;
-use crate::backend::{BackendKind, BackendSpec};
+use crate::backend::{
+    BackendKind, BackendSpec, BaselinePolicy, ClrDramPolicy, TlDramPolicy, DEFAULT_COUPLE_CAP,
+    DEFAULT_COUPLE_THRESHOLD, DEFAULT_NEAR_ROWS,
+};
 use crate::cache::{CacheOutcome, RowCache, RowCacheConfig, RowCacheStats};
 use crate::layout::RegionMap;
 use crate::mechanisms::Mechanisms;
@@ -63,11 +66,10 @@ pub enum ConfigError {
         /// The underlying mode error.
         crate::mode::ModeError,
     ),
-    /// The selected DRAM-architecture backend rejected its configuration:
-    /// a knob out of range, or an MCR-only option (mode, region map,
-    /// allocation, row cache) set while a non-MCR backend is selected.
+    /// An MCR-only option (mode, region map, allocation, row cache) or
+    /// operation (runtime mode change) met a non-MCR backend.
     Backend(
-        /// Human-readable reason naming the offending knob or option.
+        /// Human-readable reason naming the offending option.
         String,
     ),
 }
@@ -394,7 +396,6 @@ impl SystemConfig {
         if self.region_map.is_some() && !self.mode.is_off() {
             return Err(ConfigError::ModeWithRegionMap { mode: self.mode });
         }
-        self.backend.validate().map_err(ConfigError::Backend)?;
         if self.backend.kind != BackendKind::Mcr {
             let kind = self.backend.kind;
             if !self.mode.is_off() {
@@ -523,12 +524,14 @@ impl SystemConfig {
         // Backend fold — appended *after* every pre-existing field and
         // only for non-MCR kinds, so every key minted before the backend
         // registry existed (all of them MCR) is unchanged and persistent
-        // result stores stay warm across the upgrade.
+        // result stores stay warm across the upgrade. The TL-DRAM and
+        // CLR-DRAM constants stay in the fold so keys minted while they
+        // were per-spec knobs remain valid.
         if self.backend.kind != BackendKind::Mcr {
             h.u64(self.backend.kind.key_discriminant())
-                .u64(self.backend.near_rows)
-                .u64(self.backend.couple_threshold as u64)
-                .u64(self.backend.couple_cap as u64);
+                .u64(DEFAULT_NEAR_ROWS)
+                .u64(u64::from(DEFAULT_COUPLE_THRESHOLD))
+                .u64(DEFAULT_COUPLE_CAP as u64);
         }
         h.finish()
     }
@@ -549,6 +552,38 @@ impl SystemConfig {
             MappingKind::PageInterleave => Box::new(PageInterleave::new(self.geometry)),
             MappingKind::Permutation => Box::new(PermutationInterleave::new(self.geometry)),
             MappingKind::BitReversal => Box::new(BitReversal::new(self.geometry)),
+        }
+    }
+
+    /// The MCR region layout: the explicit map, else the single mode.
+    fn regions(&self) -> RegionMap {
+        self.region_map
+            .clone()
+            .unwrap_or_else(|| RegionMap::single(self.mode))
+    }
+
+    /// Builds the configured backend's device policy, MCR included. The
+    /// system layer reads the policy's restore classes and largest
+    /// refresh skip before handing it to the controller.
+    pub fn make_policy(&self) -> Box<dyn DevicePolicy> {
+        match self.backend.kind {
+            BackendKind::Mcr => {
+                let device =
+                    crate::timing::DeviceClass::for_rows_per_bank(self.geometry.rows_per_bank);
+                Box::new(McrPolicy::from_regions(
+                    self.regions(),
+                    self.mechanisms,
+                    &crate::timing::McrTimingTable::paper(device),
+                    self.geometry.ranks,
+                    self.geometry.row_bits(),
+                ))
+            }
+            BackendKind::Baseline => Box::new(BaselinePolicy),
+            BackendKind::TlDram => Box::new(TlDramPolicy::new(DEFAULT_NEAR_ROWS)),
+            BackendKind::ClrDram => Box::new(ClrDramPolicy::new(
+                DEFAULT_COUPLE_THRESHOLD,
+                DEFAULT_COUPLE_CAP,
+            )),
         }
     }
 }
@@ -813,44 +848,13 @@ impl System {
         config.validate()?;
         let geometry = config.geometry;
         let timing = TimingSet::ddr3_1600(geometry.rows_per_bank);
-        let regions = config
-            .region_map
-            .clone()
-            .unwrap_or_else(|| RegionMap::single(config.mode));
-        let table = crate::timing::McrTimingTable::paper(
-            crate::timing::DeviceClass::for_rows_per_bank(geometry.rows_per_bank),
-        );
-        // Architecture backend: the MCR policy needs region/mechanism/
-        // timing-table inputs the generic registry does not know about,
-        // so it is built here; every other backend comes from its spec.
-        // `class_modes` (restore classes) and `max_skip` (the auditor's
-        // refresh-starvation allowance) are captured before the policy
-        // moves into the controller.
-        let (policy, class_modes, max_skip): (Box<dyn DevicePolicy>, Vec<(u32, u32)>, u32) =
-            match config.backend.build() {
-                Some(backend) => {
-                    let class_modes = backend.restore_classes();
-                    let max_skip = backend.max_refresh_skip();
-                    (backend, class_modes, max_skip)
-                }
-                None => {
-                    let policy = McrPolicy::from_regions(
-                        regions.clone(),
-                        config.mechanisms,
-                        &table,
-                        geometry.ranks,
-                        geometry.row_bits(),
-                    );
-                    let class_modes = policy.class_modes();
-                    let max_skip = regions
-                        .regions()
-                        .iter()
-                        .map(|r| (r.mode().k() / r.mode().m().max(1)).max(1))
-                        .max()
-                        .unwrap_or(1);
-                    (Box::new(policy), class_modes, max_skip)
-                }
-            };
+        let regions = config.regions();
+        // Restore classes feed retention tracking; `max_skip` is the
+        // auditor's refresh-starvation allowance. Both are read before
+        // the policy moves into the controller.
+        let policy = config.make_policy();
+        let class_modes = policy.restore_classes();
+        let max_skip = policy.max_refresh_skip();
         let ctl_config = ControllerConfig {
             scheduler: config.scheduler,
             row_policy: config.row_policy,
@@ -1189,18 +1193,6 @@ impl System {
         }
     }
 
-    /// Advances the simulation by up to `cycles` memory cycles, stopping
-    /// early when everything is done. Returns `true` when done.
-    ///
-    /// Deprecated shim over [`System::run_until`] (`step(n)` ≡
-    /// `run_until(now() + n)`) for drivers written against the old
-    /// chunked-polling surface; new code should call
-    /// [`System::run_until`] or [`System::advance_to_next_event`]
-    /// directly.
-    pub fn step(&mut self, cycles: Cycle) -> bool {
-        self.run_until(self.mem_now.saturating_add(cycles))
-    }
-
     /// Applies ladder moves the guardband monitor decided during the last
     /// controller tick: each one is an MRS-style reprogram that re-maps
     /// rows onto the degraded (or restored) timing classes. Degradation is
@@ -1233,16 +1225,24 @@ impl System {
     /// Runtime MCR-mode change (the MRS command of Sec. 4.1/4.4): swaps
     /// the active mode between [`System::run_until`] calls.
     ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Backend`] when the system was built with a
+    /// non-MCR backend: only MCR defines an MRS-driven mode change.
+    ///
     /// # Panics
     ///
     /// Panics if the change could collide with live data — the new mode
     /// must be a *relaxation* (K not growing, per Table 2) of the current
     /// hottest tier. Tightening changes require page migration, which the
-    /// paper (and this simulator) leaves to the OS. Also panics when the
-    /// system was built with a non-MCR backend: only MCR defines an
-    /// MRS-driven mode change.
-    pub fn reconfigure(&mut self, mode: McrMode) {
-        let new = RegionMap::single(mode);
+    /// paper (and this simulator) leaves to the OS.
+    pub fn reconfigure(&mut self, mode: McrMode) -> Result<(), ConfigError> {
+        let policy: &mut dyn std::any::Any = self.controller.policy_mut();
+        let Some(policy) = policy.downcast_mut::<McrPolicy>() else {
+            return Err(ConfigError::Backend(format!(
+                "runtime mode change to {mode} needs the MCR backend"
+            )));
+        };
         let old_k = self
             .active_regions
             .regions()
@@ -1255,19 +1255,13 @@ impl System {
             "mode change {old_k}x -> {}x is not a relaxation (Table 2)",
             mode.k()
         );
+        let new = RegionMap::single(mode);
+        policy.reprogram(new.clone());
         // Surface the MRS in the audited command stream: reconfiguring
         // while banks are open is a protocol warning (paper Sec. 4.1).
         self.controller.note_mode_change(self.mem_now);
-        let Some(policy) = self
-            .controller
-            .policy_mut()
-            .as_any_mut()
-            .downcast_mut::<McrPolicy>()
-        else {
-            panic!("reconfigure() needs the MCR backend: no other registered backend defines an MRS mode change")
-        };
-        policy.reprogram(new.clone());
         self.active_regions = new;
+        Ok(())
     }
 
     /// Runs to completion and reports.

@@ -165,12 +165,9 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         let Some((seq, issued_at)) = self.inflight.remove(&token) else {
             panic!("token {token} does not name an in-flight read of this core")
         };
-        #[cfg(feature = "telemetry")]
         self.stats
             .mem_read_latency
             .record(ready_at.saturating_sub(issued_at));
-        #[cfg(not(feature = "telemetry"))]
-        let _ = issued_at;
         let Some(idx) = seq.checked_sub(self.head_seq) else {
             panic!("read {token} retired before completing")
         };

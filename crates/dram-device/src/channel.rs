@@ -298,7 +298,6 @@ impl Channel {
     /// stream. The auditor flags the change when banks are still open; this
     /// simulator applies it regardless (the modeled OS quiesces around it).
     pub fn note_mode_change(&mut self, now: Cycle) {
-        #[cfg(feature = "telemetry")]
         self.telemetry.note_mode_change();
         let baseline = self.row_timings[0];
         self.observe(
@@ -424,7 +423,6 @@ impl Channel {
         }
         if r.powered_down_since.is_none() {
             r.powered_down_since = Some(now);
-            #[cfg(feature = "telemetry")]
             self.telemetry.note_powerdown_enter();
         }
         Ok(())
@@ -606,12 +604,10 @@ impl Channel {
                     Some(t) => t.evaluate(rank, bank, row, k, now),
                     None => MarginOutcome::Ok,
                 };
-                #[cfg(feature = "telemetry")]
                 self.telemetry.note_retention_check();
                 match outcome {
                     MarginOutcome::Ok => {}
                     MarginOutcome::Violation(event) => {
-                        #[cfg(feature = "telemetry")]
                         self.telemetry
                             .note_retention_violation(event.detect_latency);
                         if let Some(audit) = &mut self.audit {
@@ -622,7 +618,6 @@ impl Channel {
                         });
                     }
                     MarginOutcome::Escape(event) => {
-                        #[cfg(feature = "telemetry")]
                         self.telemetry.note_retention_escape();
                         if let Some(audit) = &mut self.audit {
                             audit.note_retention(&event);
@@ -657,7 +652,6 @@ impl Channel {
         r.counters.activates += 1;
         r.counters.extra_wordlines += extra_wordlines as u64;
         r.counters.restore_truncation_cycles += base_ras.saturating_sub(rt.t_ras) as u64;
-        #[cfg(feature = "telemetry")]
         self.telemetry.note_activate(rank, bank, now);
         if let Some(t) = &mut self.retention {
             // Any successful ACT (including the full-restore class-0 retry)
@@ -834,7 +828,6 @@ impl Channel {
         self.bus_free = data_end;
         self.last_bus_op = if is_read { BusOp::Read } else { BusOp::Write };
         self.last_bus_rank = Some(rank);
-        #[cfg(feature = "telemetry")]
         self.telemetry
             .note_cas(rank, bank, is_read, auto_pre, data_end);
         Ok(data_end)
@@ -880,7 +873,6 @@ impl Channel {
         let r = &mut self.ranks[rank as usize];
         r.counters.observe(now, -1);
         r.counters.precharges += 1;
-        #[cfg(feature = "telemetry")]
         self.telemetry.note_precharge(rank, bank);
         Ok(())
     }
@@ -971,7 +963,6 @@ impl Channel {
         }
         r.counters.refreshes += 1;
         r.counters.refresh_busy_cycles += t_rfc as u64;
-        #[cfg(feature = "telemetry")]
         self.telemetry.note_refresh(t_rfc_override.is_some());
         if let Some(t) = &mut self.retention {
             t.note_refresh(rank, slot_row, now, t_rfc_override.is_some());

@@ -345,7 +345,15 @@ pub fn audit_suite(trace_len: usize) -> Vec<Diagnostic> {
         }
     };
     sys.run_until(2_000);
-    sys.reconfigure(mode(2, 2, 1.0));
+    if let Err(e) = sys.reconfigure(mode(2, 2, 1.0)) {
+        out.push(Diagnostic::error(
+            "audit/config",
+            "mode-change",
+            format!("mode change rejected: {e}"),
+            "paper Sec. 4.4, Table 2",
+        ));
+        return out.finish();
+    }
     run_to_completion(&mut sys);
     sys.audit_finish_now();
     for v in sys.audit_violations() {

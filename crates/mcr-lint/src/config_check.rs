@@ -8,7 +8,7 @@
 use crate::Diagnostic;
 use dram_device::TimingSet;
 use mcr_dram::{
-    registered_backends, BackendSpec, McrMode, McrTimingTable, RegionMap, SUBARRAY_ROWS,
+    registered_backends, McrMode, McrTimingTable, RegionMap, SystemConfig, SUBARRAY_ROWS,
 };
 
 /// Checks the JEDEC cross-field inequalities of one [`TimingSet`].
@@ -252,32 +252,20 @@ pub fn check_mode_table(
     diags
 }
 
-/// Checks one registered architecture backend's legality view against
-/// the baseline [`TimingSet`] it will be paired with.
+/// Checks the device policy `config` builds (its backend's legality
+/// view) against the baseline [`TimingSet`] it will be paired with.
 ///
 /// The invariants mirror [`check_mode_table`], re-pointed at the
 /// pluggable-backend seam: whatever per-class `tRCD`/`tRAS` overrides a
 /// backend registers via `DevicePolicy::timing_classes`, every class
 /// must still serve one burst per activation, and no class may be
 /// *slower* than twice baseline — a faster-DRAM proposal whose override
-/// lands there is a typo'd constant, not a mechanism. The MCR backend
-/// itself builds no standalone policy here; its view is the Table 3
-/// mode table, checked by [`check_mode_table`].
-pub fn check_backend(name: &str, spec: &BackendSpec, baseline: &TimingSet) -> Vec<Diagnostic> {
+/// lands there is a typo'd constant, not a mechanism. MCR is checked
+/// the same way: its classes are the Table 3 modes plus their degraded
+/// full-`tRAS` variants.
+pub fn check_backend(name: &str, config: &SystemConfig, baseline: &TimingSet) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    if let Err(msg) = spec.validate() {
-        diags.push(Diagnostic::error(
-            "backend/bad-spec",
-            name,
-            msg,
-            "backend registry (DESIGN.md §5l)",
-        ));
-        return diags;
-    }
-    let Some(backend) = spec.build() else {
-        return diags;
-    };
-    for (i, t) in backend.timing_classes().iter().enumerate() {
+    for (i, t) in config.make_policy().timing_classes().iter().enumerate() {
         // Class indices start at 1; class 0 is always the baseline set.
         let loc = format!("{name} class {}", i + 1);
         if t.t_rcd == 0 || t.t_ras == 0 {
@@ -398,6 +386,12 @@ pub fn check_mode_params(name: &str, m: u32, k: u32, region: f64) -> Vec<Diagnos
     }
 }
 
+/// The single-core configuration of `kind`. Only its geometry, mode and
+/// mechanisms reach the device policy; the workload does not.
+fn backend_config(kind: mcr_dram::BackendKind) -> SystemConfig {
+    SystemConfig::single_core("libq", 1).with_backend(mcr_dram::BackendSpec::new(kind))
+}
+
 /// Runs every static check over the workspace's built-in configurations:
 /// both DDR3-1600 device classes (plus the high-temperature variants),
 /// both canonical Table 3 mode tables, and the Table 1 / Sec. 4.4 region
@@ -436,12 +430,13 @@ pub fn check_builtin() -> Vec<Diagnostic> {
             }
         }
     }
-    // Every registered architecture backend's legality view, against
-    // the 1 Gb baseline the comparison harness pairs it with.
+    // Every registered architecture backend's legality view, built on
+    // the comparison harness's single-core geometry (1 Gb devices) and
+    // checked against the matching baseline.
     for spec in registered_backends() {
         diags.extend(check_backend(
             &format!("backend/{}", spec.kind),
-            &spec,
+            &backend_config(spec.kind),
             &ts_1gb,
         ));
     }
@@ -536,7 +531,8 @@ mod tests {
     fn registered_backends_pass_their_legality_views() {
         let ts = TimingSet::ddr3_1600(32_768);
         for spec in registered_backends() {
-            let diags = check_backend(&format!("backend/{}", spec.kind), &spec, &ts);
+            let cfg = backend_config(spec.kind);
+            let diags = check_backend(&format!("backend/{}", spec.kind), &cfg, &ts);
             assert!(diags.is_empty(), "{}: {diags:?}", spec.kind);
         }
     }
@@ -544,22 +540,14 @@ mod tests {
     #[test]
     fn broken_backend_specs_and_windows_are_flagged() {
         let ts = TimingSet::ddr3_1600(32_768);
-        let mut bad = BackendSpec::new(mcr_dram::BackendKind::TlDram);
-        bad.near_rows = 0;
-        let diags = check_backend("backend/tldram", &bad, &ts);
-        assert!(
-            diags.iter().any(|d| d.code == "backend/bad-spec"),
-            "{diags:?}"
-        );
-
         // A baseline with a huge burst makes every near-segment class
         // close its row before one access completes.
         let tight = TimingSet {
             burst_cycles: 100,
             ..ts.clone()
         };
-        let spec = BackendSpec::new(mcr_dram::BackendKind::TlDram);
-        let diags = check_backend("backend/tldram", &spec, &tight);
+        let tldram = backend_config(mcr_dram::BackendKind::TlDram);
+        let diags = check_backend("backend/tldram", &tldram, &tight);
         assert!(
             diags.iter().any(|d| d.code == "backend/tras-window"),
             "{diags:?}"
@@ -573,7 +561,7 @@ mod tests {
             burst_cycles: 2,
             ..ts
         };
-        let diags = check_backend("backend/tldram", &spec, &fast);
+        let diags = check_backend("backend/tldram", &tldram, &fast);
         assert!(
             diags.iter().any(|d| d.code == "backend/timing-outlier"),
             "{diags:?}"

@@ -1,6 +1,6 @@
 //! Textual source lint over the workspace's library crates.
 //!
-//! Seven rules, all error-level:
+//! Six rules, all error-level:
 //!
 //! * `src/no-unwrap` — no `.unwrap()` / `.expect(...)` in library code
 //!   outside `#[cfg(test)]` blocks. Library panics must be typed errors or
@@ -16,11 +16,6 @@
 //!   unwraps inside the sweep engine's worker closure: a panic in a
 //!   scoped worker thread poisons the whole sweep instead of failing the
 //!   one point, so workers must route failures through `Result` slots.
-//! * `src/step-busy-loop` — no `.step(` calls outside the core crate.
-//!   `System::step` is a deprecated chunked-polling shim; drivers that
-//!   loop on it burn a wall-clock cycle per simulated cycle even when
-//!   the machine is idle. Drive the simulator with `System::run_until`
-//!   or `System::advance_to_next_event` instead (DESIGN.md §5h).
 //! * `src/edge-overshoot-guard` — no `u64::MAX`/`Cycle::MAX` sentinel
 //!   defaults (`.unwrap_or(u64::MAX)`, `.map_or(Cycle::MAX, ...)`) on
 //!   lines computing event-wheel edges (`next_event`, `next_due`,
@@ -42,7 +37,7 @@
 //!   backend module (files whose path names `backend`). Those numbers
 //!   are one architecture's private mechanism parameters; code that
 //!   reads them elsewhere hard-codes a backend and silently breaks the
-//!   pluggable-`ArchBackend` seam (DESIGN.md §5l). Go through
+//!   pluggable-backend `DevicePolicy` seam (DESIGN.md §5l). Go through
 //!   `DevicePolicy::timing_classes` instead.
 //!
 //! Escape hatch: a `// lint: allow(<rule>)` comment on the offending line
@@ -62,8 +57,6 @@ pub const RULE_NO_UNWRAP: &str = "src/no-unwrap";
 pub const RULE_TRUNCATING_CAST: &str = "src/truncating-cast";
 /// Rule id: no panicking paths in sweep worker closures.
 pub const RULE_PANICKING_WORKER: &str = "src/panicking-sweep-worker";
-/// Rule id: no `.step(` polling outside the core crate.
-pub const RULE_STEP_BUSY_LOOP: &str = "src/step-busy-loop";
 /// Rule id: no `MAX`-sentinel defaults on event-wheel edge math.
 pub const RULE_EDGE_OVERSHOOT: &str = "src/edge-overshoot-guard";
 /// Rule id: no unbounded blocking reads in socket-handling files.
@@ -287,9 +280,6 @@ pub fn lint_file(path_label: &str, text: &str) -> Vec<Diagnostic> {
     // time, far from the read call itself.
     let is_net_file = scrubbed.contains("TcpStream");
     let net_guarded = scrubbed.contains("set_read_timeout") || scrubbed.contains("set_nonblocking");
-    // The core crate owns the deprecated `step` shim (and its wheel-based
-    // implementation); every other crate must use the run_until surface.
-    let is_core_crate = path_label.contains("crates/core/");
     // The backend module owns its architectures' timing constants; any
     // other file naming them has hard-coded one backend.
     let is_backend_file = path_label.contains("backend");
@@ -392,15 +382,6 @@ pub fn lint_file(path_label: &str, text: &str) -> Vec<Diagnostic> {
                  `DevicePolicy::timing_classes` so the code stays \
                  backend-agnostic",
                 "workspace rule (pluggable backends, DESIGN.md §5l)",
-            ));
-        }
-        if !is_core_crate && line.contains(".step(") && !allowed(idx, RULE_STEP_BUSY_LOOP) {
-            diags.push(Diagnostic::error(
-                RULE_STEP_BUSY_LOOP,
-                loc.clone(),
-                "`.step(` polling outside the core crate; drive the simulator \
-                 with `run_until` or `advance_to_next_event`",
-                "workspace rule (the event wheel replaces chunked step polling)",
             ));
         }
         if is_sweep {
@@ -565,22 +546,6 @@ mod tests {
         assert_eq!(d[0].code, RULE_PANICKING_WORKER);
         assert_eq!(d[0].location, "core/src/sweep.rs:4");
         assert!(lint_file("core/src/other.rs", src).is_empty());
-    }
-
-    #[test]
-    fn step_polling_is_flagged_outside_the_core_crate() {
-        let src = "fn drive(sys: &mut System) { while !sys.step(100_000) {} }\n";
-        let d = lint_file("crates/mcr-serve/src/server.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, RULE_STEP_BUSY_LOOP);
-        // The core crate owns the shim and its implementation.
-        assert!(lint_file("crates/core/src/system.rs", src).is_empty());
-        // `step_by` and friends never trip the rule.
-        let iter = "fn f() { for i in (0..10).step_by(2) { g(i); } }\n";
-        assert!(lint_file("crates/mcr-serve/src/server.rs", iter).is_empty());
-        // The escape hatch works like every other rule.
-        let allowed = "// lint: allow(step-busy-loop)\nfn f(s: &mut System) { s.step(1); }\n";
-        assert!(lint_file("crates/mcr-serve/src/server.rs", allowed).is_empty());
     }
 
     #[test]

@@ -5,14 +5,13 @@
 
 use mcr_lint::srclint::{
     self, RULE_BACKEND_TIMING_LEAK, RULE_EDGE_OVERSHOOT, RULE_NO_UNWRAP, RULE_PANICKING_WORKER,
-    RULE_STEP_BUSY_LOOP, RULE_TRUNCATING_CAST, RULE_UNBOUNDED_NET_READ,
+    RULE_TRUNCATING_CAST, RULE_UNBOUNDED_NET_READ,
 };
 use std::path::PathBuf;
 
 /// Every rule, with the short fixture stem and the path label the rule
-/// cares about (the sweep rule only fires in `sweep.rs`; the step rule
-/// only fires outside `crates/core/`).
-const RULES: [(&str, &str, &str); 7] = [
+/// cares about (the sweep rule only fires in `sweep.rs`).
+const RULES: [(&str, &str, &str); 6] = [
     (RULE_NO_UNWRAP, "no-unwrap", "crates/demo/src/lib.rs"),
     (
         RULE_TRUNCATING_CAST,
@@ -23,11 +22,6 @@ const RULES: [(&str, &str, &str); 7] = [
         RULE_PANICKING_WORKER,
         "panicking-sweep-worker",
         "crates/demo/src/sweep.rs",
-    ),
-    (
-        RULE_STEP_BUSY_LOOP,
-        "step-busy-loop",
-        "crates/demo/src/lib.rs",
     ),
     (
         RULE_EDGE_OVERSHOOT,
@@ -85,9 +79,6 @@ fn context_gated_rules_need_their_context() {
     // The sweep-worker positive snippet is clean outside a sweep.rs file.
     let sweep = fixture("panicking-sweep-worker_pos.rs");
     assert!(srclint::lint_file("crates/demo/src/lib.rs", &sweep).is_empty());
-    // The step-polling positive snippet is the core crate's own shim.
-    let step = fixture("step-busy-loop_pos.rs");
-    assert!(srclint::lint_file("crates/core/src/system.rs", &step).is_empty());
     // The backend-timing positive snippet is legal inside the backend
     // module that owns the constants.
     let leak = fixture("backend-timing-leak_pos.rs");
@@ -96,14 +87,13 @@ fn context_gated_rules_need_their_context() {
 
 #[test]
 fn every_rule_constant_has_fixtures() {
-    // Guards against a sixth rule landing without fixture coverage: the
+    // Guards against a new rule landing without fixture coverage: the
     // rule constants live in one module, and this list must track them.
     let covered: Vec<&str> = RULES.iter().map(|(code, _, _)| *code).collect();
     for code in [
         RULE_NO_UNWRAP,
         RULE_TRUNCATING_CAST,
         RULE_PANICKING_WORKER,
-        RULE_STEP_BUSY_LOOP,
         RULE_EDGE_OVERSHOOT,
         RULE_UNBOUNDED_NET_READ,
         RULE_BACKEND_TIMING_LEAK,

@@ -295,7 +295,8 @@ fn dump_trace(cfg: &SystemConfig, path: &str) -> Result<(), String> {
     let Some(sink) = sys.take_trace_sink() else {
         return Err("trace sink disappeared mid-run".into());
     };
-    let Some(ring) = sink.as_any().downcast_ref::<RingRecorder>() else {
+    let sink: &dyn std::any::Any = sink.as_ref();
+    let Some(ring) = sink.downcast_ref::<RingRecorder>() else {
         return Err("trace sink is not the installed ring recorder".into());
     };
     let mut out = String::new();

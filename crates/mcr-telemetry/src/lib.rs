@@ -335,15 +335,11 @@ pub struct TraceEvent {
 /// A push-style sink for [`TraceEvent`]s.
 ///
 /// Implementations decide the retention policy; the simulator only
-/// pushes. `as_any` allows callers that installed a concrete sink to
-/// get it back (mirrors the `DevicePolicy::as_any_mut` idiom used by
-/// the controller's policy plug-in).
-pub trait TraceSink {
+/// pushes. A caller that installed a concrete sink gets it back by
+/// upcasting `&dyn TraceSink` to `&dyn Any` and downcasting.
+pub trait TraceSink: Any {
     /// Accepts one event.
     fn record(&mut self, event: TraceEvent);
-
-    /// Downcast support for recovering the concrete sink.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// A bounded, pre-allocated, drop-oldest ring of trace events.
@@ -411,10 +407,6 @@ impl TraceSink for RingRecorder {
         }
         self.events.push_back(event);
         self.total.inc();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -546,8 +538,9 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4], "keeps the tail");
-        let any: &dyn TraceSink = &r;
-        assert!(any.as_any().downcast_ref::<RingRecorder>().is_some());
+        let sink: &dyn TraceSink = &r;
+        let any: &dyn Any = sink;
+        assert!(any.downcast_ref::<RingRecorder>().is_some());
     }
 
     #[test]

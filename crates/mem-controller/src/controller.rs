@@ -14,7 +14,6 @@ use dram_device::{
 };
 use mcr_faults::FaultPlan;
 use mcr_telemetry::TraceSink;
-#[cfg(feature = "telemetry")]
 use mcr_telemetry::{TraceEvent, TraceEventKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -323,12 +322,10 @@ impl MemoryController {
         match t {
             GuardbandTransition::Degrade(_) => {
                 self.stats.guardband_degrades += 1;
-                #[cfg(feature = "telemetry")]
                 self.telemetry.guardband_degrades.inc();
             }
             GuardbandTransition::Rearm(_) => {
                 self.stats.guardband_rearms += 1;
-                #[cfg(feature = "telemetry")]
                 self.telemetry.guardband_rearms.inc();
             }
         }
@@ -360,7 +357,6 @@ impl MemoryController {
     }
 
     /// Feeds one event to the installed trace sink, if any.
-    #[cfg(feature = "telemetry")]
     fn trace_event(&mut self, kind: TraceEventKind, cycle: Cycle, a: u64, b: u64) {
         if let Some(sink) = &mut self.trace {
             sink.record(TraceEvent { cycle, kind, a, b });
@@ -477,7 +473,6 @@ impl MemoryController {
         for ch in &mut self.channels {
             ch.chan.note_mode_change(now);
         }
-        #[cfg(feature = "telemetry")]
         self.trace_event(TraceEventKind::ModeChange, now, 0, 0);
     }
 
@@ -645,7 +640,6 @@ impl MemoryController {
         }
         let draining = self.channels.iter().filter(|c| c.draining).count() as Cycle;
         self.stats.drain_cycles += draining * skipped;
-        #[cfg(feature = "telemetry")]
         for ch in &self.channels {
             self.telemetry
                 .read_queue_depth
@@ -741,16 +735,13 @@ impl MemoryController {
         }
         let mut done = Vec::new();
         for ci in 0..self.channels.len() {
-            #[cfg(feature = "telemetry")]
-            {
-                let ch = &self.channels[ci];
-                self.telemetry
-                    .read_queue_depth
-                    .record(ch.read_q.len() as u64);
-                self.telemetry
-                    .write_queue_depth
-                    .record(ch.write_q.len() as u64);
-            }
+            let ch = &self.channels[ci];
+            self.telemetry
+                .read_queue_depth
+                .record(ch.read_q.len() as u64);
+            self.telemetry
+                .write_queue_depth
+                .record(ch.write_q.len() as u64);
             if self.config.refresh_enabled
                 && self.channels[ci].refresh.tick(
                     now,
@@ -774,7 +765,6 @@ impl MemoryController {
                 let latency = ready - enq;
                 self.stats.reads_done += 1;
                 self.stats.read_latency_sum += latency;
-                #[cfg(feature = "telemetry")]
                 self.telemetry.read_latency.record(latency);
                 done.push(Completion {
                     token,
@@ -1039,17 +1029,14 @@ impl MemoryController {
         };
         let Ok(data_end) = result else { return false };
         self.activity = true;
-        #[cfg(feature = "telemetry")]
-        {
-            let kind = if drain {
-                self.telemetry.sched_cas_write.inc();
-                TraceEventKind::Write
-            } else {
-                self.telemetry.sched_cas_read.inc();
-                TraceEventKind::Read
-            };
-            self.trace_event(kind, now, req.dram.rank as u64, req.dram.bank as u64);
-        }
+        let kind = if drain {
+            self.telemetry.sched_cas_write.inc();
+            TraceEventKind::Write
+        } else {
+            self.telemetry.sched_cas_read.inc();
+            TraceEventKind::Read
+        };
+        self.trace_event(kind, now, req.dram.rank as u64, req.dram.bank as u64);
         match req.service_class() {
             crate::request::ServiceClass::RowHit => self.stats.row_hits += 1,
             crate::request::ServiceClass::RowMiss => self.stats.row_misses += 1,
@@ -1085,7 +1072,6 @@ impl MemoryController {
                 // cycle counts as active either way.
                 self.activity = true;
                 self.stats.retention_retries += 1;
-                #[cfg(feature = "telemetry")]
                 self.telemetry.retention_retries.inc();
                 let retried = self.channels[ci]
                     .chan
@@ -1112,16 +1098,13 @@ impl MemoryController {
         // let the policy update any per-row dynamic state.
         self.policy.on_activate(&dram);
         self.activity = true;
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.sched_activates.inc();
-            self.trace_event(
-                TraceEventKind::Activate,
-                now,
-                dram.rank as u64,
-                dram.bank as u64,
-            );
-        }
+        self.telemetry.sched_activates.inc();
+        self.trace_event(
+            TraceEventKind::Activate,
+            now,
+            dram.rank as u64,
+            dram.bank as u64,
+        );
         let q = if drain {
             &mut self.channels[ci].write_q
         } else {
@@ -1138,16 +1121,13 @@ impl MemoryController {
             return false;
         }
         self.activity = true;
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.sched_precharges.inc();
-            self.trace_event(
-                TraceEventKind::Precharge,
-                now,
-                dram.rank as u64,
-                dram.bank as u64,
-            );
-        }
+        self.telemetry.sched_precharges.inc();
+        self.trace_event(
+            TraceEventKind::Precharge,
+            now,
+            dram.rank as u64,
+            dram.bank as u64,
+        );
         let q = if drain {
             &mut self.channels[ci].write_q
         } else {
@@ -1174,7 +1154,6 @@ impl MemoryController {
         if ch.chan.refresh_slot(rank, pending.row, now, t_rfc).is_ok() {
             let consumed = ch.refresh.consume(rank).is_some();
             self.activity = true;
-            #[cfg(feature = "telemetry")]
             if consumed {
                 self.telemetry.sched_refreshes.inc();
                 let kind = if t_rfc.is_some() {
@@ -1199,11 +1178,8 @@ impl MemoryController {
                 && ch.chan.precharge(rank, bank, now).is_ok()
             {
                 self.activity = true;
-                #[cfg(feature = "telemetry")]
-                {
-                    self.telemetry.sched_precharges.inc();
-                    self.trace_event(TraceEventKind::Precharge, now, rank as u64, bank as u64);
-                }
+                self.telemetry.sched_precharges.inc();
+                self.trace_event(TraceEventKind::Precharge, now, rank as u64, bank as u64);
                 return true;
             }
         }
@@ -1215,7 +1191,7 @@ impl MemoryController {
 mod tests {
     use super::*;
     use crate::mapping::PageInterleave;
-    use crate::policy::NormalPolicy;
+    use crate::policy::BaselinePolicy;
     use circuit_model::{CircuitParams, LeakageModel};
 
     /// Policy that always activates with class 1 (a truncated
@@ -1226,17 +1202,11 @@ mod tests {
         fn activate_class(&self, _: &dram_device::DramAddress) -> (RowTimingClass, u32) {
             (RowTimingClass(1), 0)
         }
-        fn refresh_action(&mut self, _: u8, _: u64) -> RefreshAction {
-            RefreshAction::Normal
-        }
         fn timing_classes(&self) -> Vec<dram_device::RowTiming> {
             vec![dram_device::RowTiming {
                 t_rcd: 11,
                 t_ras: 20,
             }]
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1263,7 +1233,7 @@ mod tests {
             TimingSet::default(),
             cfg,
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         )
     }
 
@@ -1420,7 +1390,7 @@ mod tests {
             TimingSet::default(),
             cfg,
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         );
         ctl.enable_command_trace(32);
         let m = PageInterleave::new(g);
@@ -1471,7 +1441,7 @@ mod tests {
             TimingSet::default(),
             cfg,
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         );
         // Serve one read, then go idle long enough to power down.
         ctl.enqueue_read(0, PhysAddr(0)).unwrap();
@@ -1508,7 +1478,7 @@ mod tests {
             TimingSet::default(),
             cfg,
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         );
         let m = PageInterleave::new(g);
         let mk = |row, col| {
@@ -1627,7 +1597,7 @@ mod tests {
             TimingSet::default(),
             cfg,
             Box::new(PageInterleave::new(g)),
-            Box::new(NormalPolicy),
+            Box::new(BaselinePolicy),
         );
         let m = PageInterleave::new(g);
         let mk = |row, col| {

@@ -15,9 +15,11 @@
 //!   CLR-DRAM's coupled rows), observes each issued ACT
 //!   (`on_activate`, for stateful backends), and decides, per refresh
 //!   slot, whether to issue a normal REFRESH, a Fast-Refresh (shorter
-//!   `tRFC`), or to skip the slot entirely (Refresh-Skipping). The
-//!   baseline policy ([`NormalPolicy`]) always picks class 0 and normal
-//!   refreshes.
+//!   `tRFC`), or to skip the slot entirely (Refresh-Skipping). It also
+//!   reports two build-time facts: the partial-restore classes and the
+//!   largest legal refresh-skip period. The baseline policy
+//!   ([`BaselinePolicy`], plain DDR3) always picks class 0 and keeps
+//!   every other default.
 //! * [`AddressMapper`] — translates physical addresses to DRAM coordinates;
 //!   [`PageInterleave`] is the paper's policy, with permutation-based and
 //!   bit-reversal variants for ablation.
@@ -25,7 +27,7 @@
 //! ## Example
 //!
 //! ```
-//! use mem_controller::{ControllerConfig, MemoryController, NormalPolicy, PageInterleave};
+//! use mem_controller::{ControllerConfig, MemoryController, BaselinePolicy, PageInterleave};
 //! use dram_device::{Geometry, PhysAddr, TimingSet};
 //!
 //! let geometry = Geometry::single_core_4gb();
@@ -34,7 +36,7 @@
 //!     TimingSet::ddr3_1600(geometry.rows_per_bank),
 //!     ControllerConfig::msc_default(),
 //!     Box::new(PageInterleave::new(geometry)),
-//!     Box::new(NormalPolicy),
+//!     Box::new(BaselinePolicy),
 //! );
 //! let token = ctl.enqueue_read(0, PhysAddr(0x12345640)).expect("queue has space");
 //! let mut done = Vec::new();
@@ -62,7 +64,7 @@ pub use controller::{
 };
 pub use guardband::{DegradeLevel, GuardbandConfig, GuardbandMonitor, GuardbandTransition};
 pub use mapping::{AddressMapper, BitReversal, PageInterleave, PermutationInterleave};
-pub use policy::{DevicePolicy, NormalPolicy, RefreshAction};
+pub use policy::{BaselinePolicy, DevicePolicy, RefreshAction};
 pub use refresh::{PendingRefresh, RefreshScheduler, RefreshStats};
 pub use request::{Request, ServiceClass};
 pub use stats::ControllerStats;

@@ -26,7 +26,13 @@ pub enum RefreshAction {
 /// injects the paper's three mechanisms:
 /// Early-Access/Early-Precharge via `activate_class` (returning a relaxed
 /// row-timing class for MCR rows) and Fast-Refresh/Refresh-Skipping via
-/// `refresh_action`.
+/// `refresh_action`. Two build-time facts, `restore_classes` and
+/// `max_refresh_skip`, tell the system layer how cells restore and how far
+/// the refresh schedule may legally stray from JEDEC.
+///
+/// Owners that need an architecture-specific entry point (the MCR layer's
+/// MRS reprogramming) upcast the boxed policy to `&mut dyn Any` and
+/// downcast to the concrete type.
 pub trait DevicePolicy: Send + Any {
     /// Row-timing class and extra raised wordlines for activating `addr`.
     ///
@@ -36,8 +42,11 @@ pub trait DevicePolicy: Send + Any {
     fn activate_class(&self, addr: &DramAddress) -> (dram_device::RowTimingClass, u32);
 
     /// Decision for the refresh slot whose device-internal counter (with
-    /// the configured wiring) targets `slot_row` on `rank`.
-    fn refresh_action(&mut self, rank: u8, slot_row: u64) -> RefreshAction;
+    /// the configured wiring) targets `slot_row` on `rank`. The default
+    /// issues a normal REFRESH in every slot.
+    fn refresh_action(&mut self, _rank: u8, _slot_row: u64) -> RefreshAction {
+        RefreshAction::Normal
+    }
 
     /// Row-timing classes this policy needs registered on each channel, in
     /// class-index order starting at 1 (class 0 is always baseline).
@@ -64,27 +73,27 @@ pub trait DevicePolicy: Send + Any {
     /// back simply ignores the ladder.
     fn apply_degrade_level(&mut self, _level: crate::guardband::DegradeLevel) {}
 
-    /// Downcast hook so owners can reach policy-specific reconfiguration
-    /// entry points (e.g. the MCR layer's MRS reprogramming) through the
-    /// `Box<dyn DevicePolicy>` the controller holds.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// `(M, K)` of each non-baseline timing class, in class-index order.
+    /// Classes beyond this list (and an empty list) restore cells fully;
+    /// MCR's partial-restore classes override this.
+    fn restore_classes(&self) -> Vec<(u32, u32)> {
+        Vec::new()
+    }
+
+    /// Largest legal refresh-slot skip period: 1 means every slot must
+    /// issue (the JEDEC baseline contract).
+    fn max_refresh_skip(&self) -> u32 {
+        1
+    }
 }
 
-/// Baseline policy: every row is a normal row; every refresh is normal.
+/// Plain DDR3: class 0 for every row, a normal REFRESH in every slot.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NormalPolicy;
+pub struct BaselinePolicy;
 
-impl DevicePolicy for NormalPolicy {
+impl DevicePolicy for BaselinePolicy {
     fn activate_class(&self, _addr: &DramAddress) -> (dram_device::RowTimingClass, u32) {
         (dram_device::RowTimingClass(0), 0)
-    }
-
-    fn refresh_action(&mut self, _rank: u8, _slot_row: u64) -> RefreshAction {
-        RefreshAction::Normal
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -94,11 +103,13 @@ mod tests {
 
     #[test]
     fn normal_policy_is_baseline() {
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         let (class, extra) = p.activate_class(&DramAddress::default());
         assert_eq!(class, dram_device::RowTimingClass(0));
         assert_eq!(extra, 0);
         assert_eq!(p.refresh_action(0, 0), RefreshAction::Normal);
         assert!(p.timing_classes().is_empty());
+        assert!(p.restore_classes().is_empty());
+        assert_eq!(p.max_refresh_skip(), 1);
     }
 }

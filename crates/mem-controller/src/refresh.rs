@@ -188,12 +188,12 @@ impl RefreshScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::NormalPolicy;
+    use crate::policy::BaselinePolicy;
 
     #[test]
     fn slots_accumulate_at_trefi() {
         let mut s = RefreshScheduler::new(1, 6, 100, RefreshWiring::Reversed);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(99, &mut p, None);
         assert_eq!(s.backlog(0), 0);
         s.tick(100, &mut p, None);
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn consume_pops_and_counts() {
         let mut s = RefreshScheduler::new(1, 6, 100, RefreshWiring::Reversed);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(300, &mut p, None);
         // Slots due at 100, 200, 300.
         assert_eq!(s.backlog(0), 3);
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn pending_slots_carry_the_counter_row() {
         let mut s = RefreshScheduler::new(1, 6, 100, RefreshWiring::Direct);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(300, &mut p, None);
         // Direct wiring: the sweep visits rows 0, 1, 2 in order.
         let rows: Vec<u64> = (0..3).filter_map(|_| s.consume(0).map(|f| f.row)).collect();
@@ -243,9 +243,6 @@ mod tests {
             fn refresh_action(&mut self, _: u8, _: u64) -> RefreshAction {
                 RefreshAction::Skip
             }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut s = RefreshScheduler::new(2, 6, 100, RefreshWiring::Reversed);
         let mut p = SkipAll;
@@ -258,7 +255,7 @@ mod tests {
     #[test]
     fn ranks_are_staggered() {
         let mut s = RefreshScheduler::new(2, 6, 100, RefreshWiring::Reversed);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(120, &mut p, None);
         // Rank 0 due at 100, rank 1 at 150.
         assert_eq!(s.backlog(0), 1);
@@ -271,7 +268,7 @@ mod tests {
     fn dropped_faults_consume_slots_without_queuing() {
         let plan = FaultPlan::new(7).with_refresh_drops(1.0);
         let mut s = RefreshScheduler::new(1, 6, 100, RefreshWiring::Reversed);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(1000, &mut p, Some(&plan));
         assert_eq!(s.backlog(0), 0, "all slots dropped");
         assert_eq!(s.stats().dropped, 10);
@@ -282,7 +279,7 @@ mod tests {
     fn late_faults_set_a_release_cycle() {
         let plan = FaultPlan::new(7).with_late_refreshes(1.0, 500);
         let mut s = RefreshScheduler::new(1, 6, 100, RefreshWiring::Reversed);
-        let mut p = NormalPolicy;
+        let mut p = BaselinePolicy;
         s.tick(100, &mut p, None);
         s.tick(200, &mut p, Some(&plan));
         assert_eq!(s.backlog(0), 2);

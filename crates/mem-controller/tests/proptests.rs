@@ -3,7 +3,7 @@
 
 use dram_device::{Geometry, PhysAddr, TimingSet};
 use mem_controller::{
-    AddressMapper, BitReversal, ControllerConfig, MemoryController, NormalPolicy, PageInterleave,
+    AddressMapper, BaselinePolicy, BitReversal, ControllerConfig, MemoryController, PageInterleave,
     PermutationInterleave, RowPolicy, SchedulerKind,
 };
 use sim_rng::SmallRng;
@@ -15,7 +15,7 @@ fn controller(cfg: ControllerConfig) -> MemoryController {
         TimingSet::default(),
         cfg,
         Box::new(PageInterleave::new(g)),
-        Box::new(NormalPolicy),
+        Box::new(BaselinePolicy),
     )
 }
 

@@ -23,7 +23,8 @@ fn main() {
 
     let relaxed = mode.relaxed().expect("4x relaxes to 2x");
     assert!(plan.change_is_collision_free(mode, relaxed));
-    sys.reconfigure(relaxed);
+    sys.reconfigure(relaxed)
+        .expect("the MCR backend reconfigures");
     mode = relaxed;
     println!(
         "phase 2 @ cycle {}: relaxed to {mode} — OS sees {} GiB, no data copied",
@@ -34,7 +35,7 @@ fn main() {
 
     let off = mode.relaxed().expect("2x relaxes to off");
     assert!(plan.change_is_collision_free(mode, off));
-    sys.reconfigure(off);
+    sys.reconfigure(off).expect("the MCR backend reconfigures");
     println!(
         "phase 3 @ cycle {}: MCR-mode off — full {} GiB available",
         sys.now(),

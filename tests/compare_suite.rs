@@ -211,6 +211,23 @@ fn submitted_and_local_compare_are_bit_identical() {
 }
 
 #[test]
+fn config_keys_are_pinned_for_every_backend() {
+    // Persistent result stores are keyed by `config_key`, so a key that
+    // drifts silently turns every stored point into a miss. Pin the key
+    // of one fixed config under each registered backend.
+    let pinned = [
+        (BackendKind::Baseline, 0xc970_4a50_17f8_b948),
+        (BackendKind::Mcr, 0xfcb7_c938_7100_c82d),
+        (BackendKind::TlDram, 0x0601_2d6d_e3b1_028b),
+        (BackendKind::ClrDram, 0x56be_2b97_e640_29ca),
+    ];
+    for (kind, key) in pinned {
+        let cfg = SystemConfig::single_core("libq", 8_000).with_backend(BackendSpec::new(kind));
+        assert_eq!(cfg.config_key(), key, "{kind}: config_key drifted");
+    }
+}
+
+#[test]
 fn non_mcr_backends_are_wheel_identical() {
     // The §5h event wheel is a pure wall-clock optimization for every
     // backend, not just MCR: skipping a quiet span under the TL-DRAM

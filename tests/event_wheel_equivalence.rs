@@ -121,8 +121,8 @@ fn mid_run_mode_change_lands_on_the_same_cycle() {
     );
 
     // Relax [4/4x] -> [2/2x]: the only legal mode-change direction.
-    wheel.reconfigure(mode(2, 2));
-    dense.reconfigure(mode(2, 2));
+    wheel.reconfigure(mode(2, 2)).expect("MCR backend");
+    dense.reconfigure(mode(2, 2)).expect("MCR backend");
 
     assert!(wheel.run_until(u64::MAX), "wheel run did not finish");
     assert!(dense.run_until(u64::MAX), "dense run did not finish");

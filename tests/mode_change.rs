@@ -3,7 +3,10 @@
 //! reconfigured mode.
 
 use mcr_dram::experiments::run_single;
-use mcr_dram::{McrGenerator, McrMode, Mechanisms, ModeChangePlan, System, SystemConfig};
+use mcr_dram::{
+    BackendKind, BackendSpec, ConfigError, McrGenerator, McrMode, Mechanisms, ModeChangePlan,
+    System, SystemConfig,
+};
 
 #[test]
 fn relaxation_chain_grows_capacity_monotonically() {
@@ -76,9 +79,10 @@ fn runtime_reconfiguration_mid_run() {
     let mut sys = System::build(&cfg);
     sys.run_until(50_000);
     assert!(!sys.done(), "trace should still be running at 50k cycles");
-    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap());
+    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap())
+        .expect("MCR backend");
     sys.run_until(80_000);
-    sys.reconfigure(McrMode::off());
+    sys.reconfigure(McrMode::off()).expect("MCR backend");
     assert!(sys.run_until(100_000_000), "wedged");
     let r = sys.report();
     assert!(r.reads_done > 0);
@@ -102,7 +106,8 @@ fn reconfiguration_is_audit_clean_and_preserves_telemetry() {
     assert!(before.controller.sched_cas_read.get() > 0);
     assert_eq!(before.mode_changes, 0);
 
-    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap());
+    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap())
+        .expect("MCR backend");
     let after = sys.telemetry_snapshot();
     assert_eq!(after.mode_changes, 1, "the MRS itself must be counted");
     assert_eq!(
@@ -113,7 +118,7 @@ fn reconfiguration_is_audit_clean_and_preserves_telemetry() {
     assert_eq!(after.act_to_data.count(), before.act_to_data.count());
 
     sys.run_until(80_000);
-    sys.reconfigure(McrMode::off());
+    sys.reconfigure(McrMode::off()).expect("MCR backend");
     assert!(sys.run_until(100_000_000), "wedged");
     let end = sys.telemetry_snapshot();
     assert_eq!(end.mode_changes, 2);
@@ -152,9 +157,10 @@ fn mode_change_under_fire_stays_audit_clean() {
     assert!(sys.audit_enabled(), "auditor must be armed for this test");
     sys.run_until(50_000);
     assert!(!sys.done(), "trace should still be running at 50k cycles");
-    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap());
+    sys.reconfigure(McrMode::new(2, 2, 1.0).unwrap())
+        .expect("MCR backend");
     sys.run_until(80_000);
-    sys.reconfigure(McrMode::off());
+    sys.reconfigure(McrMode::off()).expect("MCR backend");
     assert!(sys.run_until(100_000_000), "wedged");
     let r = sys.report(); // panics on any error-severity audit record
     assert!(r.reads_done > 0);
@@ -175,7 +181,32 @@ fn tightening_reconfiguration_is_rejected() {
     let cfg = SystemConfig::single_core("black", 2_000).with_mode(McrMode::new(2, 2, 1.0).unwrap());
     let mut sys = System::build(&cfg);
     sys.run_until(1_000);
-    sys.reconfigure(McrMode::headline()); // 2x -> 4x would collide
+    sys.reconfigure(McrMode::headline()).expect("MCR backend"); // 2x -> 4x would collide
+}
+
+#[test]
+fn reconfiguring_a_non_mcr_backend_is_a_typed_error() {
+    // Only MCR defines an MRS-driven mode change; every other backend
+    // must refuse it with a typed error, not a panic.
+    for kind in [
+        BackendKind::Baseline,
+        BackendKind::TlDram,
+        BackendKind::ClrDram,
+    ] {
+        let cfg = SystemConfig::single_core("black", 2_000).with_backend(BackendSpec::new(kind));
+        let mut sys = System::build(&cfg);
+        sys.run_until(1_000);
+        for mode in [McrMode::off(), McrMode::headline()] {
+            match sys.reconfigure(mode) {
+                Err(ConfigError::Backend(msg)) => assert!(msg.contains("MCR"), "{kind}: {msg}"),
+                other => panic!("{kind}: expected a backend error, got {other:?}"),
+            }
+        }
+        assert!(
+            sys.run_until(100_000_000),
+            "{kind}: wedged after the refusal"
+        );
+    }
 }
 
 #[test]
@@ -189,7 +220,7 @@ fn reconfigured_run_lands_between_pure_modes() {
     let mut sys = System::build(&cfg);
     // Switch off roughly halfway through the pure-MCR cycle count.
     sys.run_until(pure_mcr.total_mem_cycles / 2);
-    sys.reconfigure(McrMode::off());
+    sys.reconfigure(McrMode::off()).expect("MCR backend");
     assert!(sys.run_until(100_000_000), "wedged");
     let mixed = sys.report();
     let lo = pure_mcr.avg_read_latency.min(pure_off.avg_read_latency);

@@ -37,7 +37,6 @@ fn zero_rate_plan_matches_unfaulted_run() {
     assert_eq!(armed.reliability.retention_retries, 0);
     assert_eq!(armed.reliability.retention_violations, 0);
     assert_eq!(armed.reliability.retention_escapes, 0);
-    #[cfg(feature = "telemetry")]
     assert!(
         armed.reliability.retention_checks > 0,
         "an armed detector must actually evaluate margins"
@@ -85,17 +84,14 @@ fn glitch_storm_degrades_gracefully_with_zero_escapes() {
         r.exec_cpu_cycles,
         clean.exec_cpu_cycles
     );
-    #[cfg(feature = "telemetry")]
-    {
-        assert_eq!(
-            r.reliability.retention_violations,
-            r.reliability.retention_retries
-        );
-        assert!(
-            r.telemetry.mode_changes >= r.reliability.guardband_degrades,
-            "each ladder step rides the MRS path"
-        );
-    }
+    assert_eq!(
+        r.reliability.retention_violations,
+        r.reliability.retention_retries
+    );
+    assert!(
+        r.telemetry.mode_changes >= r.reliability.guardband_degrades,
+        "each ladder step rides the MRS path"
+    );
 }
 
 #[test]
@@ -150,14 +146,11 @@ fn disarmed_detector_escapes_are_audit_errors() {
         .audit_violations()
         .filter(|v| v.class == dram_device::ViolationClass::RetentionEscape)
         .all(|v| v.class.severity() == dram_device::Severity::Error));
-    #[cfg(feature = "telemetry")]
-    {
-        // Telemetry counts every escape; the auditor stores at most the
-        // first 256 violation records, so it can only lag behind.
-        let t = sys.telemetry_snapshot();
-        assert!(t.retention_escapes >= escapes as u64);
-        assert_eq!(t.retention_violations, 0, "nothing was detected");
-    }
+    // Telemetry counts every escape; the auditor stores at most the
+    // first 256 violation records, so it can only lag behind.
+    let t = sys.telemetry_snapshot();
+    assert!(t.retention_escapes >= escapes as u64);
+    assert_eq!(t.retention_violations, 0, "nothing was detected");
     // Dropped without `report()`: the escapes are the expected outcome
     // here, not a test failure.
 }
