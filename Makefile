@@ -3,7 +3,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build loc test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
+.PHONY: check build loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, enforce
 # formatting, run the suite (which includes the golden-report
@@ -13,7 +13,7 @@ OFFLINE ?= --offline
 # fault-injection chaos campaign, the service loopback smoke test, the
 # fault-injected loadtest smoke, the cross-backend compare smoke, and
 # the event-wheel, persistent-store and per-backend wall-clock gates.
-check: build clippy fmt-check test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
+check: build clippy fmt-check test benchmark-test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -21,6 +21,12 @@ build:
 # Workspace Rust line count, the size metric ROADMAP.md tracks.
 loc:
 	@find crates tests examples -name '*.rs' | xargs cat | wc -l
+
+# The benchmark (benchmark/, a workspace of its own) builds the
+# simulator crates as path dependencies; the workspace suite never
+# compiles it, so run its tests here.
+benchmark-test:
+	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml -q
 
 # Golden-report snapshots (tests/goldens/): byte-exact scalar outcomes of
 # the Table-3 modes. Runs as part of `make test` too; this target gives

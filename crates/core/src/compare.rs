@@ -22,7 +22,7 @@
 //! assert_eq!(table.rows.len(), 4); // baseline, mcr, tldram, clrdram
 //! ```
 
-use trace_gen::{multi_programmed_mixes, multi_threaded_group, workload, Mix};
+use trace_gen::{mix, workload};
 
 use crate::backend::{registered_backends, BackendKind, BackendSpec};
 use crate::mode::McrMode;
@@ -77,16 +77,6 @@ impl Default for CompareSpec {
     }
 }
 
-/// Resolves a mix name against the trace generator's pools (same pools,
-/// same error text as the run/sweep paths).
-fn resolve_mix(name: &str) -> Result<Mix, String> {
-    let mut pool = multi_programmed_mixes(2015);
-    pool.extend(multi_threaded_group());
-    pool.into_iter()
-        .find(|m| m.name == name)
-        .ok_or_else(|| format!("unknown mix {name:?} (mix01..mix14, MT-*)"))
-}
-
 impl CompareSpec {
     /// Resolves the spec into one labelled [`SystemConfig`] per backend,
     /// in `backends` order, plus the target name.
@@ -110,7 +100,8 @@ impl CompareSpec {
                 (SystemConfig::single_core(name, self.len), name.clone())
             }
             (None, Some(name)) => {
-                let mix = resolve_mix(name)?;
+                let mix = mix(name)
+                    .ok_or_else(|| format!("unknown mix {name:?} (mix01..mix14, MT-*)"))?;
                 (SystemConfig::multi_core_mix(&mix, self.len), name.clone())
             }
             (Some(_), Some(_)) => return Err("workload and mix are mutually exclusive".into()),

@@ -14,44 +14,31 @@
 //! and `submit` subcommands expose the same simulations as a concurrent
 //! TCP service (line-delimited JSON; see DESIGN.md §5g).
 //!
-//! Exit codes: 0 success, 1 usage/transport/configuration error, 2 the
-//! service answered with a non-`ok` status (rejected, timeout, error).
+//! Every entry point is one flag table ([`Cmd`]): [`parse_flags`] reads
+//! it and `--help` prints it, and each flag may be given at most once.
+//!
+//! Exit codes: 0 success, 1 usage/transport/configuration error (one
+//! `error:` line), 2 the service answered with a non-`ok` status
+//! (rejected, timeout, error), `cache verify` found corruption, or the
+//! loadtest `--check` accounting did not balance.
 
 use mcr_dram::experiments::Outcome;
 use mcr_dram::{
-    telemetry_to_json, BackendKind, BackendSpec, CompareSpec, McrMode, RunReport, System,
-    SystemConfig,
+    telemetry_to_json, BackendKind, BackendSpec, CompareSpec, McrMode, RunReport, Sweep,
+    SweepResults, System, SystemConfig,
 };
 use mcr_serve::protocol::parse_mode;
-use mcr_serve::{Client, DispatchConfig, Dispatcher, LoadtestConfig, RunSpec, ServeConfig, Server};
+use mcr_serve::{
+    Client, DispatchConfig, Dispatcher, LoadtestConfig, ProtocolError, RunSpec, ServeConfig, Server,
+};
 use mcr_store::ResultStore;
 use mcr_telemetry::RingRecorder;
 use sim_json::Json;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 use trace_gen::all_workloads;
-
-#[derive(Debug)]
-struct Args {
-    workload: Option<String>,
-    mix: Option<String>,
-    mode: McrMode,
-    len: usize,
-    alloc: f64,
-    row_cache: Option<u32>,
-    seed: u64,
-    csv: bool,
-    json: bool,
-    metrics: bool,
-    trace_out: Option<String>,
-    jobs: Option<usize>,
-    mechanisms_case: Option<u32>,
-    fault_rate: Option<f64>,
-    fault_seed: Option<u64>,
-    chaos: bool,
-    cache_dir: Option<String>,
-}
 
 /// Ring capacity for `--trace-out`: the trailing window of scheduler
 /// events kept for the dump.
@@ -60,225 +47,379 @@ const TRACE_CAPACITY: usize = 1 << 16;
 /// Default service address for `serve` and `submit`.
 const DEFAULT_ADDR: &str = "127.0.0.1:4015";
 
-fn usage() {
-    eprintln!(
-        "usage: mcr-sim [--workload NAME | --mix NAME] [options]\n\
-         \x20      mcr-sim serve [serve options]\n\
-         \x20      mcr-sim submit <REQUEST.json | - | --ping | --stats | --shutdown> [submit options]\n\
-         \x20      mcr-sim dispatch <REQUEST.json | -> --backends A,B,C [dispatch options]\n\
-         \x20      mcr-sim loadtest <--addr A | --backends A,B,C | --loopback> [loadtest options]\n\
-         \x20      mcr-sim cache <stats | verify | gc> --cache-dir DIR\n\
-         \x20      mcr-sim compare [--workload NAME | --mix NAME] [compare options]\n\
-         \n\
-         options:\n\
-           --mode M/Kx/L     MCR mode, e.g. 4/4x/100 (default: off)\n\
-           --len N           memory operations per core (default 50000)\n\
-           --alloc F         profile-based allocation ratio 0..1 (default 0)\n\
-           --row-cache T     manage MCR region as a cache, promote threshold T\n\
-           --mechanisms CASE fig17 case 1-4 (default: all on)\n\
-           --seed N          RNG seed (default 2015)\n\
-           --jobs N          sweep worker threads (default: all cores)\n\
-           --cache-dir DIR   persistent result store; known points are\n\
-                             served from disk instead of re-simulated\n\
-           --csv             emit one CSV line instead of the report\n\
-           --json            emit the sweep results as JSON\n\
-           --metrics         append the MCR point's telemetry as JSON\n\
-           --trace-out FILE  re-run the MCR point with a ring recorder and\n\
-                             dump the trailing scheduler events as JSONL\n\
-           --fault-rate F    arm retention-fault injection at rate F (0..1)\n\
-           --fault-seed N    fault-plan seed (default: --seed value)\n\
-           --chaos           seeded randomized fault campaign across rates;\n\
-                             prints the failing seed for replay on failure\n\
-           --list            list workloads and mixes and exit\n\
-         \n\
-         serve options:\n\
-           --addr A          listen address (default {DEFAULT_ADDR})\n\
-           --workers N       worker threads (default: all cores)\n\
-           --queue-cap N     bounded queue capacity (default 64)\n\
-           --max-points N    largest grid a job may expand to (default 512)\n\
-           --max-len N       largest trace length a job may request\n\
-           --cache-dir DIR   persistent result store shared by the\n\
-                             workers; a warm cache survives restarts\n\
-           --read-deadline-ms N\n\
-                             drop a connection whose partial request\n\
-                             line stalls this long (default 10000)\n\
-           --max-line N      largest request line in bytes (default 1 MiB)\n\
-         \n\
-         dispatch options (split one job across a backend fleet):\n\
-           --backends A,B,C  comma-separated backend addresses (required)\n\
-           --deadline-ms N   campaign deadline (also sent to backends)\n\
-           --retries N       extra attempts per shard (default 4)\n\
-           --backoff-ms N    base backoff; attempt k waits base<<(k-1)\n\
-                             plus seeded jitter (default 25)\n\
-           --hedge-ms N      duplicate a still-silent shard on another\n\
-                             backend after N ms (default: never)\n\
-           --seed N          backoff-jitter seed (default 0)\n\
-         \n\
-         loadtest options (seeded replay of mixed submissions):\n\
-           --addr A | --backends A,B,C | --loopback\n\
-                             target: one server, a dispatched fleet, or\n\
-                             a self-hosted in-process server\n\
-           --submissions N   total submissions per phase (default 40)\n\
-           --concurrency N   submitter threads (default 4)\n\
-           --len N           trace length of generated jobs (default 2000)\n\
-           --seed N          generator/jitter/chaos seed (default 7)\n\
-           --chaos-rate F    add a second phase through a NetChaos proxy\n\
-                             injecting faults at rate F (default 0: off)\n\
-           --jitter-ms N     max seeded arrival jitter (default 5)\n\
-           --retries N       transport retries per submission (default 6)\n\
-           --deadline-ms N   deadline attached to every submission\n\
-           --out FILE        write the JSON report (default BENCH_serve.json)\n\
-           --check           exit 2 unless the shed/served/retried\n\
-                             accounting balances exactly\n\
-         \n\
-         cache subcommand (against a --cache-dir store):\n\
-           stats             print the store's occupancy and counters\n\
-           verify            full integrity scan; corrupt entries are\n\
-                             quarantined; exit 0 clean, 2 corruption\n\
-           gc                remove stale .tmp files and drain quarantine\n\
-         \n\
-         compare options (head-to-head across DRAM architectures):\n\
-           --backends A,B,C  comma-separated backend names from\n\
-                             mcr, baseline, tldram, clrdram\n\
-                             (default: all four)\n\
-           --mode M/Kx/L     MCR mode of the mcr row (default 4/4x/100)\n\
-           --len N           memory operations per core (default 50000)\n\
-           --seed N          trace seed shared by every row (default 2015)\n\
-           --jobs N          sweep worker threads (default: all cores)\n\
-           --cache-dir DIR   persistent result store for the rows\n\
-           --csv | --json    table format (default: aligned text)\n\
-         \n\
-         submit options:\n\
-           --addr A          service address (default {DEFAULT_ADDR})\n\
-           --deadline-ms N   set/override the request deadline\n\
-           --ping | --stats | --shutdown\n\
-                             send a control request instead of a file"
-    );
+/// One table row: flag, value placeholder (`""` for a switch), help.
+/// A row without a leading dash names an accepted operand instead.
+type Flag = (&'static str, &'static str, &'static str);
+
+/// Everything one entry point accepts. The parser and `--help` both
+/// read it, so a flag cannot be accepted without being documented.
+struct Cmd {
+    /// Subcommand word, used in operand errors.
+    name: &'static str,
+    /// Usage line, after `mcr-sim`.
+    synopsis: &'static str,
+    /// Help section heading.
+    title: &'static str,
+    /// What a bare argument is; `None` rejects bare arguments.
+    operand: Option<&'static str>,
+    flags: &'static [Flag],
 }
 
-fn parse_args(argv: Vec<String>) -> Result<Option<Args>, String> {
-    let mut args = Args {
-        workload: None,
-        mix: None,
-        mode: McrMode::off(),
-        len: 50_000,
-        alloc: 0.0,
-        row_cache: None,
-        seed: 2015,
-        csv: false,
-        json: false,
-        metrics: false,
-        trace_out: None,
-        jobs: None,
-        mechanisms_case: None,
-        fault_rate: None,
-        fault_seed: None,
-        chaos: false,
-        cache_dir: None,
-    };
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--list" => {
-                println!("single-core workloads:");
-                for w in all_workloads() {
-                    println!(
-                        "  {:<12} {:?}, {:.0} MPKI{}",
-                        w.name,
-                        w.suite,
-                        w.mpki,
-                        if w.multi_threaded {
-                            " (MT, quad-core only)"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-                println!("mixes: mix01..mix14, MT-fluid, MT-canneal");
-                return Ok(None);
+const LOCAL: Cmd = Cmd {
+    name: "mcr-sim",
+    synopsis: "[--workload NAME | --mix NAME] [options]",
+    title: "options:",
+    operand: None,
+    flags: &[
+        ("--workload", "NAME", "single-core workload (see --list)"),
+        ("--mix", "NAME", "four-core mix, mix01..mix14 or MT-*"),
+        ("--mode", "M/Kx/L", "MCR mode, e.g. 4/4x/100 (default: off)"),
+        ("--len", "N", "memory operations per core (default 50000)"),
+        ("--alloc", "F", "profile-based allocation ratio 0..1 (default 0)"),
+        ("--row-cache", "T", "manage MCR region as a cache, promote threshold T"),
+        ("--mechanisms", "CASE", "fig17 case 1-4 (default: all on)"),
+        ("--seed", "N", "RNG seed (default 2015)"),
+        ("--jobs", "N", "sweep worker threads (default: all cores)"),
+        ("--cache-dir", "DIR", "persistent result store; known points are\nserved from disk instead of re-simulated"),
+        ("--csv", "", "emit one CSV line instead of the report"),
+        ("--json", "", "emit the sweep results as JSON"),
+        ("--metrics", "", "append the MCR point's telemetry as JSON"),
+        ("--trace-out", "FILE", "re-run the MCR point with a ring recorder and\ndump the trailing scheduler events as JSONL"),
+        ("--fault-rate", "F", "arm retention-fault injection at rate F (0..1)"),
+        ("--fault-seed", "N", "fault-plan seed (default: --seed value)"),
+        ("--chaos", "", "seeded randomized fault campaign across rates;\nprints the failing seed for replay on failure"),
+        ("--list", "", "list workloads and mixes and exit"),
+    ],
+};
+
+const SERVE: Cmd = Cmd {
+    name: "serve",
+    synopsis: "serve [serve options]",
+    title: "serve options:",
+    operand: None,
+    flags: &[
+        ("--addr", "A", "listen address (default 127.0.0.1:4015)"),
+        ("--workers", "N", "worker threads (default: all cores)"),
+        ("--queue-cap", "N", "bounded queue capacity (default 64)"),
+        (
+            "--max-points",
+            "N",
+            "largest grid a job may expand to (default 512)",
+        ),
+        ("--max-len", "N", "largest trace length a job may request"),
+        (
+            "--cache-dir",
+            "DIR",
+            "persistent result store shared by the\nworkers; a warm cache survives restarts",
+        ),
+        (
+            "--read-deadline-ms",
+            "N",
+            "drop a connection whose partial request\nline stalls this long (default 10000)",
+        ),
+        (
+            "--max-line",
+            "N",
+            "largest request line in bytes (default 1 MiB)",
+        ),
+    ],
+};
+
+const SUBMIT: Cmd = Cmd {
+    name: "submit",
+    synopsis: "submit <REQUEST.json | - | --ping | --stats | --shutdown> [submit options]",
+    title: "submit options:",
+    operand: Some("request file"),
+    flags: &[
+        ("--addr", "A", "service address (default 127.0.0.1:4015)"),
+        ("--deadline-ms", "N", "set/override the request deadline"),
+        ("--ping", "", "send a ping instead of a request file"),
+        ("--stats", "", "ask for the service counters instead"),
+        ("--shutdown", "", "drain and stop the service instead"),
+    ],
+};
+
+const DISPATCH: Cmd = Cmd {
+    name: "dispatch",
+    synopsis: "dispatch <REQUEST.json | -> --backends A,B,C [dispatch options]",
+    title: "dispatch options (split one job across a backend fleet):",
+    operand: Some("request file"),
+    flags: &[
+        (
+            "--backends",
+            "A,B,C",
+            "comma-separated backend addresses (required)",
+        ),
+        (
+            "--deadline-ms",
+            "N",
+            "campaign deadline (also sent to backends)",
+        ),
+        ("--retries", "N", "extra attempts per shard (default 4)"),
+        (
+            "--backoff-ms",
+            "N",
+            "base backoff; attempt k waits base<<(k-1)\nplus seeded jitter (default 25)",
+        ),
+        (
+            "--hedge-ms",
+            "N",
+            "duplicate a still-silent shard on another\nbackend after N ms (default: never)",
+        ),
+        ("--seed", "N", "backoff-jitter seed (default 0)"),
+    ],
+};
+
+const LOADTEST: Cmd = Cmd {
+    name: "loadtest",
+    synopsis: "loadtest <--addr A | --backends A,B,C | --loopback> [loadtest options]",
+    title: "loadtest options (seeded replay of mixed submissions):",
+    operand: None,
+    flags: &[
+        ("--addr", "A", "target: one server"),
+        ("--backends", "A,B,C", "target: a dispatched fleet"),
+        ("--loopback", "", "target: a self-hosted in-process server"),
+        ("--submissions", "N", "total submissions per phase (default 40)"),
+        ("--concurrency", "N", "submitter threads (default 4)"),
+        ("--len", "N", "trace length of generated jobs (default 2000)"),
+        ("--seed", "N", "generator/jitter/chaos seed (default 7)"),
+        ("--chaos-rate", "F", "add a second phase through a NetChaos proxy\ninjecting faults at rate F (default 0: off)"),
+        ("--jitter-ms", "N", "max seeded arrival jitter (default 5)"),
+        ("--retries", "N", "transport retries per submission (default 6)"),
+        ("--deadline-ms", "N", "deadline attached to every submission"),
+        ("--out", "FILE", "write the JSON report (default BENCH_serve.json)"),
+        ("--check", "", "exit 2 unless the shed/served/retried\naccounting balances exactly"),
+    ],
+};
+
+const CACHE: Cmd = Cmd {
+    name: "cache",
+    synopsis: "cache <stats | verify | gc> --cache-dir DIR",
+    title: "cache subcommand (against a --cache-dir store):",
+    operand: Some("action"),
+    flags: &[
+        ("--cache-dir", "DIR", "the store to operate on (required)"),
+        ("stats", "", "print the store's occupancy and counters"),
+        (
+            "verify",
+            "",
+            "full integrity scan; corrupt entries are\nquarantined; exit 0 clean, 2 corruption",
+        ),
+        ("gc", "", "remove stale .tmp files and drain quarantine"),
+    ],
+};
+
+const COMPARE: Cmd = Cmd {
+    name: "compare",
+    synopsis: "compare [--workload NAME | --mix NAME] [compare options]",
+    title: "compare options (head-to-head across DRAM architectures):",
+    operand: None,
+    flags: &[
+        ("--workload", "NAME", "single-core workload (see --list)"),
+        ("--mix", "NAME", "four-core mix, mix01..mix14 or MT-*"),
+        ("--backends", "A,B,C", "comma-separated backend names from\nmcr, baseline, tldram, clrdram\n(default: all four)"),
+        ("--mode", "M/Kx/L", "MCR mode of the mcr row (default 4/4x/100)"),
+        ("--len", "N", "memory operations per core (default 50000)"),
+        ("--seed", "N", "trace seed shared by every row (default 2015)"),
+        ("--jobs", "N", "sweep worker threads (default: all cores)"),
+        ("--cache-dir", "DIR", "persistent result store for the rows"),
+        ("--csv", "", "emit the table as CSV"),
+        ("--json", "", "emit the table as JSON (default: aligned text)"),
+    ],
+};
+
+const COMMANDS: [&Cmd; 7] = [
+    &LOCAL, &SERVE, &SUBMIT, &DISPATCH, &LOADTEST, &CACHE, &COMPARE,
+];
+
+/// Column where flag help text starts.
+const HELP_COL: usize = 20;
+
+/// Prints the synopsis lines, then every flag table as its own section.
+fn usage() {
+    let mut out = String::new();
+    for (i, cmd) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "" };
+        let _ = writeln!(out, "{lead:<6} mcr-sim {}", cmd.synopsis);
+    }
+    let _ = writeln!(out, "{:<6} mcr-sim [SUBCOMMAND] -h | --help", "");
+    let indent = format!("\n{:HELP_COL$}", "");
+    for cmd in COMMANDS {
+        let _ = write!(out, "\n{}\n", cmd.title);
+        for (name, value, help) in cmd.flags {
+            let head = format!("  {name} {value}");
+            let head = head.trim_end();
+            let help = help.replace('\n', &indent);
+            if head.len() < HELP_COL {
+                let _ = writeln!(out, "{head:<HELP_COL$}{help}");
+            } else {
+                let _ = writeln!(out, "{head}{indent}{help}");
             }
-            "--workload" => args.workload = Some(value("--workload")?),
-            "--mix" => args.mix = Some(value("--mix")?),
-            "--mode" => {
-                let v = value("--mode")?;
-                args.mode =
-                    parse_mode(&v).ok_or_else(|| format!("bad mode {v:?} (want M/Kx/L or off)"))?;
-            }
-            "--len" => {
-                args.len = value("--len")?
-                    .parse()
-                    .map_err(|e| format!("bad --len: {e}"))?
-            }
-            "--alloc" => {
-                args.alloc = value("--alloc")?
-                    .parse()
-                    .map_err(|e| format!("bad --alloc: {e}"))?
-            }
-            "--row-cache" => {
-                args.row_cache = Some(
-                    value("--row-cache")?
-                        .parse()
-                        .map_err(|e| format!("bad --row-cache: {e}"))?,
-                )
-            }
-            "--mechanisms" => {
-                let case: u32 = value("--mechanisms")?
-                    .parse()
-                    .map_err(|e| format!("bad --mechanisms: {e}"))?;
-                if !(1..=4).contains(&case) {
-                    return Err("mechanisms case must be 1-4".into());
-                }
-                args.mechanisms_case = Some(case);
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--jobs" => {
-                args.jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("bad --jobs: {e}"))?,
-                )
-            }
-            "--fault-rate" => {
-                let rate: f64 = value("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad --fault-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("--fault-rate must be in [0, 1], got {rate}"));
-                }
-                args.fault_rate = Some(rate);
-            }
-            "--fault-seed" => {
-                args.fault_seed = Some(
-                    value("--fault-seed")?
-                        .parse()
-                        .map_err(|e| format!("bad --fault-seed: {e}"))?,
-                )
-            }
-            "--chaos" => args.chaos = true,
-            "--cache-dir" => args.cache_dir = Some(value("--cache-dir")?),
-            "--csv" => args.csv = true,
-            "--json" => args.json = true,
-            "--metrics" => args.metrics = true,
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.workload.is_none() && args.mix.is_none() {
-        return Err("need --workload or --mix (or --list)".into());
+    eprint!("{out}");
+}
+
+/// A usage error: the message plus a pointer to `--help`.
+fn usage_error(msg: impl std::fmt::Display) -> String {
+    format!("{msg}\nrun 'mcr-sim --help' for options")
+}
+
+/// One entry point's argv, checked against its [`Cmd`] table.
+struct Parsed {
+    cmd: &'static Cmd,
+    /// Each given flag once, with its value (`None` for a switch).
+    given: Vec<(&'static str, Option<String>)>,
+    operand: Option<String>,
+}
+
+/// Walks `argv` against `cmd`'s table. `Ok(None)` means `--help` was
+/// given and the help text is already printed.
+fn parse_flags(argv: &[String], cmd: &'static Cmd) -> Result<Option<Parsed>, String> {
+    let mut p = Parsed {
+        cmd,
+        given: Vec::new(),
+        operand: None,
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            usage();
+            return Ok(None);
+        }
+        if !arg.starts_with('-') || arg == "-" {
+            let Some(what) = cmd.operand else {
+                return Err(usage_error(format!("unknown flag {arg:?}")));
+            };
+            if p.operand.is_some() {
+                return Err(usage_error(format!(
+                    "{} takes exactly one {what}",
+                    cmd.name
+                )));
+            }
+            let choices: Vec<&str> = cmd
+                .flags
+                .iter()
+                .map(|f| f.0)
+                .filter(|n| !n.starts_with('-'))
+                .collect();
+            if !choices.is_empty() && !choices.contains(&arg.as_str()) {
+                return Err(usage_error(format!(
+                    "unknown {} {what} {arg:?} (want {})",
+                    cmd.name,
+                    choices.join(", ")
+                )));
+            }
+            p.operand = Some(arg.clone());
+            continue;
+        }
+        let Some(&(name, placeholder, _)) = cmd.flags.iter().find(|f| f.0 == arg) else {
+            return Err(usage_error(format!("unknown flag {arg:?}")));
+        };
+        if p.given.iter().any(|(n, _)| *n == name) {
+            return Err(usage_error(format!("{name} given more than once")));
+        }
+        let value = match placeholder {
+            "" => None,
+            _ => Some(
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| usage_error(format!("{name} needs a value")))?,
+            ),
+        };
+        p.given.push((name, value));
     }
-    if args.workload.is_some() && args.mix.is_some() {
-        return Err("--workload and --mix are mutually exclusive".into());
+    Ok(Some(p))
+}
+
+impl Parsed {
+    fn find(&self, flag: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.0 == flag),
+            "{flag} is missing from the {} table",
+            self.cmd.name
+        );
+        self.given.iter().find(|(n, _)| *n == flag).map(|(_, v)| v)
     }
-    Ok(Some(args))
+
+    /// Whether the switch `flag` was given.
+    fn on(&self, flag: &str) -> bool {
+        self.find(flag).is_some()
+    }
+
+    /// The value of `flag` parsed as `T`, or `None` when absent.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.find(flag)
+            .and_then(Option::as_deref)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| usage_error(format!("bad {flag}: {e}")))
+            })
+            .transpose()
+    }
+
+    /// Overwrites `field` (which holds the default) when `flag` is given.
+    fn set<T: FromStr>(&self, flag: &str, field: &mut T) -> Result<(), String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        if let Some(v) = self.get(flag)? {
+            *field = v;
+        }
+        Ok(())
+    }
+
+    /// [`Parsed::set`] for an `M/Kx/L` (or `off`) mode.
+    fn mode(&self, flag: &str, field: &mut McrMode) -> Result<(), String> {
+        if let Some(v) = self.get::<String>(flag)? {
+            *field = parse_mode(&v)
+                .ok_or_else(|| usage_error(format!("bad mode {v:?} (want M/Kx/L or off)")))?;
+        }
+        Ok(())
+    }
+
+    /// A non-empty comma-separated list of `what`s, or `None` when absent.
+    fn list(&self, flag: &str, what: &str) -> Result<Option<Vec<String>>, String> {
+        let Some(v) = self.get::<String>(flag)? else {
+            return Ok(None);
+        };
+        let list: Vec<String> = v
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
+        if list.is_empty() {
+            return Err(usage_error(format!("{flag} needs at least one {what}")));
+        }
+        Ok(Some(list))
+    }
+}
+
+/// Reads a request file, or stdin for `-`.
+fn read_request(path: &str) -> Result<String, String> {
+    if path != "-" {
+        return std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    }
+    let mut buf = String::new();
+    std::io::stdin()
+        .read_to_string(&mut buf)
+        .map_err(|e| format!("cannot read stdin: {e}"))?;
+    Ok(buf)
+}
+
+/// Runs `sweep` through the persistent store in `cache_dir`, so a
+/// repeated invocation (or another process sharing the directory)
+/// skips known points; in memory without one.
+fn run_sweep(sweep: &Sweep, cache_dir: Option<&str>) -> Result<SweepResults, String> {
+    let Some(dir) = cache_dir else {
+        return Ok(sweep.run());
+    };
+    let store = ResultStore::open(dir).map_err(|e| format!("cannot open cache {dir}: {e}"))?;
+    Ok(sweep.run_with_store(&store))
 }
 
 /// Re-runs `cfg` with a [`RingRecorder`] installed and writes the trailing
@@ -382,78 +523,30 @@ fn print_report(label: &str, r: &RunReport) {
 // serve
 // ---------------------------------------------------------------------------
 
-fn parse_serve_args(argv: &[String]) -> Result<Option<(String, ServeConfig)>, String> {
+fn serve_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &SERVE)? else {
+        return Ok(ExitCode::SUCCESS);
+    };
     let mut addr = DEFAULT_ADDR.to_string();
-    let mut cfg = ServeConfig::default();
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?
-            }
-            "--queue-cap" => {
-                cfg.queue_cap = value("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("bad --queue-cap: {e}"))?
-            }
-            "--max-points" => {
-                cfg.max_points = value("--max-points")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-points: {e}"))?
-            }
-            "--max-len" => {
-                cfg.max_trace_len = value("--max-len")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-len: {e}"))?
-            }
-            "--cache-dir" => cfg.cache_dir = Some(value("--cache-dir")?.into()),
-            "--read-deadline-ms" => {
-                cfg.read_deadline_ms = value("--read-deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --read-deadline-ms: {e}"))?
-            }
-            "--max-line" => {
-                cfg.max_line_len = value("--max-line")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-line: {e}"))?
-            }
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    p.set("--addr", &mut addr)?;
+    let mut cfg = ServeConfig {
+        cache_dir: p.get("--cache-dir")?,
+        ..ServeConfig::default()
+    };
+    p.set("--workers", &mut cfg.workers)?;
+    p.set("--queue-cap", &mut cfg.queue_cap)?;
+    p.set("--max-points", &mut cfg.max_points)?;
+    p.set("--max-len", &mut cfg.max_trace_len)?;
+    p.set("--read-deadline-ms", &mut cfg.read_deadline_ms)?;
+    p.set("--max-line", &mut cfg.max_line_len)?;
     if cfg.queue_cap == 0 {
-        return Err("--queue-cap must be at least 1".into());
+        return Err(usage_error("--queue-cap must be at least 1"));
     }
     if cfg.max_line_len == 0 {
-        return Err("--max-line must be at least 1".into());
+        return Err(usage_error("--max-line must be at least 1"));
     }
-    Ok(Some((addr, cfg)))
-}
-
-fn serve_main(argv: &[String]) -> ExitCode {
-    let (addr, cfg) = match parse_serve_args(argv) {
-        Ok(Some(parsed)) => parsed,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let server = match Server::bind(addr.as_str(), cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let server =
+        Server::bind(addr.as_str(), cfg).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     match &server.config().cache_dir {
         Some(dir) => println!(
             "mcr-serve listening on {} ({} workers, queue capacity {}, \
@@ -481,134 +574,62 @@ fn serve_main(argv: &[String]) -> ExitCode {
         t.rejected_queue_full.get(),
         t.rejected_draining.get()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
 // submit
 // ---------------------------------------------------------------------------
 
-struct SubmitArgs {
-    addr: String,
-    file: Option<String>,
-    deadline_ms: Option<u64>,
-    control: Option<&'static str>,
-}
-
-fn parse_submit_args(argv: &[String]) -> Result<Option<SubmitArgs>, String> {
-    let mut args = SubmitArgs {
-        addr: DEFAULT_ADDR.to_string(),
-        file: None,
-        deadline_ms: None,
-        control: None,
+fn submit_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &SUBMIT)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--ping" => args.control = Some("ping"),
-            "--stats" => args.control = Some("stats"),
-            "--shutdown" => args.control = Some("shutdown"),
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
-            _ => {
-                if args.file.is_some() {
-                    return Err("submit takes exactly one request file".into());
+    let mut addr = DEFAULT_ADDR.to_string();
+    p.set("--addr", &mut addr)?;
+    let deadline_ms: Option<u64> = p.get("--deadline-ms")?;
+    let controls: Vec<&str> = ["ping", "stats", "shutdown"]
+        .into_iter()
+        .filter(|c| p.on(&format!("--{c}")))
+        .collect();
+    let body = match (&controls[..], &p.operand) {
+        ([cmd], None) => Json::obj([("cmd", Json::str(*cmd))]),
+        ([], Some(path)) => {
+            let text = read_request(path)?;
+            let mut body =
+                Json::parse(&text).map_err(|e| format!("bad request JSON in {path}: {e}"))?;
+            if let Some(ms) = deadline_ms {
+                if !body.set("deadline_ms", Json::from(ms)) {
+                    return Err("request must be a JSON object".into());
                 }
-                args.file = Some(flag);
             }
+            body
         }
-    }
-    if args.file.is_none() && args.control.is_none() {
-        return Err(
-            "submit needs a request file ('-' for stdin) or --ping/--stats/--shutdown".into(),
-        );
-    }
-    if args.file.is_some() && args.control.is_some() {
-        return Err("a request file and a control flag are mutually exclusive".into());
-    }
-    Ok(Some(args))
-}
-
-fn load_request(args: &SubmitArgs) -> Result<Json, String> {
-    if let Some(cmd) = args.control {
-        return Ok(Json::obj([("cmd", Json::str(cmd))]));
-    }
-    let Some(path) = &args.file else {
-        return Err("submit needs a request file".into());
-    };
-    let text = if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-    };
-    let mut body = Json::parse(&text).map_err(|e| format!("bad request JSON in {path}: {e}"))?;
-    if let Some(ms) = args.deadline_ms {
-        if !body.set("deadline_ms", Json::from(ms)) {
-            return Err("request must be a JSON object".into());
+        ([], None) => {
+            return Err(usage_error(
+                "submit needs a request file ('-' for stdin) or --ping/--stats/--shutdown",
+            ))
         }
-    }
-    Ok(body)
-}
-
-fn submit_main(argv: &[String]) -> ExitCode {
-    let args = match parse_submit_args(argv) {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
+        ([_], Some(_)) => {
+            return Err(usage_error(
+                "a request file and a control flag are mutually exclusive",
+            ))
         }
+        _ => return Err(usage_error("at most one of --ping, --stats, --shutdown")),
     };
-    let body = match load_request(&args) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut client = match Client::connect(args.addr.as_str()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: cannot reach {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    let reply = match client.request_line(&body.to_string()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut client =
+        Client::connect(addr.as_str()).map_err(|e| format!("cannot reach {addr}: {e}"))?;
+    let reply = client
+        .request_line(&body.to_string())
+        .map_err(|e| e.to_string())?;
     println!("{reply}");
-    match Json::parse(&reply).ok().as_ref().and_then(|v| {
-        v.get("status")
-            .and_then(Json::as_str)
-            .map(|s| s.to_string())
-    }) {
-        Some(status) if status == "ok" => ExitCode::SUCCESS,
-        Some(_) => ExitCode::from(2),
-        None => {
-            eprintln!("error: unparsable response");
-            ExitCode::FAILURE
-        }
+    let status = Json::parse(&reply)
+        .ok()
+        .and_then(|v| v.get("status").and_then(Json::as_str).map(|s| s == "ok"));
+    match status {
+        Some(true) => Ok(ExitCode::SUCCESS),
+        Some(false) => Ok(ExitCode::from(2)),
+        None => Err("unparsable response".into()),
     }
 }
 
@@ -616,244 +637,45 @@ fn submit_main(argv: &[String]) -> ExitCode {
 // dispatch
 // ---------------------------------------------------------------------------
 
-struct DispatchArgs {
-    file: String,
-    cfg: DispatchConfig,
-}
-
-fn parse_backend_list(v: &str) -> Result<Vec<String>, String> {
-    let list: Vec<String> = v
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if list.is_empty() {
-        return Err("--backends needs at least one address".into());
-    }
-    Ok(list)
-}
-
-fn parse_dispatch_args(argv: &[String]) -> Result<Option<DispatchArgs>, String> {
-    let mut file: Option<String> = None;
-    let mut cfg = DispatchConfig::default();
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--backends" => cfg.backends = parse_backend_list(&value("--backends")?)?,
-            "--deadline-ms" => {
-                cfg.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--retries" => {
-                cfg.max_retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("bad --retries: {e}"))?
-            }
-            "--backoff-ms" => {
-                cfg.backoff_base_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --backoff-ms: {e}"))?
-            }
-            "--hedge-ms" => {
-                cfg.hedge_after_ms = Some(
-                    value("--hedge-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --hedge-ms: {e}"))?,
-                )
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
-            _ => {
-                if file.is_some() {
-                    return Err("dispatch takes exactly one request file".into());
-                }
-                file = Some(flag);
-            }
-        }
-    }
-    let Some(file) = file else {
-        return Err("dispatch needs a request file ('-' for stdin)".into());
-    };
-    if cfg.backends.is_empty() {
-        return Err("dispatch needs --backends A,B,C".into());
-    }
-    Ok(Some(DispatchArgs { file, cfg }))
-}
-
 /// The `dispatch` subcommand: split one run/sweep/campaign across a
 /// backend fleet by config-key hash and print the merged reply a
 /// single server would have produced. Same exit-code contract as
 /// `submit`: 0 ok, 2 non-`ok` status, 1 usage/transport error.
-fn dispatch_main(argv: &[String]) -> ExitCode {
-    let args = match parse_dispatch_args(argv) {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+fn dispatch_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &DISPATCH)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let text = if args.file == "-" {
-        let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-            eprintln!("error: cannot read stdin: {e}");
-            return ExitCode::FAILURE;
-        }
-        buf
-    } else {
-        match std::fs::read_to_string(&args.file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", args.file);
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut cfg = DispatchConfig {
+        backends: p.list("--backends", "address")?.unwrap_or_default(),
+        deadline_ms: p.get("--deadline-ms")?,
+        hedge_after_ms: p.get("--hedge-ms")?,
+        ..DispatchConfig::default()
     };
-    let d = match Dispatcher::new(args.cfg) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    p.set("--retries", &mut cfg.max_retries)?;
+    p.set("--backoff-ms", &mut cfg.backoff_base_ms)?;
+    p.set("--seed", &mut cfg.seed)?;
+    let Some(file) = &p.operand else {
+        return Err(usage_error("dispatch needs a request file ('-' for stdin)"));
     };
-    match d.dispatch_line(text.trim()) {
-        Ok(out) => {
-            println!("{}", out.line);
-            eprintln!("dispatch: {}", out.telemetry.to_json());
-            if out.timed_out {
-                ExitCode::from(2)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    if cfg.backends.is_empty() {
+        return Err(usage_error("dispatch needs --backends A,B,C"));
     }
+    let text = read_request(file)?;
+    let out = Dispatcher::new(cfg)
+        .and_then(|d| d.dispatch_line(text.trim()))
+        .map_err(|e| e.to_string())?;
+    println!("{}", out.line);
+    eprintln!("dispatch: {}", out.telemetry.to_json());
+    Ok(if out.timed_out {
+        ExitCode::from(2)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 // ---------------------------------------------------------------------------
 // loadtest
 // ---------------------------------------------------------------------------
-
-enum LoadtestTarget {
-    Addr(String),
-    Backends(Vec<String>),
-    Loopback,
-}
-
-struct LoadtestArgs {
-    target: LoadtestTarget,
-    cfg: LoadtestConfig,
-    out: String,
-    check: bool,
-}
-
-fn parse_loadtest_args(argv: &[String]) -> Result<Option<LoadtestArgs>, String> {
-    let mut target: Option<LoadtestTarget> = None;
-    let mut cfg = LoadtestConfig::default();
-    let mut out = "BENCH_serve.json".to_string();
-    let mut check = false;
-    let set_target = |t: LoadtestTarget, slot: &mut Option<LoadtestTarget>| {
-        if slot.is_some() {
-            return Err("pick exactly one of --addr, --backends, --loopback".to_string());
-        }
-        *slot = Some(t);
-        Ok(())
-    };
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--addr" => set_target(LoadtestTarget::Addr(value("--addr")?), &mut target)?,
-            "--backends" => set_target(
-                LoadtestTarget::Backends(parse_backend_list(&value("--backends")?)?),
-                &mut target,
-            )?,
-            "--loopback" => set_target(LoadtestTarget::Loopback, &mut target)?,
-            "--submissions" => {
-                cfg.submissions = value("--submissions")?
-                    .parse()
-                    .map_err(|e| format!("bad --submissions: {e}"))?
-            }
-            "--concurrency" => {
-                cfg.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|e| format!("bad --concurrency: {e}"))?
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--len" => {
-                cfg.len = value("--len")?
-                    .parse()
-                    .map_err(|e| format!("bad --len: {e}"))?
-            }
-            "--chaos-rate" => {
-                let rate: f64 = value("--chaos-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad --chaos-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("--chaos-rate must be in [0, 1], got {rate}"));
-                }
-                cfg.chaos_rate = rate;
-            }
-            "--jitter-ms" => {
-                cfg.arrival_jitter_ms = value("--jitter-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad --jitter-ms: {e}"))?
-            }
-            "--retries" => {
-                cfg.max_retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("bad --retries: {e}"))?
-            }
-            "--deadline-ms" => {
-                cfg.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-ms: {e}"))?,
-                )
-            }
-            "--out" => out = value("--out")?,
-            "--check" => check = true,
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    let Some(target) = target else {
-        return Err("loadtest needs a target: --addr, --backends or --loopback".into());
-    };
-    if cfg.submissions == 0 {
-        return Err("--submissions must be at least 1".into());
-    }
-    Ok(Some(LoadtestArgs {
-        target,
-        cfg,
-        out,
-        check,
-    }))
-}
 
 fn phase_summary(name: &str, p: &mcr_serve::PhaseReport) {
     println!(
@@ -878,30 +700,48 @@ fn phase_summary(name: &str, p: &mcr_serve::PhaseReport) {
 /// write the shed/latency ledger as JSON. With `--check`, exit 2
 /// unless every submission is accounted for exactly once and nothing
 /// was lost.
-fn loadtest_main(argv: &[String]) -> ExitCode {
-    let args = match parse_loadtest_args(argv) {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+fn loadtest_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &LOADTEST)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let report = match &args.target {
-        LoadtestTarget::Addr(addr) => mcr_serve::loadtest::run_addr(&args.cfg, addr),
-        LoadtestTarget::Backends(list) => mcr_serve::loadtest::run_backends(&args.cfg, list),
-        LoadtestTarget::Loopback => {
-            mcr_serve::loadtest::run_loopback(&args.cfg, ServeConfig::default())
-        }
+    let mut cfg = LoadtestConfig {
+        deadline_ms: p.get("--deadline-ms")?,
+        ..LoadtestConfig::default()
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    p.set("--submissions", &mut cfg.submissions)?;
+    p.set("--concurrency", &mut cfg.concurrency)?;
+    p.set("--seed", &mut cfg.seed)?;
+    p.set("--len", &mut cfg.len)?;
+    p.set("--chaos-rate", &mut cfg.chaos_rate)?;
+    p.set("--jitter-ms", &mut cfg.arrival_jitter_ms)?;
+    p.set("--retries", &mut cfg.max_retries)?;
+    let mut out = "BENCH_serve.json".to_string();
+    p.set("--out", &mut out)?;
+    if !(0.0..=1.0).contains(&cfg.chaos_rate) {
+        return Err(usage_error(format!(
+            "--chaos-rate must be in [0, 1], got {}",
+            cfg.chaos_rate
+        )));
+    }
+    if cfg.submissions == 0 {
+        return Err(usage_error("--submissions must be at least 1"));
+    }
+    let addr: Option<String> = p.get("--addr")?;
+    let report = match (addr, p.list("--backends", "address")?, p.on("--loopback")) {
+        (Some(addr), None, false) => mcr_serve::loadtest::run_addr(&cfg, &addr),
+        (None, Some(list), false) => mcr_serve::loadtest::run_backends(&cfg, &list),
+        (None, None, true) => mcr_serve::loadtest::run_loopback(&cfg, ServeConfig::default()),
+        (None, None, false) => {
+            return Err(usage_error(
+                "loadtest needs a target: --addr, --backends or --loopback",
+            ))
         }
-    };
+        _ => {
+            return Err(usage_error(
+                "pick exactly one of --addr, --backends, --loopback",
+            ))
+        }
+    }?;
     phase_summary("clean", &report.clean);
     if let Some(chaos) = &report.chaos {
         phase_summary("chaos", chaos);
@@ -919,83 +759,39 @@ fn loadtest_main(argv: &[String]) -> ExitCode {
             st.garbage
         );
     }
-    let doc = report.to_json(&args.cfg);
-    if let Err(e) = std::fs::write(&args.out, format!("{doc}\n")) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    println!("report written to {}", args.out);
-    if args.check {
-        if let Err(e) = report.check(&args.cfg) {
+    let doc = report.to_json(&cfg);
+    std::fs::write(&out, format!("{doc}\n")).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("report written to {out}");
+    if p.on("--check") {
+        if let Err(e) = report.check(&cfg) {
             eprintln!("error: accounting check failed: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         println!("accounting balanced: every submission classified, none lost");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
 // cache
 // ---------------------------------------------------------------------------
 
-fn parse_cache_args(argv: &[String]) -> Result<Option<(String, String)>, String> {
-    let mut action: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--cache-dir" => dir = Some(value("--cache-dir")?),
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other:?}")),
-            _ => {
-                if action.is_some() {
-                    return Err("cache takes exactly one action".into());
-                }
-                action = Some(flag);
-            }
-        }
-    }
-    let Some(action) = action else {
-        return Err("cache needs an action: stats, verify or gc".into());
-    };
-    if !matches!(action.as_str(), "stats" | "verify" | "gc") {
-        return Err(format!(
-            "unknown cache action {action:?} (want stats, verify or gc)"
-        ));
-    }
-    let Some(dir) = dir else {
-        return Err("cache needs --cache-dir DIR".into());
-    };
-    Ok(Some((action, dir)))
-}
-
 /// The `cache` subcommand: operate on a `--cache-dir` store without
 /// running any simulation. `verify` exits 0 when the scan is clean and
 /// 2 when it found (and quarantined) corruption, so scripts can gate
 /// on the store's integrity the same way they gate on a `submit`.
-fn cache_main(argv: &[String]) -> ExitCode {
-    let (action, dir) = match parse_cache_args(argv) {
-        Ok(Some(parsed)) => parsed,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+fn cache_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &CACHE)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let store = match ResultStore::open(&dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot open cache {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(action) = &p.operand else {
+        return Err(usage_error("cache needs an action: stats, verify or gc"));
     };
-    match action.as_str() {
+    let Some(dir) = p.get::<String>("--cache-dir")? else {
+        return Err(usage_error("cache needs --cache-dir DIR"));
+    };
+    let store = ResultStore::open(&dir).map_err(|e| format!("cannot open cache {dir}: {e}"))?;
+    Ok(match action.as_str() {
         "stats" => {
             let st = store.stats();
             let per_shard = st
@@ -1040,255 +836,153 @@ fn cache_main(argv: &[String]) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // compare subcommand
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct CompareArgs {
-    spec: CompareSpec,
-    jobs: Option<usize>,
-    cache_dir: Option<String>,
-    csv: bool,
-    json: bool,
-}
-
-/// Parses a comma-separated list of backend *names* (`mcr,tldram,...`)
-/// into backend specs — not to be confused with the dispatch
-/// subcommand's `--backends`, which takes service addresses.
-fn parse_compare_backends(list: &str) -> Result<Vec<BackendSpec>, String> {
-    let specs: Vec<BackendSpec> = list
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|name| {
-            BackendKind::parse(name)
-                .map(BackendSpec::new)
-                .ok_or_else(|| {
-                    format!("unknown backend {name:?} (want mcr, baseline, tldram, or clrdram)")
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    if specs.is_empty() {
-        return Err("--backends needs at least one backend".into());
-    }
-    Ok(specs)
-}
-
-fn parse_compare_args(argv: &[String]) -> Result<Option<CompareArgs>, String> {
-    let mut args = CompareArgs {
-        spec: CompareSpec::default(),
-        jobs: None,
-        cache_dir: None,
-        csv: false,
-        json: false,
+fn compare_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &COMPARE)? else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--workload" => args.spec.workload = Some(value("--workload")?),
-            "--mix" => args.spec.mix = Some(value("--mix")?),
-            "--backends" => args.spec.backends = parse_compare_backends(&value("--backends")?)?,
-            "--mode" => {
-                let v = value("--mode")?;
-                args.spec.mode =
-                    parse_mode(&v).ok_or_else(|| format!("bad mode {v:?} (want M/Kx/L or off)"))?;
-            }
-            "--len" => {
-                args.spec.len = value("--len")?
-                    .parse()
-                    .map_err(|e| format!("bad --len: {e}"))?
-            }
-            "--seed" => {
-                args.spec.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--jobs" => {
-                args.jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("bad --jobs: {e}"))?,
-                )
-            }
-            "--cache-dir" => args.cache_dir = Some(value("--cache-dir")?),
-            "--csv" => args.csv = true,
-            "--json" => args.json = true,
-            "--help" | "-h" => {
-                usage();
-                return Ok(None);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.spec.workload.is_none() && args.spec.mix.is_none() {
-        return Err("compare needs --workload or --mix".into());
-    }
-    Ok(Some(args))
-}
-
-fn compare_main(argv: &[String]) -> ExitCode {
-    let args = match parse_compare_args(argv) {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+    let mut spec = CompareSpec {
+        workload: p.get("--workload")?,
+        mix: p.get("--mix")?,
+        ..CompareSpec::default()
     };
+    p.mode("--mode", &mut spec.mode)?;
+    p.set("--len", &mut spec.len)?;
+    p.set("--seed", &mut spec.seed)?;
+    if let Some(names) = p.list("--backends", "backend")? {
+        spec.backends = names
+            .iter()
+            .map(|name| {
+                BackendKind::parse(name)
+                    .map(BackendSpec::new)
+                    .ok_or_else(|| {
+                        usage_error(format!(
+                            "unknown backend {name:?} (want mcr, baseline, tldram, or clrdram)"
+                        ))
+                    })
+            })
+            .collect::<Result<_, _>>()?;
+    }
+    if spec.workload.is_none() && spec.mix.is_none() {
+        return Err(usage_error("compare needs --workload or --mix"));
+    }
     // The same spec a `compare` request builds server-side, so a local
     // table and a submitted one come from identical sweeps
     // (tests/compare_suite.rs pins the round trip).
-    let sweep = match args.spec.sweep(args.jobs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let results = match &args.cache_dir {
-        Some(dir) => match ResultStore::open(dir) {
-            Ok(store) => sweep.run_with_store(&store),
-            Err(e) => {
-                eprintln!("error: cannot open cache {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => sweep.run(),
-    };
-    let table = args.spec.table(&results);
-    if args.json {
+    let sweep = spec.sweep(p.get("--jobs")?)?;
+    let results = run_sweep(&sweep, p.get::<String>("--cache-dir")?.as_deref())?;
+    let table = spec.table(&results);
+    if p.on("--json") {
         print!("{}", table.to_json());
-    } else if args.csv {
+    } else if p.on("--csv") {
         print!("{}", table.to_csv());
     } else {
         print!("{}", table.to_text());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
 // local (legacy) run
 // ---------------------------------------------------------------------------
 
-fn local_main(argv: Vec<String>) -> ExitCode {
-    let args = match parse_args(argv) {
-        Ok(Some(a)) => a,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+fn local_main(argv: &[String]) -> Result<ExitCode, String> {
+    let Some(p) = parse_flags(argv, &LOCAL)? else {
+        return Ok(ExitCode::SUCCESS);
     };
+    if p.on("--list") {
+        println!("single-core workloads:");
+        for w in all_workloads() {
+            let mt = if w.multi_threaded {
+                " (MT, quad-core only)"
+            } else {
+                ""
+            };
+            println!("  {:<12} {:?}, {:.0} MPKI{mt}", w.name, w.suite, w.mpki);
+        }
+        println!("mixes: mix01..mix14, MT-fluid, MT-canneal");
+        return Ok(ExitCode::SUCCESS);
+    }
     // The same spec a `run` request builds server-side, so local and
     // submitted runs are byte-identical (tests/sweep_determinism.rs).
-    let spec = RunSpec {
-        workload: args.workload.clone(),
-        mix: args.mix.clone(),
-        mode: args.mode,
-        len: args.len,
-        alloc: args.alloc,
-        row_cache: args.row_cache,
-        seed: args.seed,
-        mechanisms_case: args.mechanisms_case,
-        fault_rate: args.fault_rate,
-        fault_seed: args.fault_seed,
+    // `RunSpec::configs` checks the target, the mechanisms case and the
+    // fault rate.
+    let mut spec = RunSpec {
+        workload: p.get("--workload")?,
+        mix: p.get("--mix")?,
+        row_cache: p.get("--row-cache")?,
+        mechanisms_case: p.get("--mechanisms")?,
+        fault_rate: p.get("--fault-rate")?,
+        fault_seed: p.get("--fault-seed")?,
+        ..RunSpec::default()
     };
-    let (cfg, target) = match spec.configs() {
-        Ok((_, cfg, target)) => (cfg, target),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.chaos {
-        let fault_seed = args.fault_seed.unwrap_or(args.seed);
+    p.mode("--mode", &mut spec.mode)?;
+    p.set("--len", &mut spec.len)?;
+    p.set("--alloc", &mut spec.alloc)?;
+    p.set("--seed", &mut spec.seed)?;
+    let jobs = p.get("--jobs")?;
+    let cache_dir: Option<String> = p.get("--cache-dir")?;
+    let trace_out: Option<String> = p.get("--trace-out")?;
+    let (_, cfg, target) = spec.configs().map_err(|e| match e {
+        ProtocolError::Schema(_) => usage_error(e),
+        _ => e.to_string(),
+    })?;
+    if p.on("--chaos") {
+        let fault_seed = spec.fault_seed.unwrap_or(spec.seed);
         let mut chaos_cfg = cfg.clone();
         chaos_cfg.fault_plan = None; // the campaign arms its own plans
         println!("chaos campaign: target {target}, fault seed {fault_seed}");
-        return match run_chaos(&chaos_cfg, fault_seed) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        run_chaos(&chaos_cfg, fault_seed)?;
+        return Ok(ExitCode::SUCCESS);
     }
     // One two-point sweep: the engine validates both configs (a proper
     // error instead of a panic on bad flag combinations) and runs them in
     // parallel when --jobs allows.
-    let sweep = match spec.sweep(args.jobs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // With --cache-dir the sweep reads and publishes through the
-    // persistent store, so a repeated invocation (or another process
-    // sharing the directory) skips the simulation entirely.
-    let results = match &args.cache_dir {
-        Some(dir) => match ResultStore::open(dir) {
-            Ok(store) => sweep.run_with_store(&store),
-            Err(e) => {
-                eprintln!("error: cannot open cache {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => sweep.run(),
-    };
-    if let Some(path) = &args.trace_out {
-        if let Err(e) = dump_trace(&cfg, path) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let sweep = spec.sweep(jobs).map_err(|e| e.to_string())?;
+    let results = run_sweep(&sweep, cache_dir.as_deref())?;
+    if let Some(path) = &trace_out {
+        dump_trace(&cfg, path)?;
     }
-    let (base, run) = match (results.points.first(), results.points.get(1)) {
-        (Some(b), Some(r)) => (&b.report, &r.report),
-        _ => {
-            eprintln!(
-                "error: sweep produced {} point(s), expected baseline + MCR",
-                results.points.len()
-            );
-            return ExitCode::FAILURE;
-        }
+    let (Some(base), Some(run)) = (results.points.first(), results.points.get(1)) else {
+        return Err(format!(
+            "sweep produced {} point(s), expected baseline + MCR",
+            results.points.len()
+        ));
     };
-    if args.json {
+    let (base, run) = (&base.report, &run.report);
+    if p.on("--json") {
         print!("{}", results.to_json());
-        if args.metrics {
+        if p.on("--metrics") {
             print!("{}", telemetry_to_json(&run.telemetry));
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let o = Outcome::versus(&target, base, run);
 
-    if args.csv {
+    if p.on("--csv") {
         println!("target,mode,exec_reduction_pct,latency_reduction_pct,edp_reduction_pct");
         println!(
             "{target},{},{:.4},{:.4},{:.4}",
-            args.mode, o.exec_reduction, o.latency_reduction, o.edp_reduction
+            spec.mode, o.exec_reduction, o.latency_reduction, o.edp_reduction
         );
-        if args.metrics {
+        if p.on("--metrics") {
             print!("{}", telemetry_to_json(&run.telemetry));
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     println!(
         "target: {target}, {} memory ops/core, seed {}",
-        args.len, args.seed
+        spec.len, spec.seed
     );
     print_report("baseline [off]", base);
-    print_report(&format!("MCR {}", args.mode), run);
+    print_report(&format!("MCR {}", spec.mode), run);
     println!();
     println!(
         "reductions: exec {:+.2}%  read-latency {:+.2}%  EDP {:+.2}%",
@@ -1299,7 +993,7 @@ fn local_main(argv: Vec<String>) -> ExitCode {
         run.controller.refresh.normal,
         run.controller.refresh.fast,
         run.controller.refresh.skipped,
-        args.mode.usable_capacity() * 100.0
+        spec.mode.usable_capacity() * 100.0
     );
     if let Some(c) = &run.cache {
         println!(
@@ -1326,22 +1020,26 @@ fn local_main(argv: Vec<String>) -> ExitCode {
             rel.refresh_late
         );
     }
-    if args.metrics {
+    if p.on("--metrics") {
         println!();
         print!("{}", telemetry_to_json(&run.telemetry));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
+    let result = match argv.first().map(String::as_str) {
         Some("serve") => serve_main(&argv[1..]),
         Some("submit") => submit_main(&argv[1..]),
         Some("dispatch") => dispatch_main(&argv[1..]),
         Some("loadtest") => loadtest_main(&argv[1..]),
         Some("cache") => cache_main(&argv[1..]),
         Some("compare") => compare_main(&argv[1..]),
-        _ => local_main(argv),
-    }
+        _ => local_main(&argv),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }

@@ -25,7 +25,7 @@ use mcr_dram::{
     SystemConfig,
 };
 use sim_json::{Json, JsonError};
-use trace_gen::{multi_programmed_mixes, multi_threaded_group, workload, Mix};
+use trace_gen::{mix, workload};
 
 /// Default trace length (memory operations per core) when a request
 /// does not specify `"len"` — matches the CLI default.
@@ -265,16 +265,6 @@ impl Default for RunSpec {
     }
 }
 
-/// Resolves a mix name against the trace generator's pools, with the
-/// same error text as the CLI.
-fn resolve_mix(name: &str) -> Result<Mix, ProtocolError> {
-    let mut pool = multi_programmed_mixes(2015);
-    pool.extend(multi_threaded_group());
-    pool.into_iter()
-        .find(|m| m.name == name)
-        .ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))
-}
-
 impl RunSpec {
     /// Resolves the spec into `(baseline config, MCR config, target
     /// name)`. The baseline is the MCR config with every MCR knob
@@ -292,7 +282,8 @@ impl RunSpec {
                 (SystemConfig::single_core(name, self.len), name.clone())
             }
             (None, Some(name)) => {
-                let mix = resolve_mix(name)?;
+                let mix = mix(name)
+                    .ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))?;
                 (SystemConfig::multi_core_mix(&mix, self.len), name.clone())
             }
             (Some(_), Some(_)) => {
@@ -395,7 +386,9 @@ impl SweepSpec {
             builder = builder.workload(name);
         }
         for name in &self.mixes {
-            builder = builder.mix(&resolve_mix(name)?);
+            let mix = mix(name)
+                .ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))?;
+            builder = builder.mix(&mix);
         }
         for &mode in &self.modes {
             builder = builder.mode(mode);

@@ -35,7 +35,7 @@ mod profiler;
 mod zipf;
 
 pub use generator::TraceGenerator;
-pub use mixes::{multi_programmed_mixes, multi_threaded_group, Mix};
+pub use mixes::{mix, multi_programmed_mixes, multi_threaded_group, Mix};
 pub use profile::{
     all_workloads, single_core_workloads, workload, Suite, WorkloadProfile, ROW_BYTES,
 };

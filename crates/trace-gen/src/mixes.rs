@@ -71,6 +71,16 @@ pub fn multi_threaded_group() -> Vec<Mix> {
     ]
 }
 
+/// Looks up a four-core group by name: one of the seed-2015
+/// multi-programmed mixes (`mix01`..`mix14`) or a multi-threaded group
+/// (`MT-*`).
+pub fn mix(name: &str) -> Option<Mix> {
+    multi_programmed_mixes(2015)
+        .into_iter()
+        .chain(multi_threaded_group())
+        .find(|m| m.name == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +104,17 @@ mod tests {
         let a = multi_programmed_mixes(1);
         let b = multi_programmed_mixes(2);
         assert!(a.iter().zip(&b).any(|(x, y)| x.cores != y.cores));
+    }
+
+    #[test]
+    fn every_group_resolves_by_name() {
+        for m in multi_programmed_mixes(2015)
+            .into_iter()
+            .chain(multi_threaded_group())
+        {
+            assert_eq!(mix(m.name), Some(m));
+        }
+        assert_eq!(mix("mix99"), None);
     }
 
     #[test]
