@@ -3,20 +3,25 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
+.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
 
-# Full gate: build everything, lint with warnings denied, enforce
-# formatting, run the suite (which includes the golden-report
+# Full gate: build everything, lint with warnings denied, build the
+# docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
 # snapshots), the mcr-lint static
 # passes (source lint + timing/mode-table/region checks), the exhaustive
 # protocol model check + wake-soundness certification, then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
 # fault-injected loadtest smoke, the cross-backend compare smoke, and
 # the event-wheel, persistent-store and per-backend wall-clock gates.
-check: build clippy fmt-check test benchmark-test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
+check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
+
+# API docs with rustdoc warnings (broken or private intra-doc links)
+# denied.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc $(OFFLINE) --workspace --no-deps
 
 # Workspace Rust line count, the size metric ROADMAP.md tracks.
 loc:

@@ -214,7 +214,7 @@ pub struct CompareRow {
     pub speedup: Option<f64>,
 }
 
-/// Head-to-head comparison table over one trace: one [`CompareRow`] per
+/// Head-to-head comparison table over one trace: one `CompareRow` per
 /// backend, in campaign order, with text/CSV/JSON renderings that are
 /// pure functions of the per-backend reports (no volatile fields).
 #[derive(Debug, Clone, PartialEq)]

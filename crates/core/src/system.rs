@@ -655,14 +655,13 @@ pub struct ReliabilityReport {
     pub guardband_rearms: u64,
     /// Memory cycles spent at any degraded guardband level.
     pub guardband_degraded_cycles: u64,
-    /// Retention sense-margin checks evaluated (telemetry-gated: zero
-    /// when the `telemetry` feature is off even with faults armed).
+    /// Retention sense-margin checks evaluated.
     pub retention_checks: u64,
-    /// Margin violations the armed detector caught (telemetry-gated).
+    /// Margin violations the armed detector caught.
     pub retention_violations: u64,
-    /// Margin failures that escaped a disarmed detector (telemetry-gated;
-    /// also a protocol-audit *error*, so [`System::report`] panics on any
-    /// escape while the auditor is armed).
+    /// Margin failures that escaped a disarmed detector (also a
+    /// protocol-audit *error*, so [`System::report`] panics on any escape
+    /// while the auditor is armed).
     pub retention_escapes: u64,
 }
 
@@ -699,8 +698,7 @@ pub struct RunReport {
     /// issued no reads).
     pub per_core_read_latency: Vec<f64>,
     /// Telemetry section: per-bank command counters, refresh/power-down
-    /// counts and latency histograms from every instrumented layer
-    /// (all-zero when the `telemetry` feature is disabled).
+    /// counts and latency histograms from every instrumented layer.
     pub telemetry: Telemetry,
     /// Reliability section: fault-injection campaign counters and the
     /// guardband ladder's response (all-zero without a fault plan).
@@ -1355,7 +1353,7 @@ impl System {
 
     /// Installs a trace sink on the memory controller; every scheduler
     /// decision (ACT/CAS/PRE/REF, power-down, mode changes) is recorded
-    /// into it while the `telemetry` feature is enabled.
+    /// into it.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.controller.set_trace_sink(sink);
     }

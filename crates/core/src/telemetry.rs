@@ -8,8 +8,7 @@
 //! integer state with deterministic ordering (plain `Vec`s, no hash
 //! iteration), so telemetry is bit-identical for the same seed
 //! regardless of sweep worker count, and merging across runs is
-//! associative. With the `telemetry` feature disabled in the
-//! instrumented crates the section still exists but stays all-zero.
+//! associative.
 
 use dram_device::ChannelTelemetry;
 use mcr_telemetry::LatencyHistogram;

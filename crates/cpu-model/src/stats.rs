@@ -20,7 +20,7 @@ pub struct CoreStats {
     /// (0 while still running).
     pub done_cycle: u64,
     /// Memory read latency as seen by this core, issue to data delivery,
-    /// in CPU cycles (empty when the `telemetry` feature is disabled).
+    /// in CPU cycles.
     pub mem_read_latency: LatencyHistogram,
 }
 

@@ -25,10 +25,49 @@ use crate::{DramAddress, Geometry};
 use mcr_faults::FaultPlan;
 use std::collections::VecDeque;
 
+/// Set of banks with an open row: bank `b` is bit `b % 64` of word
+/// `b / 64` (bank ids are `u8`, so four words cover every geometry).
+#[derive(Debug, Clone, Copy, Default)]
+struct BankMask([u64; 4]);
+
+impl BankMask {
+    fn set(&mut self, bank: u8, open: bool) {
+        let (word, bit) = (usize::from(bank / 64), 1u64 << (bank % 64));
+        if open {
+            self.0[word] |= bit;
+        } else {
+            self.0[word] &= !bit;
+        }
+    }
+
+    fn count(self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn is_empty(self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// Set bank ids in ascending order.
+    fn iter(self) -> impl Iterator<Item = u8> {
+        (0u8..4).flat_map(move |word| {
+            let mut bits = self.0[usize::from(word)];
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros();
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then(|| word * 64 + bit as u8)
+            })
+        })
+    }
+}
+
 /// One rank: a set of banks plus rank-level constraint state.
 #[derive(Debug, Clone)]
 pub struct Rank {
     banks: Vec<Bank>,
+    /// Banks with an open row, kept in step with every ACTIVATE,
+    /// PRECHARGE and auto-precharge so readiness queries are O(1).
+    open: BankMask,
     /// Cycles of the most recent ACTIVATEs (bounded to 4 for tFAW).
     act_window: VecDeque<Cycle>,
     /// Earliest next ACTIVATE on any bank (tRRD).
@@ -49,6 +88,7 @@ impl Rank {
     fn new(banks: u8) -> Self {
         Rank {
             banks: (0..banks).map(|_| Bank::new()).collect(),
+            open: BankMask::default(),
             act_window: VecDeque::with_capacity(4),
             next_act: 0,
             next_read: 0,
@@ -82,12 +122,17 @@ impl Rank {
 
     /// Number of banks with an open row.
     pub fn open_banks(&self) -> usize {
-        self.banks.iter().filter(|b| b.open_row().is_some()).count()
+        self.open.count()
+    }
+
+    /// Ids of the banks with an open row, in ascending order.
+    pub fn open_bank_ids(&self) -> impl Iterator<Item = u8> {
+        self.open.iter()
     }
 
     /// True when every bank is precharged (required for REFRESH).
     pub fn all_idle(&self) -> bool {
-        self.open_banks() == 0
+        self.open.is_empty()
     }
 
     fn faw_ready(&self, ts: &TimingSet) -> Cycle {
@@ -133,8 +178,7 @@ pub struct Channel {
     audit: Option<ProtocolAuditor>,
     /// Retention-fault tracker (None = retention checks disabled).
     retention: Option<RetentionTracker>,
-    /// Per-bank command counters and ACT→data histogram. Recording is
-    /// gated by the `telemetry` feature; the struct always exists.
+    /// Per-bank command counters and ACT→data histogram.
     telemetry: ChannelTelemetry,
 }
 
@@ -219,8 +263,7 @@ impl Channel {
         self.retention.as_ref().map(|t| &t.config().plan)
     }
 
-    /// The channel's telemetry (all-zero when the `telemetry` feature
-    /// is disabled).
+    /// The channel's telemetry.
     pub fn telemetry(&self) -> &ChannelTelemetry {
         &self.telemetry
     }
@@ -646,6 +689,7 @@ impl Channel {
             rt,
         );
         let r = &mut self.ranks[rank as usize];
+        r.open.set(bank, true);
         r.note_activate(now);
         r.next_act = now + ts.t_rrd as Cycle;
         r.counters.observe(now, 1);
@@ -794,6 +838,7 @@ impl Channel {
             if auto_pre {
                 // The row was open for the CAS above, so this cannot fail.
                 r.banks[bank as usize].auto_precharge(now, &ts)?;
+                r.open.set(bank, false);
                 // Residency approximation: count the bank idle from the
                 // command cycle (the true close is at the internal
                 // precharge point a few cycles later).
@@ -851,6 +896,7 @@ impl Channel {
             });
         }
         r.banks[bank as usize].precharge(now, &ts)?;
+        r.open.set(bank, false);
         self.note_cmd(now);
         let baseline = self.row_timings[0];
         self.observe(

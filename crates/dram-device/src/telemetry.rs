@@ -1,13 +1,11 @@
-//! Per-bank device telemetry (feature `telemetry`).
+//! Per-bank device telemetry.
 //!
 //! [`ChannelTelemetry`] rides inside every [`crate::Channel`] and is
 //! fed by the command-issue paths: per-bank command counters, per-rank
 //! refresh and power-down counters, and an ACT→data latency histogram
 //! (command-issue cycle of the ACTIVATE to the last data beat of the
 //! first READ it serves — the paper's Early-Access lever measured
-//! directly). The structs always exist so downstream report shapes are
-//! stable; the *recording calls* in `channel.rs` are gated behind the
-//! `telemetry` cargo feature and compile out entirely when disabled.
+//! directly).
 
 use crate::timing::Cycle;
 use mcr_telemetry::{Counter, LatencyHistogram};

@@ -15,7 +15,7 @@
 //!    minimized counterexample of at most six commands. A seeded bug
 //!    the sweep misses means the checker lost its teeth.
 //! 3. **Certify** — differentially validate every event-wheel quiet
-//!    span ([`mcr_model::certify`]): a dense twin micro-steps each span
+//!    span ([`mcr_model::certify()`]): a dense twin micro-steps each span
 //!    the wheel claims quiet; observable work before the claimed edge
 //!    is a wake-soundness violation attributed to its edge source.
 //! 4. **Replay** — re-run every shipped script under

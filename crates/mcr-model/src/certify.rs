@@ -9,19 +9,22 @@
 //!
 //! This module proves it differentially: twin controllers are driven
 //! through a deterministic scenario matrix (MCR modes × power-down
-//! management, seeded request schedules with bursts, write-drain
-//! crossings, and idle gaps). The *wheel* twin follows the skip
-//! discipline; the *dense* twin is ticked on every single cycle of every
-//! claimed-quiet span. Any completion or activity the dense twin shows
+//! management, plus a closed-page run and a late-refresh-fault run;
+//! seeded request schedules with bursts, write-drain crossings, and idle
+//! gaps). The *wheel* twin follows the skip discipline; the *dense* twin
+//! is ticked on every single cycle of every claimed-quiet span. Any completion or activity the dense twin shows
 //! strictly before the claimed edge is a wake-soundness violation,
 //! attributed to the [`EdgeSource`] that produced the too-late edge.
 //! Every distinct quiet-state fingerprint encountered is counted, so the
 //! report states exactly how many reachable quiet states were certified.
 
 use crate::Finding;
-use dram_device::{Cycle, Geometry, PhysAddr, TimingSet};
-use mcr_dram::{McrMode, McrPolicy, Mechanisms};
-use mem_controller::{ControllerConfig, EdgeInfo, EdgeSource, MemoryController, PageInterleave};
+use circuit_model::{CircuitParams, LeakageModel};
+use dram_device::{Cycle, DeviceError, Geometry, PhysAddr, RetentionConfig, TimingSet, T_CK_NS};
+use mcr_dram::{FaultPlan, McrMode, McrPolicy, Mechanisms};
+use mem_controller::{
+    ControllerConfig, EdgeInfo, EdgeSource, MemoryController, PageInterleave, RowPolicy,
+};
 use sim_rng::SmallRng;
 use std::collections::{HashMap, HashSet};
 
@@ -48,82 +51,90 @@ struct Scenario {
     m: u32,
     k: u32,
     powerdown: Option<u32>,
+    row_policy: RowPolicy,
+    /// Holds half of the refresh slots back by a late-refresh fault, so
+    /// release edges (`not_before`) gate the backlog.
+    late_refresh: bool,
     seed: u64,
 }
 
-const SCENARIOS: [Scenario; 8] = [
+/// The MCR-mode × power-down matrix entries: open pages, no faults.
+const fn open_page(
+    name: &'static str,
+    m: u32,
+    k: u32,
+    powerdown: Option<u32>,
+    seed: u64,
+) -> Scenario {
     Scenario {
-        name: "off",
-        m: 1,
-        k: 1,
-        powerdown: None,
-        seed: 11,
-    },
+        name,
+        m,
+        k,
+        powerdown,
+        row_policy: RowPolicy::Open,
+        late_refresh: false,
+        seed,
+    }
+}
+
+const SCENARIOS: [Scenario; 10] = [
+    open_page("off", 1, 1, None, 11),
+    open_page("off+pd", 1, 1, Some(64), 12),
+    open_page("2/2x", 2, 2, None, 13),
+    open_page("2/2x+pd", 2, 2, Some(64), 14),
+    open_page("2/4x", 2, 4, None, 15),
+    open_page("2/4x+pd", 2, 4, Some(64), 16),
+    open_page("4/4x", 4, 4, None, 17),
+    open_page("4/4x+pd", 4, 4, Some(48), 18),
     Scenario {
-        name: "off+pd",
-        m: 1,
-        k: 1,
-        powerdown: Some(64),
-        seed: 12,
-    },
-    Scenario {
-        name: "2/2x",
-        m: 2,
-        k: 2,
-        powerdown: None,
-        seed: 13,
-    },
-    Scenario {
-        name: "2/2x+pd",
-        m: 2,
-        k: 2,
-        powerdown: Some(64),
-        seed: 14,
-    },
-    Scenario {
-        name: "2/4x",
-        m: 2,
-        k: 4,
-        powerdown: None,
-        seed: 15,
-    },
-    Scenario {
-        name: "2/4x+pd",
-        m: 2,
-        k: 4,
-        powerdown: Some(64),
-        seed: 16,
-    },
-    Scenario {
-        name: "4/4x",
+        name: "4/4x+closed+pd",
         m: 4,
         k: 4,
-        powerdown: None,
-        seed: 17,
+        powerdown: Some(64),
+        row_policy: RowPolicy::Closed,
+        late_refresh: false,
+        seed: 19,
     },
     Scenario {
-        name: "4/4x+pd",
-        m: 4,
+        name: "2/4x+closed+late",
+        m: 2,
         k: 4,
-        powerdown: Some(48),
-        seed: 18,
+        powerdown: None,
+        row_policy: RowPolicy::Closed,
+        late_refresh: true,
+        seed: 20,
     },
 ];
 
-fn build_controller(sc: &Scenario) -> MemoryController {
+fn build_controller(sc: &Scenario) -> Result<MemoryController, DeviceError> {
     let geometry = Geometry::tiny();
     let timing = TimingSet::ddr3_1600(geometry.rows_per_bank);
     let mut config = ControllerConfig::msc_default();
     config.powerdown_idle_threshold = sc.powerdown;
+    config.row_policy = sc.row_policy;
     let mode = McrMode::new(sc.m, sc.k, 1.0).unwrap_or_else(|_| McrMode::off());
     let policy = McrPolicy::for_geometry(mode, Mechanisms::all(), &geometry);
-    MemoryController::new(
+    let mut ctl = MemoryController::new(
         geometry,
         timing,
         config,
         Box::new(PageInterleave::new(geometry)),
         Box::new(policy),
-    )
+    );
+    if sc.late_refresh {
+        // Every class restores fully, so only the refresh-fault stream
+        // of the plan is in play.
+        let params = CircuitParams::calibrated();
+        ctl.set_retention(RetentionConfig {
+            plan: FaultPlan::new(sc.seed).with_late_refreshes(0.5, 3_000),
+            leakage: LeakageModel::new(params),
+            class_restore_v: vec![params.v_full],
+            fast_refresh_restore_v: params.v_full,
+            full_restore_v: params.v_full,
+            t_ck_ns: T_CK_NS,
+        })?;
+    }
+    Ok(ctl)
 }
 
 struct Ev {
@@ -215,8 +226,16 @@ pub fn certify(bursts: usize) -> CertifyReport {
     let mut skipped_cycles: Cycle = 0;
 
     for (scn_idx, sc) in SCENARIOS.iter().enumerate() {
-        let mut wheel = build_controller(sc);
-        let mut dense = build_controller(sc);
+        let (mut wheel, mut dense) = match (build_controller(sc), build_controller(sc)) {
+            (Ok(w), Ok(d)) => (w, d),
+            (Err(e), _) | (_, Err(e)) => {
+                findings.push(Finding::error(
+                    "model/certify-setup",
+                    format!("scenario {}: {e}", sc.name),
+                ));
+                continue;
+            }
+        };
         let events = schedule(sc.seed, bursts, Geometry::tiny().capacity_bytes());
         let hard_end = events.last().map_or(0, |e| e.at) + 30_000;
         let mut i = 0;
@@ -385,7 +404,7 @@ mod tests {
                 .map(|f| f.message.clone())
                 .collect::<Vec<_>>()
         );
-        assert_eq!(report.scenarios, 8);
+        assert_eq!(report.scenarios, 10);
         assert!(
             report.quiet_states > 10,
             "{} quiet states",

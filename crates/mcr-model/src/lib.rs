@@ -5,7 +5,7 @@
 //!
 //! Two halves, both surfaced through the `mcr-lint -- model` pass:
 //!
-//! * [`explore`] — enumerates every reachable abstract state of a
+//! * [`explore()`] — enumerates every reachable abstract state of a
 //!   small-but-complete device/controller machine ([`Machine`]): bank
 //!   phase, `[M/Kx]` restore tier, retention-margin bucket, refresh
 //!   backlog, and guardband degrade rung. Every candidate command is
@@ -15,7 +15,7 @@
 //!   ladder contract breaches become [`Finding`]s. Command-level findings
 //!   carry a greedily minimized, replayable counterexample script
 //!   ([`script`]) cross-checked against [`dram_device::audit_commands`].
-//! * [`certify`] — proves the event wheel never overshoots: for every
+//! * [`certify()`] — proves the event wheel never overshoots: for every
 //!   quiet state reached by a deterministic scenario matrix, the claimed
 //!   [`mem_controller::MemoryController::next_event`] edge is validated
 //!   by differentially micro-stepping a dense twin controller across the

@@ -98,7 +98,7 @@ struct Counters {
 }
 
 /// A running fault-injection proxy. Dropping it stops the accept loop;
-/// in-flight relays notice within one [`RELAY_TICK`].
+/// in-flight relays notice within one `RELAY_TICK`.
 pub struct NetChaos {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,

@@ -15,9 +15,7 @@
 //!
 //! Everything here is plain integer state: deterministic, `Clone`,
 //! `PartialEq`/`Eq`, and cheap enough to live inside the simulator's
-//! hot loops. The simulator crates gate the *recording calls* behind
-//! their `telemetry` feature; the types themselves are always
-//! available so report shapes stay stable.
+//! hot loops. Recording is always on, so report shapes never change.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

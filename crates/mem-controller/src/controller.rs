@@ -153,6 +153,9 @@ struct ChannelCtl {
     /// Per-rank cycle since which the rank has been continuously idle
     /// (for power-down entry decisions).
     rank_idle_since: Vec<Option<Cycle>>,
+    /// Per-rank count of queued requests (both queues), kept in step with
+    /// enqueue and issue so power-down decisions need no queue scan.
+    rank_queued: Vec<u32>,
 }
 
 /// The memory controller: one instance drives every channel of the system.
@@ -177,8 +180,7 @@ pub struct MemoryController {
     /// [`MemoryController::had_activity`] to decide whether the cycle was
     /// quiet (skippable).
     activity: bool,
-    /// Scheduler-decision counters and queue histograms. Recording is
-    /// gated by the `telemetry` feature; the struct always exists.
+    /// Scheduler-decision counters and queue histograms.
     telemetry: CtlTelemetry,
     /// Optional per-command event sink (`None` = disabled).
     trace: Option<Box<dyn TraceSink>>,
@@ -259,6 +261,7 @@ impl MemoryController {
                 draining: false,
                 completions: BinaryHeap::new(),
                 rank_idle_since: vec![None; geometry.ranks as usize],
+                rank_queued: vec![0; geometry.ranks as usize],
             });
         }
         Ok(MemoryController {
@@ -333,20 +336,18 @@ impl MemoryController {
         self.activity = true;
     }
 
-    /// The controller's telemetry (all-zero when the `telemetry`
-    /// feature is disabled).
+    /// The controller's telemetry.
     pub fn telemetry(&self) -> &CtlTelemetry {
         &self.telemetry
     }
 
     /// Installs a per-command trace sink (replacing any previous one).
-    /// Events flow only while the `telemetry` feature is enabled.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace = Some(sink);
     }
 
-    /// The installed trace sink, if any (downcast via
-    /// [`TraceSink::as_any`] to recover a concrete recorder).
+    /// The installed trace sink, if any (upcast to `&dyn Any` and
+    /// downcast to recover a concrete recorder).
     pub fn trace_sink(&self) -> Option<&dyn TraceSink> {
         self.trace.as_deref()
     }
@@ -516,6 +517,19 @@ impl MemoryController {
     /// cycle. The per-rank refresh deadline is always included — a
     /// late-refresh fault stamps its release relative to the cycle the
     /// slot is observed, so jumping past a deadline would change behavior.
+    ///
+    /// A rank with a refresh backlog adds its oldest slot's `not_before`
+    /// release, and then:
+    ///
+    /// * with every bank closed, the cycle a REFRESH becomes legal;
+    /// * when urgent, one quiesce edge per open bank (the cycle its
+    ///   precharge becomes legal), since the scheduler closes those banks
+    ///   itself;
+    /// * otherwise nothing. A non-urgent rank with an open bank can only
+    ///   refresh after a bank closes, and a bank closes only through a
+    ///   command the controller issues (PRE, RDA/WRA or a power-down
+    ///   precharge), each of which marks the cycle active. Urgency changes
+    ///   only when a slot comes due, which the deadline edge covers.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         self.next_event_detail(now).map(|e| e.cycle)
     }
@@ -544,21 +558,22 @@ impl MemoryController {
             if self.config.refresh_enabled {
                 for rank in 0..self.geometry.ranks {
                     note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
-                    if ch.refresh.backlog(rank) > 0 {
-                        if let Some(p) = ch.refresh.peek(rank) {
-                            note(p.not_before, EdgeSource::RefreshRelease);
-                        }
+                    let Some(p) = ch.refresh.peek(rank) else {
+                        continue;
+                    };
+                    note(p.not_before, EdgeSource::RefreshRelease);
+                    let r = ch.chan.rank(rank);
+                    if r.all_idle() {
                         note(ch.chan.next_refresh_cycle(rank), EdgeSource::RefreshRelease);
+                    } else if ch.refresh.urgent(rank) {
                         // An urgent rank quiesces by precharging its open
                         // banks before the REFRESH can issue; each of
                         // those precharges is an edge of its own.
-                        for bank in 0..self.geometry.banks {
-                            if ch.chan.open_row(rank, bank).is_some() {
-                                note(
-                                    ch.chan.next_precharge_cycle(rank, bank),
-                                    EdgeSource::RefreshQuiesce,
-                                );
-                            }
+                        for bank in r.open_bank_ids() {
+                            note(
+                                ch.chan.next_precharge_cycle(rank, bank),
+                                EdgeSource::RefreshQuiesce,
+                            );
                         }
                     }
                 }
@@ -601,13 +616,11 @@ impl MemoryController {
                                 ch.chan.rank(rank).refresh_busy_until(),
                                 EdgeSource::PowerdownRetry,
                             );
-                            for bank in 0..self.geometry.banks {
-                                if ch.chan.open_row(rank, bank).is_some() {
-                                    note(
-                                        ch.chan.next_precharge_cycle(rank, bank),
-                                        EdgeSource::PowerdownRetry,
-                                    );
-                                }
+                            for bank in ch.chan.rank(rank).open_bank_ids() {
+                                note(
+                                    ch.chan.next_precharge_cycle(rank, bank),
+                                    EdgeSource::PowerdownRetry,
+                                );
                             }
                         }
                     }
@@ -671,6 +684,7 @@ impl MemoryController {
             ch.completions.push(Reverse((now, token, core_id, now)));
             return Some(token);
         }
+        ch.rank_queued[dram.rank as usize] += 1;
         ch.read_q.push(Request {
             token,
             core_id,
@@ -700,6 +714,7 @@ impl MemoryController {
         let token = self.next_token;
         self.next_token += 1;
         self.activity = true;
+        ch.rank_queued[dram.rank as usize] += 1;
         ch.write_q.push(Request {
             token,
             core_id,
@@ -785,9 +800,7 @@ impl MemoryController {
         };
         for rank in 0..self.geometry.ranks {
             let ch = &self.channels[ci];
-            let has_work = ch.read_q.iter().any(|r| r.dram.rank == rank)
-                || ch.write_q.iter().any(|r| r.dram.rank == rank)
-                || ch.refresh.backlog(rank) > 0;
+            let has_work = ch.rank_queued[rank as usize] > 0 || ch.refresh.backlog(rank) > 0;
             let powered_down = ch.chan.rank_powered_down(rank);
             if powered_down {
                 if has_work {
@@ -871,10 +884,15 @@ impl MemoryController {
             return;
         }
 
-        // 3. Opportunistic refresh in an otherwise idle command slot.
+        // 3. Opportunistic refresh in an otherwise idle command slot. A
+        // rank with an open bank cannot refresh, so it is not tried.
         if self.config.refresh_enabled {
             for rank in 0..ranks {
-                if self.channels[ci].refresh.backlog(rank) > 0 && self.try_refresh(ci, rank, now) {
+                let ch = &self.channels[ci];
+                if ch.refresh.backlog(rank) > 0
+                    && ch.chan.rank(rank).all_idle()
+                    && self.try_refresh(ci, rank, now)
+                {
                     return;
                 }
             }
@@ -1043,6 +1061,7 @@ impl MemoryController {
             crate::request::ServiceClass::RowConflict => self.stats.row_conflicts += 1,
         }
         let ch = &mut self.channels[ci];
+        ch.rank_queued[req.dram.rank as usize] -= 1;
         if drain {
             ch.write_q.remove(idx);
             self.stats.writes_done += 1;
@@ -1172,9 +1191,8 @@ impl MemoryController {
     /// Urgent-refresh helper: precharges one open bank of `rank` if legal.
     fn try_idle_rank(&mut self, ci: usize, rank: u8, now: Cycle) -> bool {
         let ch = &mut self.channels[ci];
-        for bank in 0..self.geometry.banks {
-            if ch.chan.open_row(rank, bank).is_some()
-                && ch.chan.next_precharge_cycle(rank, bank) <= now
+        for bank in ch.chan.rank(rank).open_bank_ids() {
+            if ch.chan.next_precharge_cycle(rank, bank) <= now
                 && ch.chan.precharge(rank, bank, now).is_ok()
             {
                 self.activity = true;
@@ -1584,6 +1602,81 @@ mod tests {
         assert_eq!(s.refresh.normal, 0);
         run(&mut ctl, 11_000, 12_000);
         assert_eq!(ctl.stats().refresh.normal, 1);
+    }
+
+    #[test]
+    fn open_bank_refresh_edges_follow_urgency() {
+        // Bank 0 opens just as slots come due, so its precharge is still
+        // in the future. One slot (not urgent): only the next deadline
+        // wakes. Seven slots (urgent): the wheel wakes to precharge it.
+        for (at, urgent) in [(6_240, false), (43_680, true)] {
+            let mut ctl = controller(true);
+            let ch = &mut ctl.channels[0];
+            ch.chan.activate(0, 0, 5, at, RowTimingClass(0)).unwrap();
+            ch.refresh.tick(at, ctl.policy.as_mut(), None);
+            assert_eq!(ctl.channels[0].refresh.urgent(0), urgent);
+            let pre = ctl.channels[0].chan.next_precharge_cycle(0, 0);
+            assert!(pre > at + 1);
+            let want = if urgent {
+                (pre, EdgeSource::RefreshQuiesce)
+            } else {
+                (at + 6_240, EdgeSource::RefreshDue)
+            };
+            let got = ctl.next_event_detail(at + 1).map(|e| (e.cycle, e.source));
+            assert_eq!(got, Some(want), "urgent {urgent}");
+        }
+    }
+
+    #[test]
+    fn readiness_masks_and_queue_counts_match_a_rescan() {
+        let g = Geometry::single_core_4gb();
+        for row_policy in [RowPolicy::Open, RowPolicy::Closed] {
+            let mut cfg = ControllerConfig::msc_default();
+            cfg.row_policy = row_policy;
+            cfg.powerdown_idle_threshold = Some(40);
+            let mut ctl = MemoryController::new(
+                g,
+                TimingSet::default(),
+                cfg,
+                Box::new(PageInterleave::new(g)),
+                Box::new(BaselinePolicy),
+            );
+            let mut rng = sim_rng::SmallRng::seed_from_u64(2015);
+            for now in 0..60_000u64 {
+                let r = rng.next_u64();
+                // Every third 4k-cycle phase is idle, so ranks power down.
+                if (now / 4_000) % 3 != 2 && r % 100 < 30 {
+                    // 64 row pages: hits, conflicts and merges all occur.
+                    let addr = PhysAddr((r >> 8) % 64 * (1 << 13) + (r >> 20) % 4 * 64);
+                    if r >> 60 < 4 {
+                        ctl.enqueue_write(0, addr);
+                    } else {
+                        ctl.enqueue_read(0, addr);
+                    }
+                }
+                ctl.tick(now);
+                let ch = &ctl.channels[0];
+                for rank in 0..g.ranks {
+                    let queued = ch
+                        .read_q
+                        .iter()
+                        .chain(&ch.write_q)
+                        .filter(|q| q.dram.rank == rank)
+                        .count();
+                    assert_eq!(ch.rank_queued[rank as usize] as usize, queued, "@{now}");
+                    let open: Vec<u8> = (0..g.banks)
+                        .filter(|&b| ch.chan.open_row(rank, b).is_some())
+                        .collect();
+                    let r = ch.chan.rank(rank);
+                    assert_eq!(r.open_bank_ids().collect::<Vec<_>>(), open, "@{now}");
+                    assert_eq!(r.open_banks(), open.len());
+                    assert_eq!(r.all_idle(), open.is_empty());
+                }
+            }
+            let s = ctl.stats();
+            assert!(s.reads_done > 1_000 && s.writes_done > 1_000, "{s:?}");
+            assert!(s.row_hits > 0 && s.row_conflicts > 0, "{s:?}");
+        }
     }
 
     #[test]

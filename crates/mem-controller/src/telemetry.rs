@@ -1,11 +1,9 @@
-//! Controller-side telemetry (feature `telemetry`).
+//! Controller-side telemetry.
 //!
 //! [`CtlTelemetry`] aggregates what the scheduler *decided* — one
 //! counter per decision class, queue-depth histograms sampled once per
 //! tick per channel, and the end-to-end read queue latency (enqueue to
-//! last data beat). The structs always exist so report shapes stay
-//! stable; the recording calls in `controller.rs` are gated behind the
-//! `telemetry` cargo feature. An optional [`mcr_telemetry::TraceSink`]
+//! last data beat). An optional [`mcr_telemetry::TraceSink`]
 //! additionally receives one event per issued command for offline
 //! inspection (`mcr_sim --trace-out`).
 

@@ -1,7 +1,7 @@
 //! # sim-json
 //!
 //! A zero-dependency JSON value type with a strict parser and a
-//! deterministic serializer, in the spirit of the in-tree [`sim-rng`]
+//! deterministic serializer, in the spirit of the in-tree `sim-rng`
 //! precedent: the workspace must stay offline-buildable, so instead of
 //! pulling `serde_json` we pin a small, fully-tested codec here.
 //!
