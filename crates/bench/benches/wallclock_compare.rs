@@ -16,7 +16,7 @@
 //!   (`make check` sets this).
 
 use mcr_bench::{header, timed};
-use mcr_dram::{CompareSpec, System};
+use mcr_dram::{BackendKind, McrMode, SweepBuilder, System};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -41,26 +41,28 @@ fn main() {
             "wallclock_compare",
             "per-backend simulation throughput of the compare campaign",
         );
-        let spec = CompareSpec {
-            workload: Some("libq".into()),
-            len: trace_len(),
-            ..CompareSpec::default()
-        };
-        let (points, _) = spec.configs().expect("valid compare spec");
+        let len = trace_len();
+        let sweep = SweepBuilder::new(len)
+            .workload("libq")
+            .backends(BackendKind::all())
+            .mode(McrMode::headline())
+            .build()
+            .expect("valid compare grid");
 
         // (backend name, best wall ns) per campaign point.
         let mut rows: Vec<(String, u64)> = Vec::new();
-        for (backend, (_, cfg)) in spec.backends.iter().zip(&points) {
+        for point in sweep.points() {
+            let kind = point.config.backend.kind;
             let mut best_ns = u64::MAX;
             for _ in 0..ITERS {
-                let sys = System::build(cfg);
+                let sys = System::build(&point.config);
                 let t = Instant::now();
                 let report = sys.run();
                 let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                assert!(report.reads_done > 0, "{} did no reads", backend.kind);
+                assert!(report.reads_done > 0, "{kind} did no reads");
                 best_ns = best_ns.min(ns);
             }
-            rows.push((backend.kind.name().to_string(), best_ns));
+            rows.push((kind.name().to_string(), best_ns));
         }
 
         let baseline_ns = rows
@@ -69,10 +71,8 @@ fn main() {
             .map(|&(_, ns)| ns)
             .expect("baseline backend in the default registry");
 
-        let mut json = format!(
-            "{{\n  \"trace_len\": {},\n  \"iters\": {ITERS},\n  \"backends\": [\n",
-            spec.len
-        );
+        let mut json =
+            format!("{{\n  \"trace_len\": {len},\n  \"iters\": {ITERS},\n  \"backends\": [\n");
         for (i, (name, ns)) in rows.iter().enumerate() {
             let points_per_sec = 1e9 / *ns as f64;
             let speedup = baseline_ns as f64 / *ns as f64;

@@ -28,9 +28,9 @@
 //!   MCR's K refresh slots, Fig. 9).
 //! * [`backend`] — the pluggable DRAM-architecture registry: the same
 //!   controller and trace replay under MCR, plain DDR3 ([`BaselinePolicy`]),
-//!   TL-DRAM ([`TlDramPolicy`]) or CLR-DRAM ([`ClrDramPolicy`]), and
-//!   [`CompareSpec`] — the head-to-head `compare` campaign over a backend
-//!   list, rendered as a [`CompareTable`].
+//!   TL-DRAM ([`TlDramPolicy`]) or CLR-DRAM ([`ClrDramPolicy`]). The
+//!   head-to-head `compare` campaign is a sweep over
+//!   [`SweepBuilder::backend`]'s axis, rendered as a [`CompareTable`].
 //! * [`Mechanisms`] — individual on/off switches for the ablation of
 //!   Fig. 17.
 //! * [`RowRemapper`] — pseudo profile-based page allocation (Sec. 4.4):
@@ -43,7 +43,8 @@
 //!   experiment, and [`experiments`] — runners that regenerate the paper's
 //!   figures.
 //! * [`sweep`] — the deterministic parallel experiment engine: declare a
-//!   grid of configs with [`SweepBuilder`], run it across a scoped worker
+//!   grid of configs (targets × backends × modes × mechanisms × alloc
+//!   ratios × seeds) with [`SweepBuilder`], run it across a scoped worker
 //!   pool with content-addressed result memoization, and export JSON.
 //!   `jobs = 1` and `jobs = N` produce identical results.
 //!
@@ -85,7 +86,7 @@ pub use backend::{
     registered_backends, BackendKind, BackendSpec, BaselinePolicy, ClrDramPolicy, TlDramPolicy,
 };
 pub use cache::{CacheOutcome, RowCache, RowCacheConfig, RowCacheStats, RowCopy};
-pub use compare::{CompareSpec, CompareTable};
+pub use compare::CompareTable;
 pub use generator::{McrAddress, McrGenerator};
 pub use layout::{McrLayout, Region, RegionMap, SUBARRAY_ROWS};
 pub use mechanisms::Mechanisms;
@@ -97,7 +98,9 @@ pub use sweep::{
     shard_of_key, CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep,
     SweepBuilder, SweepExecStats, SweepPoint, SweepResults,
 };
-pub use system::{ConfigError, MappingKind, ReliabilityReport, RunReport, System, SystemConfig};
+pub use system::{
+    ConfigError, MappingKind, ReliabilityReport, RunReport, System, SystemConfig, DEFAULT_SEED,
+};
 pub use telemetry::{BankCommandCounts, Telemetry};
 // Fault-injection surface, re-exported so experiment drivers need only
 // this crate: the seeded plan and the guardband vocabulary it trips.

@@ -11,6 +11,15 @@ use crate::telemetry::Telemetry;
 use mcr_telemetry::LatencyHistogram;
 use std::fmt::Write as _;
 
+/// One CSV field, quoted per RFC 4180 when it holds a comma or a quote.
+pub(crate) fn csv_field(s: &str) -> String {
+    if s.contains(',') || s.contains('"') {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
+
 /// A labelled collection of experiment outcomes (rows) under named
 /// configurations (columns hold the three standard reductions).
 #[derive(Debug, Clone, Default)]
@@ -49,15 +58,13 @@ impl ResultTable {
         let mut out =
             String::from("label,exec_reduction_pct,latency_reduction_pct,edp_reduction_pct\n");
         for r in &self.rows {
-            let label = if r.label.contains(',') || r.label.contains('"') {
-                format!("\"{}\"", r.label.replace('"', "\"\""))
-            } else {
-                r.label.clone()
-            };
             let _ = writeln!(
                 out,
-                "{label},{:.4},{:.4},{:.4}",
-                r.exec_reduction, r.latency_reduction, r.edp_reduction
+                "{},{:.4},{:.4},{:.4}",
+                csv_field(&r.label),
+                r.exec_reduction,
+                r.latency_reduction,
+                r.edp_reduction
             );
         }
         out

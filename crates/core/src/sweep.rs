@@ -46,6 +46,7 @@ use std::time::{Duration, Instant};
 
 use mcr_telemetry::{Counter, LatencyHistogram};
 
+use crate::backend::{BackendKind, BackendSpec};
 use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
 use crate::system::{ConfigError, RunReport, System, SystemConfig};
@@ -247,17 +248,20 @@ impl ReportStore for ResultCache {
 /// [`SweepBuilder::build`] to expand the cross product and validate every
 /// point up front (so [`Sweep::run`] is infallible).
 ///
-/// The grid is the cross product *target × mode × mechanisms ×
+/// The grid is the cross product *target × backend × mode × mechanisms ×
 /// alloc ratio × seed*, where a target is a single-core workload or a
-/// quad-core mix. Axes left empty fall back to a single default (mode
-/// off, [`Mechanisms::all`], ratio `0.0`, the preset seed). Point order
-/// is deterministic: targets outermost (in insertion order), then modes,
-/// mechanisms, ratios, seeds — so "baseline first, then each mode" falls
-/// out naturally when [`McrMode::off`] is the first mode axis entry.
+/// quad-core mix. Axes left empty fall back to a single default (MCR,
+/// mode off, [`Mechanisms::all`], ratio `0.0`, the preset seed). Mode,
+/// mechanisms and alloc ratio are MCR-only, so a non-MCR backend crosses
+/// only the target and seed axes. Point order is deterministic: targets
+/// outermost (in insertion order), then backends, modes, mechanisms,
+/// ratios, seeds — so "baseline first, then each mode" falls out
+/// naturally when [`McrMode::off`] is the first mode axis entry.
 pub struct SweepBuilder {
     trace_len: usize,
     workloads: Vec<String>,
     mixes: Vec<Mix>,
+    backends: Vec<BackendKind>,
     modes: Vec<McrMode>,
     mechanisms: Vec<Mechanisms>,
     alloc_ratios: Vec<f64>,
@@ -273,6 +277,7 @@ impl std::fmt::Debug for SweepBuilder {
             .field("trace_len", &self.trace_len)
             .field("workloads", &self.workloads)
             .field("mixes", &self.mixes.len())
+            .field("backends", &self.backends)
             .field("modes", &self.modes)
             .field("mechanisms", &self.mechanisms)
             .field("alloc_ratios", &self.alloc_ratios)
@@ -291,6 +296,7 @@ impl SweepBuilder {
             trace_len,
             workloads: Vec::new(),
             mixes: Vec::new(),
+            backends: Vec::new(),
             modes: Vec::new(),
             mechanisms: Vec::new(),
             alloc_ratios: Vec::new(),
@@ -316,6 +322,20 @@ impl SweepBuilder {
     /// Adds a quad-core mix to the target axis.
     pub fn mix(mut self, mix: &Mix) -> Self {
         self.mixes.push(*mix);
+        self
+    }
+
+    /// Adds one DRAM-architecture backend to the backend axis (the
+    /// cross-architecture `compare` campaign). An empty axis means MCR
+    /// only.
+    pub fn backend(mut self, kind: BackendKind) -> Self {
+        self.backends.push(kind);
+        self
+    }
+
+    /// Adds several backends to the backend axis.
+    pub fn backends(mut self, kinds: impl IntoIterator<Item = BackendKind>) -> Self {
+        self.backends.extend(kinds);
         self
     }
 
@@ -400,7 +420,9 @@ impl SweepBuilder {
     /// The plan seed (not the config seed) drives every fault decision,
     /// so a failing rate replays exactly from its label. Rate `0.0`
     /// produces a point that is behaviourally identical to the unfaulted
-    /// `base` — the campaign's built-in control.
+    /// `base` — the campaign's built-in control. Unlike the service's
+    /// `fault_rate` plan (`mcr_serve::protocol::fault_plan`), this plan
+    /// injects no sense glitches.
     pub fn fault_campaign(mut self, base: &SystemConfig, rates: &[f64], fault_seed: u64) -> Self {
         for &rate in rates {
             let plan = mcr_faults::FaultPlan::new(fault_seed)
@@ -421,53 +443,69 @@ impl SweepBuilder {
     /// # Errors
     ///
     /// [`ConfigError::EmptyWorkloads`] when the grid has no targets and no
-    /// explicit points, or the first validation error of any point.
+    /// explicit points, [`ConfigError::UnknownWorkload`] for a workload
+    /// name that does not resolve, [`ConfigError::DuplicateBackend`] for
+    /// a backend listed twice, or the first validation error of any point.
     pub fn build(self) -> Result<Sweep, ConfigError> {
+        for (i, &kind) in self.backends.iter().enumerate() {
+            if self.backends[..i].contains(&kind) {
+                return Err(ConfigError::DuplicateBackend(kind));
+            }
+        }
+        let backends = or_default(self.backends, BackendKind::Mcr);
         let modes = or_default(self.modes, McrMode::off());
         let mechanisms = or_default(self.mechanisms, Mechanisms::all());
         let ratios = or_default(self.alloc_ratios, 0.0);
 
+        let mut bases = Vec::new();
+        for name in &self.workloads {
+            bases.push((
+                name.clone(),
+                SystemConfig::try_single_core(name, self.trace_len)?,
+            ));
+        }
+        for mix in &self.mixes {
+            bases.push((
+                mix.name.to_string(),
+                SystemConfig::multi_core_mix(mix, self.trace_len),
+            ));
+        }
         let mut points = Vec::new();
-        let bases: Vec<(String, SystemConfig)> = self
-            .workloads
-            .iter()
-            .map(|name| {
-                (
-                    name.clone(),
-                    SystemConfig::single_core(name, self.trace_len),
-                )
-            })
-            .chain(self.mixes.iter().map(|mix| {
-                (
-                    mix.name.to_string(),
-                    SystemConfig::multi_core_mix(mix, self.trace_len),
-                )
-            }))
-            .collect();
         for (name, base) in &bases {
-            for &mode in &modes {
-                for &mech in &mechanisms {
-                    for &ratio in &ratios {
-                        let seeds: &[u64] = if self.seeds.is_empty() {
-                            &[base.seed]
-                        } else {
-                            &self.seeds
-                        };
-                        for &seed in seeds {
-                            let mut cfg = base
-                                .clone()
-                                .with_mode(mode)
-                                .with_mechanisms(mech)
-                                .with_alloc_ratio(ratio)
-                                .with_seed(seed);
-                            if let Some(f) = &self.configure {
-                                cfg = f(cfg);
+            let seeds: &[u64] = if self.seeds.is_empty() {
+                &[base.seed]
+            } else {
+                &self.seeds
+            };
+            for &kind in &backends {
+                // Mode, mechanisms and alloc ratio are MCR-only.
+                let mut variants = Vec::new();
+                if kind == BackendKind::Mcr {
+                    for &mode in &modes {
+                        for &mech in &mechanisms {
+                            for &ratio in &ratios {
+                                variants.push(
+                                    base.clone()
+                                        .with_mode(mode)
+                                        .with_mechanisms(mech)
+                                        .with_alloc_ratio(ratio),
+                                );
                             }
-                            points.push(SweepPoint {
-                                label: point_label(name, &cfg),
-                                config: cfg,
-                            });
                         }
+                    }
+                } else {
+                    variants.push(base.clone().with_backend(BackendSpec::new(kind)));
+                }
+                for variant in variants {
+                    for &seed in seeds {
+                        let mut cfg = variant.clone().with_seed(seed);
+                        if let Some(f) = &self.configure {
+                            cfg = f(cfg);
+                        }
+                        points.push(SweepPoint {
+                            label: point_label(name, &cfg),
+                            config: cfg,
+                        });
                     }
                 }
             }
@@ -496,6 +534,9 @@ fn or_default<T>(axis: Vec<T>, default: T) -> Vec<T> {
 }
 
 fn point_label(name: &str, cfg: &SystemConfig) -> String {
+    if cfg.backend.kind != BackendKind::Mcr {
+        return format!("{name} {}", cfg.backend.kind);
+    }
     let mut label = format!("{name} {}", cfg.mode);
     if cfg.alloc_ratio > 0.0 {
         label.push_str(&format!(" alloc={:.2}", cfg.alloc_ratio));
@@ -946,7 +987,7 @@ impl SweepResults {
     }
 }
 
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],
@@ -959,7 +1000,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// JSON has no NaN/Infinity literals; map them to null.
-fn json_f64(x: f64) -> String {
+pub(crate) fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -1044,6 +1085,74 @@ mod tests {
             SweepBuilder::new(LEN).mode(McrMode::headline()).build(),
             Err(ConfigError::EmptyWorkloads)
         ));
+    }
+
+    #[test]
+    fn unknown_workload_is_a_typed_error() {
+        let err = SweepBuilder::new(10).workload("bogus").build().unwrap_err();
+        assert_eq!(err, ConfigError::UnknownWorkload("bogus".into()));
+        assert!(err.to_string().contains("unknown workload \"bogus\""));
+    }
+
+    #[test]
+    fn non_mcr_backends_cross_only_targets_and_seeds() {
+        let sweep = SweepBuilder::new(LEN)
+            .workloads(["libq", "comm1"])
+            .backends([BackendKind::Baseline, BackendKind::Mcr, BackendKind::TlDram])
+            .mode(McrMode::off())
+            .mode(McrMode::headline())
+            .build()
+            .unwrap();
+        let got: Vec<(&str, BackendKind, McrMode)> = sweep
+            .points()
+            .iter()
+            .map(|p| (p.label.as_str(), p.config.backend.kind, p.config.mode))
+            .collect();
+        let (off, head) = (McrMode::off(), McrMode::headline());
+        assert_eq!(
+            got,
+            [
+                ("libq baseline", BackendKind::Baseline, off),
+                ("libq [off]", BackendKind::Mcr, off),
+                ("libq [4/4x/100%reg]", BackendKind::Mcr, head),
+                ("libq tldram", BackendKind::TlDram, off),
+                ("comm1 baseline", BackendKind::Baseline, off),
+                ("comm1 [off]", BackendKind::Mcr, off),
+                ("comm1 [4/4x/100%reg]", BackendKind::Mcr, head),
+                ("comm1 tldram", BackendKind::TlDram, off),
+            ]
+        );
+    }
+
+    #[test]
+    fn explicit_mcr_axis_expands_like_no_axis() {
+        let grid = || {
+            SweepBuilder::new(LEN)
+                .workloads(["libq", "comm1"])
+                .mode(McrMode::off())
+                .mode(McrMode::headline())
+                .mechanisms(Mechanisms::all())
+                .mechanisms(Mechanisms::access_only())
+                .alloc_ratio(0.0)
+                .alloc_ratio(0.25)
+                .seeds([1, 2])
+        };
+        let implicit = grid().build().unwrap();
+        let explicit = grid().backend(BackendKind::Mcr).build().unwrap();
+        assert_eq!(implicit.points().len(), 32);
+        // Equal configs, so equal labels and `config_key`s too.
+        assert_eq!(implicit.points(), explicit.points());
+    }
+
+    #[test]
+    fn duplicate_backend_is_a_typed_error() {
+        let err = SweepBuilder::new(LEN)
+            .workload("libq")
+            .backends([BackendKind::Mcr, BackendKind::TlDram, BackendKind::Mcr])
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ConfigError::DuplicateBackend(BackendKind::Mcr));
+        assert_eq!(err.to_string(), "duplicate backend mcr");
     }
 
     #[test]

@@ -27,6 +27,10 @@ use trace_gen::{hot_rows, workload, TraceGenerator, WorkloadProfile, ROW_BYTES};
 /// Sample length used when profiling a workload for hot rows.
 const PROFILE_SAMPLE: usize = 60_000;
 
+/// Master RNG seed of the preset configs ([`SystemConfig::single_core`],
+/// [`SystemConfig::multi_core`]), and the CLI and service default.
+pub const DEFAULT_SEED: u64 = 2015;
+
 /// Why a [`SystemConfig`] cannot be built into a [`System`].
 ///
 /// Returned by [`System::try_build`]; the panicking convenience
@@ -72,6 +76,16 @@ pub enum ConfigError {
         /// Human-readable reason naming the offending option.
         String,
     ),
+    /// No built-in workload has this name.
+    UnknownWorkload(
+        /// The name that did not resolve.
+        String,
+    ),
+    /// A sweep's backend axis lists the same backend twice.
+    DuplicateBackend(
+        /// The repeated backend.
+        BackendKind,
+    ),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -94,6 +108,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Device(e) => write!(f, "device rejected the configuration: {e}"),
             ConfigError::Mode(e) => write!(f, "invalid MCR mode: {e}"),
             ConfigError::Backend(msg) => write!(f, "invalid backend configuration: {msg}"),
+            ConfigError::UnknownWorkload(name) => write!(f, "unknown workload {name:?}"),
+            ConfigError::DuplicateBackend(kind) => write!(f, "duplicate backend {kind}"),
         }
     }
 }
@@ -200,29 +216,24 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is not an MSC workload.
+    /// Panics if `name` is not an MSC workload; see
+    /// [`SystemConfig::try_single_core`].
     pub fn single_core(name: &str, trace_len: usize) -> Self {
-        let w = workload(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-        SystemConfig {
-            geometry: Geometry::single_core_4gb(),
-            mode: McrMode::off(),
-            region_map: None,
-            mechanisms: Mechanisms::all(),
-            workloads: vec![*w],
+        Self::try_single_core(name, trace_len).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SystemConfig::single_core`] for a name from outside the process.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::UnknownWorkload`] if `name` is not an MSC workload.
+    pub fn try_single_core(name: &str, trace_len: usize) -> Result<Self, ConfigError> {
+        let w = workload(name).ok_or_else(|| ConfigError::UnknownWorkload(name.to_string()))?;
+        Ok(Self::preset(
+            Geometry::single_core_4gb(),
+            vec![*w],
             trace_len,
-            alloc_ratio: 0.0,
-            scheduler: SchedulerKind::FrFcfs,
-            row_policy: RowPolicy::Open,
-            mapping: MappingKind::PageInterleave,
-            wiring: RefreshWiring::Reversed,
-            powerdown_idle_threshold: None,
-            shared_address_space: false,
-            row_cache: None,
-            fault_plan: None,
-            guardband: None,
-            seed: 2015,
-            backend: BackendSpec::default(),
-        }
+        ))
     }
 
     /// The paper's quad-core setup for a [`trace_gen::Mix`], honoring its
@@ -237,12 +248,20 @@ impl SystemConfig {
 
     /// The paper's quad-core setup (16 GB) for four workload profiles.
     pub fn multi_core(workloads: [&WorkloadProfile; 4], trace_len: usize) -> Self {
+        let workloads = workloads.iter().map(|w| **w).collect();
+        Self::preset(Geometry::multi_core_16gb(), workloads, trace_len)
+    }
+
+    /// The paper's baseline system (Table 4) on `geometry`: MCR off,
+    /// every mechanism on, FR-FCFS, open page, page interleaving,
+    /// reversed refresh wiring, [`DEFAULT_SEED`].
+    fn preset(geometry: Geometry, workloads: Vec<WorkloadProfile>, trace_len: usize) -> Self {
         SystemConfig {
-            geometry: Geometry::multi_core_16gb(),
+            geometry,
             mode: McrMode::off(),
             region_map: None,
             mechanisms: Mechanisms::all(),
-            workloads: workloads.iter().map(|w| **w).collect(),
+            workloads,
             trace_len,
             alloc_ratio: 0.0,
             scheduler: SchedulerKind::FrFcfs,
@@ -254,7 +273,7 @@ impl SystemConfig {
             row_cache: None,
             fault_plan: None,
             guardband: None,
-            seed: 2015,
+            seed: DEFAULT_SEED,
             backend: BackendSpec::default(),
         }
     }

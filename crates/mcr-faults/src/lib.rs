@@ -102,8 +102,9 @@ impl FaultPlan {
 
     /// A one-knob chaos plan: `rate` scales every fault class at once
     /// (weak cells at `rate`, refresh drops at `rate / 4`, late
-    /// refreshes at `rate / 4`, sense glitches at `rate / 50`), which is
-    /// what `mcr_sim --fault-rate` and `make chaos` use.
+    /// refreshes at `rate / 4`, sense glitches at `rate / 50`). Only
+    /// tests use it: `mcr_sim --fault-rate` and `make chaos` build their
+    /// plans with `mcr_serve::protocol::fault_plan` instead.
     pub fn chaos(seed: u64, rate: f64) -> Self {
         let rate = rate.clamp(0.0, 1.0);
         FaultPlan::new(seed)

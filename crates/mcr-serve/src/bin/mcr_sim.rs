@@ -24,10 +24,10 @@
 
 use mcr_dram::experiments::Outcome;
 use mcr_dram::{
-    telemetry_to_json, BackendKind, BackendSpec, CompareSpec, McrMode, RunReport, Sweep,
-    SweepResults, System, SystemConfig,
+    telemetry_to_json, CompareTable, McrMode, RunReport, Sweep, SweepResults, System, SystemConfig,
+    DEFAULT_SEED,
 };
-use mcr_serve::protocol::parse_mode;
+use mcr_serve::protocol::{parse_mode, SweepSpec, DEFAULT_LEN};
 use mcr_serve::{
     Client, DispatchConfig, Dispatcher, LoadtestConfig, ProtocolError, RunSpec, ServeConfig, Server,
 };
@@ -847,37 +847,27 @@ fn compare_main(argv: &[String]) -> Result<ExitCode, String> {
     let Some(p) = parse_flags(argv, &COMPARE)? else {
         return Ok(ExitCode::SUCCESS);
     };
-    let mut spec = CompareSpec {
-        workload: p.get("--workload")?,
-        mix: p.get("--mix")?,
-        ..CompareSpec::default()
-    };
-    p.mode("--mode", &mut spec.mode)?;
-    p.set("--len", &mut spec.len)?;
-    p.set("--seed", &mut spec.seed)?;
-    if let Some(names) = p.list("--backends", "backend")? {
-        spec.backends = names
-            .iter()
-            .map(|name| {
-                BackendKind::parse(name)
-                    .map(BackendSpec::new)
-                    .ok_or_else(|| {
-                        usage_error(format!(
-                            "unknown backend {name:?} (want mcr, baseline, tldram, or clrdram)"
-                        ))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if spec.workload.is_none() && spec.mix.is_none() {
+    let (workload, mix): (Option<String>, Option<String>) = (p.get("--workload")?, p.get("--mix")?);
+    let Some(target) = workload.clone().or_else(|| mix.clone()) else {
         return Err(usage_error("compare needs --workload or --mix"));
-    }
-    // The same spec a `compare` request builds server-side, so a local
+    };
+    let mut mode = McrMode::headline();
+    p.mode("--mode", &mut mode)?;
+    // The same grid a `compare` request builds server-side, so a local
     // table and a submitted one come from identical sweeps
     // (tests/compare_suite.rs pins the round trip).
-    let sweep = spec.sweep(p.get("--jobs")?)?;
+    let spec = SweepSpec::compare(
+        workload,
+        mix,
+        mode,
+        p.get("--len")?.unwrap_or(DEFAULT_LEN),
+        p.get("--seed")?.unwrap_or(DEFAULT_SEED),
+        &p.list("--backends", "backend")?.unwrap_or_default(),
+    )
+    .map_err(usage_error)?;
+    let sweep = spec.sweep(p.get("--jobs")?).map_err(|e| e.to_string())?;
     let results = run_sweep(&sweep, p.get::<String>("--cache-dir")?.as_deref())?;
-    let table = spec.table(&results);
+    let table = CompareTable::new(target, &sweep, &results);
     if p.on("--json") {
         print!("{}", table.to_json());
     } else if p.on("--csv") {

@@ -12,27 +12,24 @@
 //! * `campaign` — a seeded fault-injection campaign: a zero-fault
 //!   control point plus one point per requested rate.
 //! * `compare` — the cross-architecture head-to-head: one trace
-//!   replayed once per requested backend (see
-//!   [`mcr_dram::CompareSpec`]).
+//!   replayed once per requested backend. It is a `sweep` with one
+//!   target, one mode, one seed and a backend axis
+//!   ([`SweepSpec::compare`]); the reply's `"kind"` is `"compare"`.
 //!
 //! Parsing is strict: unknown fields and type mismatches are rejected
 //! with a [`ProtocolError`] naming the offending key, so a typo'd
 //! request fails loudly instead of silently running defaults.
 
 use mcr_dram::{
-    registered_backends, telemetry_to_json, BackendKind, BackendSpec, CompareSpec, ConfigError,
-    FaultPlan, McrMode, Mechanisms, RowCacheConfig, Sweep, SweepBuilder, SweepResults,
-    SystemConfig,
+    telemetry_to_json, BackendKind, ConfigError, FaultPlan, McrMode, Mechanisms, RowCacheConfig,
+    Sweep, SweepBuilder, SweepResults, SystemConfig, DEFAULT_SEED,
 };
 use sim_json::{Json, JsonError};
-use trace_gen::{mix, workload};
+use trace_gen::Mix;
 
 /// Default trace length (memory operations per core) when a request
 /// does not specify `"len"` — matches the CLI default.
 pub const DEFAULT_LEN: usize = 50_000;
-
-/// Default config seed — matches the CLI default.
-pub const DEFAULT_SEED: u64 = 2015;
 
 /// Reject code for a full queue (load shedding).
 pub const CODE_QUEUE_FULL: u64 = 429;
@@ -106,6 +103,51 @@ pub fn parse_mode(text: &str) -> Option<McrMode> {
     McrMode::new(m, k, l / 100.0).ok()
 }
 
+/// Applies the optional worker-count override, then builds the grid.
+fn build(builder: SweepBuilder, jobs: Option<usize>) -> Result<Sweep, ProtocolError> {
+    let builder = match jobs {
+        Some(jobs) => builder.jobs(jobs),
+        None => builder,
+    };
+    Ok(builder.build()?)
+}
+
+/// The mechanisms of Fig. 17 case `case` (1-4).
+fn mechanisms_case(case: u32) -> Result<Mechanisms, ProtocolError> {
+    if !(1..=4).contains(&case) {
+        return Err(schema("mechanisms case must be 1-4"));
+    }
+    Ok(Mechanisms::fig17_case(case))
+}
+
+/// Resolves a mix name (`mix01`..`mix14`, `MT-*`).
+fn mix_named(name: &str) -> Result<Mix, ProtocolError> {
+    trace_gen::mix(name).ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))
+}
+
+/// Resolves backend names (`mcr`, `baseline`, `tldram`, `clrdram`); an
+/// empty list means every registered backend, in canonical order. The
+/// `compare` request and `mcr_sim compare --backends` share it.
+///
+/// # Errors
+///
+/// [`ProtocolError::Schema`] naming the first unknown backend.
+pub fn parse_backends(names: &[String]) -> Result<Vec<BackendKind>, ProtocolError> {
+    if names.is_empty() {
+        return Ok(BackendKind::all().to_vec());
+    }
+    names
+        .iter()
+        .map(|name| {
+            BackendKind::parse(name).ok_or_else(|| {
+                schema(format!(
+                    "unknown backend {name:?} (want mcr, baseline, tldram, or clrdram)"
+                ))
+            })
+        })
+        .collect()
+}
+
 /// Fault plan used for `"fault_rate"` requests and the CLI's
 /// `--fault-rate`: weak cells (at half retention), dropped and late
 /// refreshes all at `rate`, plus sense glitches at a tenth of it, all
@@ -159,22 +201,22 @@ pub struct JobRequest {
 pub enum JobSpec {
     /// Two-point baseline-vs-MCR comparison.
     Run(RunSpec),
-    /// Full experiment grid.
+    /// Full experiment grid; with a backend axis, the cross-architecture
+    /// `compare` campaign.
     Sweep(SweepSpec),
     /// Fault-injection campaign.
     Campaign(CampaignSpec),
-    /// Cross-architecture head-to-head over one trace.
-    Compare(CompareSpec),
 }
 
 impl JobSpec {
-    /// Wire name of the spec kind, echoed in responses.
+    /// Wire name of the spec kind, echoed in responses. Only `compare`
+    /// requests fill the backend axis, so a grid with one is a compare.
     pub fn kind(&self) -> &'static str {
         match self {
             JobSpec::Run(_) => "run",
-            JobSpec::Sweep(_) => "sweep",
+            JobSpec::Sweep(s) if s.backends.is_empty() => "sweep",
+            JobSpec::Sweep(_) => "compare",
             JobSpec::Campaign(_) => "campaign",
-            JobSpec::Compare(_) => "compare",
         }
     }
 
@@ -185,7 +227,6 @@ impl JobSpec {
             JobSpec::Run(_) => 2,
             JobSpec::Sweep(s) => s.point_count(),
             JobSpec::Campaign(c) => c.rates.len() + 1,
-            JobSpec::Compare(c) => c.backends.len(),
         }
     }
 
@@ -195,7 +236,6 @@ impl JobSpec {
             JobSpec::Run(r) => r.len,
             JobSpec::Sweep(s) => s.len,
             JobSpec::Campaign(c) => c.base.len,
-            JobSpec::Compare(c) => c.len,
         }
     }
 
@@ -211,7 +251,6 @@ impl JobSpec {
             JobSpec::Run(r) => r.sweep(jobs),
             JobSpec::Sweep(s) => s.sweep(jobs),
             JobSpec::Campaign(c) => c.sweep(jobs),
-            JobSpec::Compare(c) => c.sweep(jobs).map_err(schema),
         }
     }
 }
@@ -272,30 +311,23 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Schema`] for unknown targets or out-of-range
-    /// fields.
+    /// [`ProtocolError::Schema`] for an unknown mix or out-of-range
+    /// fields, [`ProtocolError::Config`] for an unknown workload.
     pub fn configs(&self) -> Result<(SystemConfig, SystemConfig, String), ProtocolError> {
         let (mut cfg, target) = match (&self.workload, &self.mix) {
-            (Some(name), None) => {
-                workload(name)
-                    .ok_or_else(|| schema(format!("unknown workload {name:?} (try --list)")))?;
-                (SystemConfig::single_core(name, self.len), name.clone())
-            }
-            (None, Some(name)) => {
-                let mix = mix(name)
-                    .ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))?;
-                (SystemConfig::multi_core_mix(&mix, self.len), name.clone())
-            }
+            (Some(name), None) => (SystemConfig::try_single_core(name, self.len)?, name.clone()),
+            (None, Some(name)) => (
+                SystemConfig::multi_core_mix(&mix_named(name)?, self.len),
+                name.clone(),
+            ),
             (Some(_), Some(_)) => {
                 return Err(schema("--workload and --mix are mutually exclusive"))
             }
             (None, None) => return Err(schema("need --workload or --mix (or --list)")),
         };
-        let mechanisms = match self.mechanisms_case {
-            None => Mechanisms::all(),
-            Some(case) if (1..=4).contains(&case) => Mechanisms::fig17_case(case),
-            Some(_) => return Err(schema("mechanisms case must be 1-4")),
-        };
+        let mechanisms = self
+            .mechanisms_case
+            .map_or(Ok(Mechanisms::all()), mechanisms_case)?;
         cfg = cfg
             .with_mode(self.mode)
             .with_mechanisms(mechanisms)
@@ -331,18 +363,16 @@ impl RunSpec {
     /// [`ProtocolError::Config`] when either point fails validation.
     pub fn sweep(&self, jobs: Option<usize>) -> Result<Sweep, ProtocolError> {
         let (base, cfg, _) = self.configs()?;
-        let mut builder = SweepBuilder::new(self.len)
+        let builder = SweepBuilder::new(self.len)
             .point("baseline [off]", base)
             .point(format!("MCR {}", self.mode), cfg);
-        if let Some(jobs) = jobs {
-            builder = builder.jobs(jobs);
-        }
-        Ok(builder.build()?)
+        build(builder, jobs)
     }
 }
 
 /// A full experiment grid: the service face of [`SweepBuilder`]'s
-/// cartesian axes.
+/// cartesian axes. A `sweep` request leaves the backend axis empty (MCR
+/// only); a `compare` request fills it ([`SweepSpec::compare`]).
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Memory operations per core.
@@ -359,56 +389,94 @@ pub struct SweepSpec {
     pub allocs: Vec<f64>,
     /// Seed axis (empty means the config default).
     pub seeds: Vec<u64>,
+    /// Backend axis (empty means MCR only).
+    pub backends: Vec<BackendKind>,
 }
 
 impl SweepSpec {
-    /// Expanded grid size (for admission control): targets × every
-    /// non-empty axis.
+    /// The `compare` campaign as a grid: one target, mode axis `[mode]`,
+    /// seed axis `[seed]` and the backends named in `backends` (empty
+    /// means every registered backend). The `compare` request and
+    /// `mcr_sim compare` both build their grid here.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Schema`] for a missing or ambiguous target or an
+    /// unknown backend name.
+    pub fn compare(
+        workload: Option<String>,
+        mix: Option<String>,
+        mode: McrMode,
+        len: usize,
+        seed: u64,
+        backends: &[String],
+    ) -> Result<SweepSpec, ProtocolError> {
+        let (workloads, mixes) = match (workload, mix) {
+            (Some(name), None) => (vec![name], Vec::new()),
+            (None, Some(name)) => (Vec::new(), vec![name]),
+            (Some(_), Some(_)) => return Err(schema("workload and mix are mutually exclusive")),
+            (None, None) => return Err(schema("compare needs a workload or a mix")),
+        };
+        Ok(SweepSpec {
+            len,
+            workloads,
+            mixes,
+            modes: vec![mode],
+            mechanisms: Vec::new(),
+            allocs: Vec::new(),
+            seeds: vec![seed],
+            backends: parse_backends(backends)?,
+        })
+    }
+
+    /// Expanded grid size (for admission control): per target, every
+    /// non-empty MCR axis for the MCR backend, plus the seed axis once
+    /// for each other backend.
     pub fn point_count(&self) -> usize {
         let axis = |n: usize| n.max(1);
-        (self.workloads.len() + self.mixes.len())
-            * axis(self.modes.len())
+        let mcr = axis(self.modes.len())
             * axis(self.mechanisms.len())
             * axis(self.allocs.len())
-            * axis(self.seeds.len())
+            * axis(self.seeds.len());
+        let per_target = if self.backends.is_empty() {
+            mcr
+        } else {
+            self.backends
+                .iter()
+                .map(|&kind| match kind {
+                    BackendKind::Mcr => mcr,
+                    _ => axis(self.seeds.len()),
+                })
+                .sum()
+        };
+        (self.workloads.len() + self.mixes.len()) * per_target
     }
 
     /// Builds the grid.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Schema`] for unknown names or bad cases,
-    /// [`ProtocolError::Config`] when a point fails validation.
+    /// [`ProtocolError::Schema`] for unknown mixes or bad cases,
+    /// [`ProtocolError::Config`] for an unknown workload, a repeated
+    /// backend, or a point that fails validation.
     pub fn sweep(&self, jobs: Option<usize>) -> Result<Sweep, ProtocolError> {
-        let mut builder = SweepBuilder::new(self.len);
-        for name in &self.workloads {
-            workload(name).ok_or_else(|| schema(format!("unknown workload {name:?}")))?;
-            builder = builder.workload(name);
-        }
+        let mut builder = SweepBuilder::new(self.len)
+            .workloads(self.workloads.iter().map(String::as_str))
+            .backends(self.backends.iter().copied())
+            .seeds(self.seeds.iter().copied());
         for name in &self.mixes {
-            let mix = mix(name)
-                .ok_or_else(|| schema(format!("unknown mix {name:?} (mix01..mix14, MT-*)")))?;
-            builder = builder.mix(&mix);
+            builder = builder.mix(&mix_named(name)?);
         }
         for &mode in &self.modes {
             builder = builder.mode(mode);
         }
         for &case in &self.mechanisms {
-            if !(1..=4).contains(&case) {
-                return Err(schema("mechanisms case must be 1-4"));
-            }
-            builder = builder.mechanisms(Mechanisms::fig17_case(case));
+            builder = builder.mechanisms(mechanisms_case(case)?);
         }
         for &ratio in &self.allocs {
             builder = builder.alloc_ratio(ratio);
         }
-        if !self.seeds.is_empty() {
-            builder = builder.seeds(self.seeds.iter().copied());
-        }
-        if let Some(jobs) = jobs {
-            builder = builder.jobs(jobs);
-        }
-        Ok(builder.build()?)
+        build(builder, jobs)
     }
 }
 
@@ -447,13 +515,10 @@ impl CampaignSpec {
             }
         }
         let (_, cfg, target) = self.base.configs()?;
-        let mut builder = SweepBuilder::new(self.base.len)
+        let builder = SweepBuilder::new(self.base.len)
             .point(format!("control {target}"), cfg.clone())
             .fault_campaign(&cfg, &self.rates, self.fault_seed);
-        if let Some(jobs) = jobs {
-            builder = builder.jobs(jobs);
-        }
-        Ok(builder.build()?)
+        build(builder, jobs)
     }
 }
 
@@ -527,15 +592,6 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn f64_or(&self, key: &str, default: f64) -> Result<f64, ProtocolError> {
-        match self.get(key) {
-            None | Some(Json::Null) => Ok(default),
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| schema(format!("{key:?} must be a number"))),
-        }
-    }
-
     fn f64_opt(&self, key: &str) -> Result<Option<f64>, ProtocolError> {
         match self.get(key) {
             None | Some(Json::Null) => Ok(None),
@@ -555,87 +611,38 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn arr(&self, key: &str) -> Result<&'a [Json], ProtocolError> {
-        match self.get(key) {
-            None | Some(Json::Null) => Ok(&[]),
+    /// The array under `key` (absent or `null` reads as empty), each
+    /// entry converted by `get`; `what` names the expected entry type.
+    fn list<T>(
+        &self,
+        key: &str,
+        what: &str,
+        get: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let items = match self.get(key) {
+            None | Some(Json::Null) => &[][..],
             Some(v) => v
                 .as_array()
-                .ok_or_else(|| schema(format!("{key:?} must be an array"))),
-        }
+                .ok_or_else(|| schema(format!("{key:?} must be an array")))?,
+        };
+        items
+            .iter()
+            .map(|v| get(v).ok_or_else(|| schema(format!("{key:?} entries must be {what}"))))
+            .collect()
     }
 
-    fn mode_or_off(&self, key: &str) -> Result<McrMode, ProtocolError> {
-        match self.str_opt(key)? {
-            None => Ok(McrMode::off()),
-            Some(text) => parse_mode(&text)
-                .ok_or_else(|| schema(format!("bad mode {text:?} (want M/Kx/L or off)"))),
-        }
+    fn strs(&self, key: &str) -> Result<Vec<String>, ProtocolError> {
+        self.list(key, "strings", |v| v.as_str().map(str::to_string))
+    }
+
+    fn mode_or(&self, key: &str, default: McrMode) -> Result<McrMode, ProtocolError> {
+        self.str_opt(key)?
+            .map_or(Ok(default), |text| mode_named(&text))
     }
 }
 
-fn parse_mode_list(items: &[Json]) -> Result<Vec<McrMode>, ProtocolError> {
-    items
-        .iter()
-        .map(|v| {
-            let text = v
-                .as_str()
-                .ok_or_else(|| schema("\"modes\" entries must be strings"))?;
-            parse_mode(text)
-                .ok_or_else(|| schema(format!("bad mode {text:?} (want M/Kx/L or off)")))
-        })
-        .collect()
-}
-
-fn parse_u64_list(items: &[Json], key: &str) -> Result<Vec<u64>, ProtocolError> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| schema(format!("{key:?} entries must be non-negative integers")))
-        })
-        .collect()
-}
-
-fn parse_f64_list(items: &[Json], key: &str) -> Result<Vec<f64>, ProtocolError> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| schema(format!("{key:?} entries must be numbers")))
-        })
-        .collect()
-}
-
-fn parse_str_list(items: &[Json], key: &str) -> Result<Vec<String>, ProtocolError> {
-    items
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| schema(format!("{key:?} entries must be strings")))
-        })
-        .collect()
-}
-
-/// Resolves the `"backends"` name list of a `compare` request into
-/// backend specs; an empty (or absent) list means every registered
-/// backend, in canonical order.
-fn parse_backend_kinds(names: Vec<String>) -> Result<Vec<BackendSpec>, ProtocolError> {
-    if names.is_empty() {
-        return Ok(registered_backends());
-    }
-    names
-        .iter()
-        .map(|name| {
-            BackendKind::parse(name)
-                .map(BackendSpec::new)
-                .ok_or_else(|| {
-                    schema(format!(
-                        "unknown backend {name:?} (want mcr, baseline, tldram, or clrdram)"
-                    ))
-                })
-        })
-        .collect()
+fn mode_named(text: &str) -> Result<McrMode, ProtocolError> {
+    parse_mode(text).ok_or_else(|| schema(format!("bad mode {text:?} (want M/Kx/L or off)")))
 }
 
 /// Fields shared by every job request.
@@ -672,13 +679,33 @@ fn shard_opt(f: &Fields<'_>) -> Result<Option<(usize, usize)>, ProtocolError> {
     Ok(Some((index, count)))
 }
 
+/// Parses a job request: rejects members outside [`JOB_COMMON`] and
+/// `fields`, reads the spec with `spec`, then the shared members.
+fn job(
+    f: &Fields<'_>,
+    fields: &[&str],
+    spec: impl FnOnce(&Fields<'_>) -> Result<JobSpec, ProtocolError>,
+) -> Result<Request, ProtocolError> {
+    let allowed: Vec<&str> = JOB_COMMON.iter().chain(fields).copied().collect();
+    f.restrict(&allowed)?;
+    let spec = spec(f)?;
+    Ok(Request::Job(Box::new(JobRequest {
+        id: f.str_opt("id")?,
+        deadline_ms: f.u64_opt("deadline_ms")?,
+        metrics: f.bool_or("metrics", false)?,
+        shard: shard_opt(f)?,
+        full_reports: f.bool_or("full_reports", false)?,
+        spec,
+    })))
+}
+
 fn run_spec_from(f: &Fields<'_>) -> Result<RunSpec, ProtocolError> {
     Ok(RunSpec {
         workload: f.str_opt("workload")?,
         mix: f.str_opt("mix")?,
-        mode: f.mode_or_off("mode")?,
+        mode: f.mode_or("mode", McrMode::off())?,
         len: f.usize_or("len", DEFAULT_LEN)?,
-        alloc: f.f64_or("alloc", 0.0)?,
+        alloc: f.f64_opt("alloc")?.unwrap_or(0.0),
         row_cache: f.u32_opt("row_cache")?,
         seed: f.u64_opt("seed")?.unwrap_or(DEFAULT_SEED),
         mechanisms_case: f.u32_opt("mechanisms")?,
@@ -726,113 +753,63 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             f.restrict(&["cmd", "id"])?;
             Ok(Request::Shutdown)
         }
-        "run" => {
-            let allowed: Vec<&str> = JOB_COMMON
-                .iter()
-                .chain(RUN_FIELDS.iter())
-                .copied()
-                .collect();
-            f.restrict(&allowed)?;
-            Ok(Request::Job(Box::new(JobRequest {
-                id: f.str_opt("id")?,
-                deadline_ms: f.u64_opt("deadline_ms")?,
-                metrics: f.bool_or("metrics", false)?,
-                shard: shard_opt(&f)?,
-                full_reports: f.bool_or("full_reports", false)?,
-                spec: JobSpec::Run(run_spec_from(&f)?),
-            })))
-        }
-        "sweep" => {
-            let allowed: Vec<&str> = JOB_COMMON
-                .iter()
-                .copied()
-                .chain([
-                    "len",
-                    "workloads",
-                    "mixes",
-                    "modes",
-                    "mechanisms",
-                    "allocs",
-                    "seeds",
-                ])
-                .collect();
-            f.restrict(&allowed)?;
-            let spec = SweepSpec {
-                len: f.usize_or("len", DEFAULT_LEN)?,
-                workloads: parse_str_list(f.arr("workloads")?, "workloads")?,
-                mixes: parse_str_list(f.arr("mixes")?, "mixes")?,
-                modes: parse_mode_list(f.arr("modes")?)?,
-                mechanisms: parse_u64_list(f.arr("mechanisms")?, "mechanisms")?
-                    .into_iter()
-                    .map(|n| u32::try_from(n).unwrap_or(u32::MAX))
-                    .collect(),
-                allocs: parse_f64_list(f.arr("allocs")?, "allocs")?,
-                seeds: parse_u64_list(f.arr("seeds")?, "seeds")?,
-            };
-            if spec.workloads.is_empty() && spec.mixes.is_empty() {
-                return Err(schema("sweep needs at least one workload or mix"));
-            }
-            Ok(Request::Job(Box::new(JobRequest {
-                id: f.str_opt("id")?,
-                deadline_ms: f.u64_opt("deadline_ms")?,
-                metrics: f.bool_or("metrics", false)?,
-                shard: shard_opt(&f)?,
-                full_reports: f.bool_or("full_reports", false)?,
-                spec: JobSpec::Sweep(spec),
-            })))
-        }
-        "campaign" => {
-            let allowed: Vec<&str> = JOB_COMMON
-                .iter()
-                .chain(RUN_FIELDS.iter())
-                .copied()
-                .chain(["rates"])
-                .collect();
-            f.restrict(&allowed)?;
-            let base = run_spec_from(&f)?;
-            let fault_seed = base.fault_seed.unwrap_or(base.seed);
-            let spec = CampaignSpec {
+        "run" => job(&f, &RUN_FIELDS, |f| Ok(JobSpec::Run(run_spec_from(f)?))),
+        "sweep" => job(
+            &f,
+            &[
+                "len",
+                "workloads",
+                "mixes",
+                "modes",
+                "mechanisms",
+                "allocs",
+                "seeds",
+            ],
+            |f| {
+                let spec = SweepSpec {
+                    len: f.usize_or("len", DEFAULT_LEN)?,
+                    workloads: f.strs("workloads")?,
+                    mixes: f.strs("mixes")?,
+                    modes: f
+                        .strs("modes")?
+                        .iter()
+                        .map(|text| mode_named(text))
+                        .collect::<Result<_, _>>()?,
+                    mechanisms: f.list("mechanisms", "non-negative integers", |v| {
+                        v.as_u64().map(|n| u32::try_from(n).unwrap_or(u32::MAX))
+                    })?,
+                    allocs: f.list("allocs", "numbers", Json::as_f64)?,
+                    seeds: f.list("seeds", "non-negative integers", Json::as_u64)?,
+                    backends: Vec::new(),
+                };
+                if spec.workloads.is_empty() && spec.mixes.is_empty() {
+                    return Err(schema("sweep needs at least one workload or mix"));
+                }
+                Ok(JobSpec::Sweep(spec))
+            },
+        ),
+        "campaign" => job(&f, &[&RUN_FIELDS[..], &["rates"]].concat(), |f| {
+            let base = run_spec_from(f)?;
+            Ok(JobSpec::Campaign(CampaignSpec {
+                fault_seed: base.fault_seed.unwrap_or(base.seed),
                 base,
-                rates: parse_f64_list(f.arr("rates")?, "rates")?,
-                fault_seed,
-            };
-            Ok(Request::Job(Box::new(JobRequest {
-                id: f.str_opt("id")?,
-                deadline_ms: f.u64_opt("deadline_ms")?,
-                metrics: f.bool_or("metrics", false)?,
-                shard: shard_opt(&f)?,
-                full_reports: f.bool_or("full_reports", false)?,
-                spec: JobSpec::Campaign(spec),
-            })))
-        }
-        "compare" => {
-            let allowed: Vec<&str> = JOB_COMMON
-                .iter()
-                .copied()
-                .chain(["workload", "mix", "mode", "len", "seed", "backends"])
-                .collect();
-            f.restrict(&allowed)?;
-            let spec = CompareSpec {
-                workload: f.str_opt("workload")?,
-                mix: f.str_opt("mix")?,
-                mode: match f.str_opt("mode")? {
-                    None => McrMode::headline(),
-                    Some(text) => parse_mode(&text)
-                        .ok_or_else(|| schema(format!("bad mode {text:?} (want M/Kx/L or off)")))?,
-                },
-                len: f.usize_or("len", DEFAULT_LEN)?,
-                seed: f.u64_opt("seed")?.unwrap_or(DEFAULT_SEED),
-                backends: parse_backend_kinds(parse_str_list(f.arr("backends")?, "backends")?)?,
-            };
-            Ok(Request::Job(Box::new(JobRequest {
-                id: f.str_opt("id")?,
-                deadline_ms: f.u64_opt("deadline_ms")?,
-                metrics: f.bool_or("metrics", false)?,
-                shard: shard_opt(&f)?,
-                full_reports: f.bool_or("full_reports", false)?,
-                spec: JobSpec::Compare(spec),
-            })))
-        }
+                rates: f.list("rates", "numbers", Json::as_f64)?,
+            }))
+        }),
+        "compare" => job(
+            &f,
+            &["workload", "mix", "mode", "len", "seed", "backends"],
+            |f| {
+                Ok(JobSpec::Sweep(SweepSpec::compare(
+                    f.str_opt("workload")?,
+                    f.str_opt("mix")?,
+                    f.mode_or("mode", McrMode::headline())?,
+                    f.usize_or("len", DEFAULT_LEN)?,
+                    f.u64_opt("seed")?.unwrap_or(DEFAULT_SEED),
+                    &f.strs("backends")?,
+                )?))
+            },
+        ),
         other => Err(schema(format!(
             "unknown cmd {other:?} (want ping, stats, shutdown, run, sweep, campaign, or compare)"
         ))),
@@ -1054,9 +1031,72 @@ mod tests {
         let Request::Job(job) = req else {
             panic!("expected job")
         };
+        assert_eq!(job.spec.kind(), "sweep");
         assert_eq!(job.spec.point_count(), 12);
         let sweep = job.spec.sweep(Some(1)).expect("builds");
         assert_eq!(sweep.points().len(), 12);
+    }
+
+    #[test]
+    fn compare_request_is_a_grid_over_every_backend() {
+        let Request::Job(job) =
+            parse_request(r#"{"cmd": "compare", "workload": "libq", "len": 800}"#).expect("parses")
+        else {
+            panic!("expected a job")
+        };
+        let JobSpec::Sweep(spec) = &job.spec else {
+            panic!("expected a grid")
+        };
+        assert_eq!(spec.backends, BackendKind::all());
+        assert_eq!(spec.modes, [McrMode::headline()]);
+        assert_eq!(spec.seeds, [DEFAULT_SEED]);
+        assert_eq!(job.spec.kind(), "compare");
+        assert_eq!(job.spec.point_count(), 4);
+        assert_eq!(job.spec.sweep(Some(1)).expect("builds").points().len(), 4);
+    }
+
+    #[test]
+    fn compare_point_count_matches_the_grid() {
+        let spec = SweepSpec {
+            modes: vec![McrMode::off(), McrMode::headline()],
+            seeds: vec![1, 2],
+            backends: vec![BackendKind::Baseline, BackendKind::Mcr],
+            ..SweepSpec::compare(Some("libq".into()), None, McrMode::off(), 800, 1, &[])
+                .expect("valid compare")
+        };
+        // Baseline crosses only the seeds (2); MCR crosses modes x seeds (4).
+        assert_eq!(spec.point_count(), 6);
+        assert_eq!(spec.sweep(Some(1)).expect("builds").points().len(), 6);
+    }
+
+    #[test]
+    fn compare_rejects_bad_targets_and_backends() {
+        let err = |line: &str| match parse_request(line) {
+            Err(e) => e.to_string(),
+            Ok(req) => req.job_sweep_err().to_string(),
+        };
+        for (line, needle) in [
+            (r#"{"cmd": "compare"}"#, "compare needs a workload or a mix"),
+            (
+                r#"{"cmd": "compare", "workload": "libq", "mix": "mix01"}"#,
+                "mutually exclusive",
+            ),
+            (
+                r#"{"cmd": "compare", "workload": "libq", "backends": ["bogus"]}"#,
+                "unknown backend",
+            ),
+            (
+                r#"{"cmd": "compare", "workload": "libq", "backends": ["mcr", "mcr"]}"#,
+                "duplicate backend mcr",
+            ),
+            (
+                r#"{"cmd": "compare", "workload": "no-such-workload"}"#,
+                "unknown workload",
+            ),
+        ] {
+            let e = err(line);
+            assert!(e.contains(needle), "{line}: {e}");
+        }
     }
 
     #[test]

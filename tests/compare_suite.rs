@@ -1,7 +1,8 @@
 //! Cross-backend compare-campaign suite (DESIGN.md §5l).
 //!
 //! The `compare` campaign races the same trace and seed across every
-//! registered DRAM-architecture backend, so it inherits the repo's two
+//! registered DRAM-architecture backend. It is a sweep over
+//! `SweepBuilder`'s backend axis, so it inherits the repo's two
 //! standing determinism contracts: worker count never changes results,
 //! and a request submitted over the wire is bit-identical to the same
 //! campaign executed locally. On top of those, the comparison table for
@@ -10,8 +11,10 @@
 //! optimization for the non-MCR backends too.
 
 use mcr_dram::{
-    registered_backends, BackendKind, BackendSpec, CompareSpec, McrMode, System, SystemConfig,
+    registered_backends, BackendKind, BackendSpec, CompareTable, McrMode, Sweep, SweepBuilder,
+    System, SystemConfig, DEFAULT_SEED,
 };
+use mcr_serve::protocol::SweepSpec;
 use mcr_serve::{Client, ServeConfig, Server};
 use sim_json::Json;
 use std::path::{Path, PathBuf};
@@ -22,12 +25,16 @@ const LEN: usize = 1_500;
 /// (normal vs fast vs skipped); short runs never cross tREFI.
 const GOLDEN_LEN: usize = 20_000;
 
-fn libq_compare(len: usize) -> CompareSpec {
-    CompareSpec {
-        workload: Some("libq".into()),
-        len,
-        ..CompareSpec::default()
-    }
+/// The default `compare` campaign on libq: every registered backend,
+/// the headline MCR mode.
+fn libq_compare(len: usize, jobs: usize) -> Sweep {
+    SweepBuilder::new(len)
+        .workload("libq")
+        .backends(BackendKind::all())
+        .mode(McrMode::headline())
+        .jobs(jobs)
+        .build()
+        .expect("valid grid")
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -45,9 +52,8 @@ fn compare_table_matches_golden() {
     // The full head-to-head table — every registered backend, one fixed
     // workload/len/seed — frozen byte-for-byte. Any drift is a real
     // behaviour change in one of the backend models.
-    let spec = libq_compare(GOLDEN_LEN);
-    let results = spec.sweep(Some(1)).expect("valid spec").run();
-    let rendered = spec.table(&results).to_json();
+    let sweep = libq_compare(GOLDEN_LEN, 1);
+    let rendered = CompareTable::new("libq", &sweep, &sweep.run()).to_json();
     let path = golden_path("compare_libq");
     if blessing() {
         std::fs::write(&path, &rendered)
@@ -74,9 +80,9 @@ fn worker_count_never_changes_compare_results() {
     // jobs=1 and jobs=8 must agree per backend point — same order, same
     // cache key, byte-identical report — and therefore render the same
     // comparison table.
-    let spec = libq_compare(LEN);
-    let serial = spec.sweep(Some(1)).expect("valid spec").run();
-    let parallel = spec.sweep(Some(8)).expect("valid spec").run();
+    let (serial_sweep, parallel_sweep) = (libq_compare(LEN, 1), libq_compare(LEN, 8));
+    let serial = serial_sweep.run();
+    let parallel = parallel_sweep.run();
     assert_eq!(serial.points.len(), registered_backends().len());
     // Requested jobs are clamped to the point count, but stay parallel.
     assert!(parallel.jobs > 1, "jobs: {}", parallel.jobs);
@@ -90,8 +96,8 @@ fn worker_count_never_changes_compare_results() {
         );
     }
     assert_eq!(
-        spec.table(&serial).to_json(),
-        spec.table(&parallel).to_json(),
+        CompareTable::new("libq", &serial_sweep, &serial).to_json(),
+        CompareTable::new("libq", &parallel_sweep, &parallel).to_json(),
         "rendered tables must not depend on worker count"
     );
 }
@@ -101,8 +107,7 @@ fn every_backend_produces_distinct_cache_keys() {
     // The content-addressed store must never conflate two architectures:
     // each campaign point owns a distinct config key, and the MCR key is
     // the same one a plain (pre-backend) MCR sweep would use.
-    let spec = libq_compare(LEN);
-    let sweep = spec.sweep(Some(1)).expect("valid spec");
+    let sweep = libq_compare(LEN, 1);
     let mut keys: Vec<u64> = sweep
         .points()
         .iter()
@@ -162,27 +167,32 @@ fn submitted_and_local_compare_are_bit_identical() {
     let handle = std::thread::spawn(move || server.run());
     let mut client = Client::connect(addr).expect("connect");
 
-    // (wire request, the CompareSpec the CLI builds for the same flags)
-    let cases: [(&str, CompareSpec); 2] = [
+    // (wire request, the `--backends` list the CLI passes for the same
+    // flags)
+    let cases: [(&str, &[&str]); 2] = [
         (
             // Default backend list: every registered architecture.
             r#"{"cmd": "compare", "workload": "libq", "len": 1500}"#,
-            libq_compare(LEN),
+            &[],
         ),
         (
             // An explicit subset, out of registry order.
             r#"{"cmd": "compare", "workload": "libq", "len": 1500,
                 "backends": ["tldram", "baseline"]}"#,
-            CompareSpec {
-                backends: vec![
-                    BackendSpec::new(BackendKind::TlDram),
-                    BackendSpec::new(BackendKind::Baseline),
-                ],
-                ..libq_compare(LEN)
-            },
+            &["tldram", "baseline"],
         ),
     ];
-    for (request, spec) in cases {
+    for (request, backends) in cases {
+        let backends: Vec<String> = backends.iter().map(|b| b.to_string()).collect();
+        let spec = SweepSpec::compare(
+            Some("libq".into()),
+            None,
+            McrMode::headline(),
+            LEN,
+            DEFAULT_SEED,
+            &backends,
+        )
+        .expect("valid compare");
         let local_json = spec.sweep(Some(1)).expect("local sweep").run().to_json();
         let mut local = Json::parse(&local_json).expect("local results parse");
         let reply = client
@@ -193,6 +203,7 @@ fn submitted_and_local_compare_are_bit_identical() {
             Some("ok"),
             "reply: {reply:?}"
         );
+        assert_eq!(reply.get("kind").and_then(Json::as_str), Some("compare"));
         let mut remote = reply.get("result").cloned().expect("result body");
         strip_volatile(&mut local);
         strip_volatile(&mut remote);
