@@ -3,7 +3,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke loadtest-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
+.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
@@ -11,9 +11,9 @@ OFFLINE ?= --offline
 # passes (source lint + timing/mode-table/region checks), the exhaustive
 # protocol model check + wake-soundness certification, then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
-# fault-injected loadtest smoke, the cross-backend compare smoke, and
-# the event-wheel, persistent-store and per-backend wall-clock gates.
-check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke loadtest-smoke compare bench-core bench-sweep bench-compare
+# cross-backend compare smoke, and the event-wheel, persistent-store and
+# per-backend wall-clock gates.
+check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke compare bench-core bench-sweep bench-compare
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -83,19 +83,10 @@ chaos:
 
 # Loopback end-to-end smoke of the simulation service (DESIGN.md §5g):
 # binds an ephemeral port, drives sweeps / deadlines / load shedding /
-# campaigns over real sockets, and exercises the serve+submit CLI.
+# campaigns and the connection guards (read deadline, line cap,
+# malformed lines) over real sockets, and exercises the serve+submit CLI.
 serve-smoke:
 	$(CARGO) test $(OFFLINE) -p mcr-serve --test serve_smoke -q
-
-# Seeded loadtest against a self-hosted loopback server (DESIGN.md §5k):
-# a clean phase, then the same volume through a NetChaos proxy injecting
-# faults at 10%; --check fails the target unless the shed/served/retried
-# accounting balances exactly and no submission is lost. Writes
-# BENCH_serve.json at the repo root.
-loadtest-smoke:
-	$(CARGO) run $(OFFLINE) -q -p mcr-serve --bin mcr_sim -- \
-		loadtest --loopback --submissions 16 --concurrency 4 \
-		--len 1200 --seed 7 --chaos-rate 0.1 --check --out BENCH_serve.json
 
 # Head-to-head smoke of the pluggable-backend campaign (DESIGN.md §5l):
 # the same trace under every registered architecture, printed as the

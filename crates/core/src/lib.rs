@@ -95,8 +95,8 @@ pub use mode_change::{ModeChangePlan, OsVisibleMemory};
 pub use policy::McrPolicy;
 pub use report::{telemetry_to_csv, telemetry_to_json, ResultTable};
 pub use sweep::{
-    shard_of_key, CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep,
-    SweepBuilder, SweepExecStats, SweepPoint, SweepResults,
+    CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep, SweepBuilder,
+    SweepExecStats, SweepPoint, SweepResults,
 };
 pub use system::{
     ConfigError, MappingKind, ReliabilityReport, RunReport, System, SystemConfig, DEFAULT_SEED,

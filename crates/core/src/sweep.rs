@@ -561,39 +561,10 @@ pub struct Sweep {
     cache: ResultCache,
 }
 
-/// Stable shard assignment for a config key: `key % count`. Dispatchers
-/// and servers both route points through this function, so a grid
-/// splits the same way on every host — the dispatcher can predict
-/// exactly which keys each backend's shard must return.
-pub fn shard_of_key(key: u64, count: usize) -> usize {
-    let count = count.max(1) as u64;
-    usize::try_from(key % count).unwrap_or(0)
-}
-
 impl Sweep {
     /// The grid points in the order results will be reported.
     pub fn points(&self) -> &[SweepPoint] {
         &self.points
-    }
-
-    /// The subset of this grid owned by shard `index` of `count`,
-    /// assigned by [`shard_of_key`] over each point's config key.
-    /// Points keep their relative grid order; the shard gets a fresh
-    /// memo cache (the parent's is not shared). An empty shard is legal
-    /// — a small grid split many ways simply leaves some shards with
-    /// nothing to do.
-    pub fn shard(&self, index: usize, count: usize) -> Sweep {
-        let points = self
-            .points
-            .iter()
-            .filter(|p| shard_of_key(p.config.config_key(), count) == index)
-            .cloned()
-            .collect();
-        Sweep {
-            points,
-            jobs: self.jobs,
-            cache: ResultCache::new(),
-        }
     }
 
     /// Resolved worker count: the explicit [`SweepBuilder::jobs`]
@@ -1027,33 +998,6 @@ mod tests {
         assert!(labels[0].starts_with("libq") && labels[1].starts_with("libq"));
         assert!(labels[2].starts_with("comm1") && labels[3].starts_with("comm1"));
         assert!(sweep.points()[0].config.mode.is_off());
-    }
-
-    #[test]
-    fn shards_partition_the_grid_exactly() {
-        let sweep = SweepBuilder::new(LEN)
-            .workloads(["libq", "comm1"])
-            .mode(McrMode::off())
-            .mode(McrMode::headline())
-            .build()
-            .unwrap();
-        for count in 1..=5 {
-            let mut total = 0usize;
-            for index in 0..count {
-                let shard = sweep.shard(index, count);
-                for p in shard.points() {
-                    assert_eq!(shard_of_key(p.config.config_key(), count), index);
-                }
-                total += shard.points().len();
-            }
-            assert_eq!(total, sweep.points().len(), "count {count}");
-        }
-        // count = 1 is the identity partition, in grid order.
-        let whole = sweep.shard(0, 1);
-        assert_eq!(whole.points().len(), sweep.points().len());
-        for (a, b) in whole.points().iter().zip(sweep.points()) {
-            assert_eq!(a.label, b.label);
-        }
     }
 
     #[test]

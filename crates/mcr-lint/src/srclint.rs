@@ -31,7 +31,7 @@
 //!   for as long as the peer cares to stall it — a slow or malicious
 //!   client pins a server thread (or an OOM via an endless line)
 //!   forever. Bound every socket read with a deadline and a length
-//!   guard (DESIGN.md §5k).
+//!   guard (DESIGN.md §5g).
 //! * `src/backend-timing-leak` — no references to backend-specific
 //!   timing constants (`TLDRAM_*`, `CLRDRAM_*`) outside the owning
 //!   backend module (files whose path names `backend`). Those numbers
@@ -364,7 +364,7 @@ pub fn lint_file(path_label: &str, text: &str) -> Vec<Diagnostic> {
                              `set_read_timeout`/`set_nonblocking` anywhere; a \
                              stalling peer pins this thread forever"
                         ),
-                        "workspace rule (bound every socket read, DESIGN.md §5k)",
+                        "workspace rule (bound every socket read, DESIGN.md §5g)",
                     ));
                     break;
                 }

@@ -19,8 +19,7 @@
 //!
 //! Exit codes: 0 success, 1 usage/transport/configuration error (one
 //! `error:` line), 2 the service answered with a non-`ok` status
-//! (rejected, timeout, error), `cache verify` found corruption, or the
-//! loadtest `--check` accounting did not balance.
+//! (rejected, timeout, error) or `cache verify` found corruption.
 
 use mcr_dram::experiments::Outcome;
 use mcr_dram::{
@@ -28,9 +27,7 @@ use mcr_dram::{
     DEFAULT_SEED,
 };
 use mcr_serve::protocol::{parse_mode, SweepSpec, DEFAULT_LEN};
-use mcr_serve::{
-    Client, DispatchConfig, Dispatcher, LoadtestConfig, ProtocolError, RunSpec, ServeConfig, Server,
-};
+use mcr_serve::{Client, ProtocolError, RunSpec, ServeConfig, Server};
 use mcr_store::ResultStore;
 use mcr_telemetry::RingRecorder;
 use sim_json::Json;
@@ -139,59 +136,6 @@ const SUBMIT: Cmd = Cmd {
     ],
 };
 
-const DISPATCH: Cmd = Cmd {
-    name: "dispatch",
-    synopsis: "dispatch <REQUEST.json | -> --backends A,B,C [dispatch options]",
-    title: "dispatch options (split one job across a backend fleet):",
-    operand: Some("request file"),
-    flags: &[
-        (
-            "--backends",
-            "A,B,C",
-            "comma-separated backend addresses (required)",
-        ),
-        (
-            "--deadline-ms",
-            "N",
-            "campaign deadline (also sent to backends)",
-        ),
-        ("--retries", "N", "extra attempts per shard (default 4)"),
-        (
-            "--backoff-ms",
-            "N",
-            "base backoff; attempt k waits base<<(k-1)\nplus seeded jitter (default 25)",
-        ),
-        (
-            "--hedge-ms",
-            "N",
-            "duplicate a still-silent shard on another\nbackend after N ms (default: never)",
-        ),
-        ("--seed", "N", "backoff-jitter seed (default 0)"),
-    ],
-};
-
-const LOADTEST: Cmd = Cmd {
-    name: "loadtest",
-    synopsis: "loadtest <--addr A | --backends A,B,C | --loopback> [loadtest options]",
-    title: "loadtest options (seeded replay of mixed submissions):",
-    operand: None,
-    flags: &[
-        ("--addr", "A", "target: one server"),
-        ("--backends", "A,B,C", "target: a dispatched fleet"),
-        ("--loopback", "", "target: a self-hosted in-process server"),
-        ("--submissions", "N", "total submissions per phase (default 40)"),
-        ("--concurrency", "N", "submitter threads (default 4)"),
-        ("--len", "N", "trace length of generated jobs (default 2000)"),
-        ("--seed", "N", "generator/jitter/chaos seed (default 7)"),
-        ("--chaos-rate", "F", "add a second phase through a NetChaos proxy\ninjecting faults at rate F (default 0: off)"),
-        ("--jitter-ms", "N", "max seeded arrival jitter (default 5)"),
-        ("--retries", "N", "transport retries per submission (default 6)"),
-        ("--deadline-ms", "N", "deadline attached to every submission"),
-        ("--out", "FILE", "write the JSON report (default BENCH_serve.json)"),
-        ("--check", "", "exit 2 unless the shed/served/retried\naccounting balances exactly"),
-    ],
-};
-
 const CACHE: Cmd = Cmd {
     name: "cache",
     synopsis: "cache <stats | verify | gc> --cache-dir DIR",
@@ -228,9 +172,7 @@ const COMPARE: Cmd = Cmd {
     ],
 };
 
-const COMMANDS: [&Cmd; 7] = [
-    &LOCAL, &SERVE, &SUBMIT, &DISPATCH, &LOADTEST, &CACHE, &COMPARE,
-];
+const COMMANDS: [&Cmd; 5] = [&LOCAL, &SERVE, &SUBMIT, &CACHE, &COMPARE];
 
 /// Column where flag help text starts.
 const HELP_COL: usize = 20;
@@ -634,145 +576,6 @@ fn submit_main(argv: &[String]) -> Result<ExitCode, String> {
 }
 
 // ---------------------------------------------------------------------------
-// dispatch
-// ---------------------------------------------------------------------------
-
-/// The `dispatch` subcommand: split one run/sweep/campaign across a
-/// backend fleet by config-key hash and print the merged reply a
-/// single server would have produced. Same exit-code contract as
-/// `submit`: 0 ok, 2 non-`ok` status, 1 usage/transport error.
-fn dispatch_main(argv: &[String]) -> Result<ExitCode, String> {
-    let Some(p) = parse_flags(argv, &DISPATCH)? else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let mut cfg = DispatchConfig {
-        backends: p.list("--backends", "address")?.unwrap_or_default(),
-        deadline_ms: p.get("--deadline-ms")?,
-        hedge_after_ms: p.get("--hedge-ms")?,
-        ..DispatchConfig::default()
-    };
-    p.set("--retries", &mut cfg.max_retries)?;
-    p.set("--backoff-ms", &mut cfg.backoff_base_ms)?;
-    p.set("--seed", &mut cfg.seed)?;
-    let Some(file) = &p.operand else {
-        return Err(usage_error("dispatch needs a request file ('-' for stdin)"));
-    };
-    if cfg.backends.is_empty() {
-        return Err(usage_error("dispatch needs --backends A,B,C"));
-    }
-    let text = read_request(file)?;
-    let out = Dispatcher::new(cfg)
-        .and_then(|d| d.dispatch_line(text.trim()))
-        .map_err(|e| e.to_string())?;
-    println!("{}", out.line);
-    eprintln!("dispatch: {}", out.telemetry.to_json());
-    Ok(if out.timed_out {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    })
-}
-
-// ---------------------------------------------------------------------------
-// loadtest
-// ---------------------------------------------------------------------------
-
-fn phase_summary(name: &str, p: &mcr_serve::PhaseReport) {
-    println!(
-        "{name}: {} ok, {} shed (429 {}, 503 {}, 413 {}), {} timeouts, {} errors, \
-         {} failed | {} retries | p50 {} ms, p95 {} ms | wall {} ms",
-        p.ok,
-        p.shed_queue_full + p.shed_draining + p.shed_too_large,
-        p.shed_queue_full,
-        p.shed_draining,
-        p.shed_too_large,
-        p.timeouts,
-        p.errors,
-        p.failed,
-        p.retries,
-        p.latency_ms.p50().unwrap_or(0),
-        p.latency_ms.p95().unwrap_or(0),
-        p.wall_ms
-    );
-}
-
-/// The `loadtest` subcommand: replay a seeded submission volume and
-/// write the shed/latency ledger as JSON. With `--check`, exit 2
-/// unless every submission is accounted for exactly once and nothing
-/// was lost.
-fn loadtest_main(argv: &[String]) -> Result<ExitCode, String> {
-    let Some(p) = parse_flags(argv, &LOADTEST)? else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let mut cfg = LoadtestConfig {
-        deadline_ms: p.get("--deadline-ms")?,
-        ..LoadtestConfig::default()
-    };
-    p.set("--submissions", &mut cfg.submissions)?;
-    p.set("--concurrency", &mut cfg.concurrency)?;
-    p.set("--seed", &mut cfg.seed)?;
-    p.set("--len", &mut cfg.len)?;
-    p.set("--chaos-rate", &mut cfg.chaos_rate)?;
-    p.set("--jitter-ms", &mut cfg.arrival_jitter_ms)?;
-    p.set("--retries", &mut cfg.max_retries)?;
-    let mut out = "BENCH_serve.json".to_string();
-    p.set("--out", &mut out)?;
-    if !(0.0..=1.0).contains(&cfg.chaos_rate) {
-        return Err(usage_error(format!(
-            "--chaos-rate must be in [0, 1], got {}",
-            cfg.chaos_rate
-        )));
-    }
-    if cfg.submissions == 0 {
-        return Err(usage_error("--submissions must be at least 1"));
-    }
-    let addr: Option<String> = p.get("--addr")?;
-    let report = match (addr, p.list("--backends", "address")?, p.on("--loopback")) {
-        (Some(addr), None, false) => mcr_serve::loadtest::run_addr(&cfg, &addr),
-        (None, Some(list), false) => mcr_serve::loadtest::run_backends(&cfg, &list),
-        (None, None, true) => mcr_serve::loadtest::run_loopback(&cfg, ServeConfig::default()),
-        (None, None, false) => {
-            return Err(usage_error(
-                "loadtest needs a target: --addr, --backends or --loopback",
-            ))
-        }
-        _ => {
-            return Err(usage_error(
-                "pick exactly one of --addr, --backends, --loopback",
-            ))
-        }
-    }?;
-    phase_summary("clean", &report.clean);
-    if let Some(chaos) = &report.chaos {
-        phase_summary("chaos", chaos);
-    }
-    if let Some(st) = report.chaos_stats {
-        println!(
-            "proxy: {} connections, {} faults injected ({} refused, {} truncated, \
-             {} delayed, {} blackholed, {} garbage)",
-            st.connections,
-            st.faults(),
-            st.refused,
-            st.truncated,
-            st.delayed,
-            st.blackholed,
-            st.garbage
-        );
-    }
-    let doc = report.to_json(&cfg);
-    std::fs::write(&out, format!("{doc}\n")).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("report written to {out}");
-    if p.on("--check") {
-        if let Err(e) = report.check(&cfg) {
-            eprintln!("error: accounting check failed: {e}");
-            return Ok(ExitCode::from(2));
-        }
-        println!("accounting balanced: every submission classified, none lost");
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-// ---------------------------------------------------------------------------
 // cache
 // ---------------------------------------------------------------------------
 
@@ -1022,8 +825,6 @@ fn main() -> ExitCode {
     let result = match argv.first().map(String::as_str) {
         Some("serve") => serve_main(&argv[1..]),
         Some("submit") => submit_main(&argv[1..]),
-        Some("dispatch") => dispatch_main(&argv[1..]),
-        Some("loadtest") => loadtest_main(&argv[1..]),
         Some("cache") => cache_main(&argv[1..]),
         Some("compare") => compare_main(&argv[1..]),
         _ => local_main(&argv),

@@ -2,18 +2,18 @@
 //! one request line out, one response line back, over a persistent
 //! connection.
 //!
-//! The read path is hardened against misbehaving peers: an optional
-//! connect timeout, an optional per-read deadline (a black-holed
-//! server surfaces [`ClientError::Timeout`] instead of blocking the
-//! caller forever), and a maximum response-line length (a
-//! garbage-spewing server surfaces [`ClientError::LineTooLong`]
-//! instead of growing the buffer without bound).
+//! Responses come off the network, so the read path guards its buffer:
+//! a response line longer than [`MAX_LINE`] surfaces
+//! [`ClientError::LineTooLong`] instead of growing the buffer without
+//! bound.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use sim_json::{Json, JsonError};
+
+/// Longest response line accepted before [`ClientError::LineTooLong`].
+const MAX_LINE: usize = 32 << 20;
 
 /// What went wrong talking to the service.
 #[derive(Debug)]
@@ -24,12 +24,8 @@ pub enum ClientError {
     Json(JsonError),
     /// The server closed the connection before answering.
     Closed,
-    /// A configured connect/read deadline expired before the server
-    /// answered. The connection stays usable: partial data already
-    /// received is kept, and a later read resumes where it left off.
-    Timeout,
-    /// The server sent more bytes than [`ClientOptions::max_line`]
-    /// without a newline; the payload was discarded, not buffered.
+    /// The server sent more than 32 MiB without a newline; the payload
+    /// was discarded, not buffered.
     LineTooLong(usize),
 }
 
@@ -39,7 +35,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "transport error: {e}"),
             ClientError::Json(e) => write!(f, "bad response JSON: {e}"),
             ClientError::Closed => write!(f, "server closed the connection"),
-            ClientError::Timeout => write!(f, "timed out waiting for the server"),
             ClientError::LineTooLong(limit) => {
                 write!(f, "response line exceeded {limit} bytes")
             }
@@ -59,7 +54,7 @@ impl std::error::Error for ClientError {
 
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
-        io_to_client(e)
+        ClientError::Io(e)
     }
 }
 
@@ -69,135 +64,41 @@ impl From<JsonError> for ClientError {
     }
 }
 
-/// Maps socket-timeout errors (reported as `WouldBlock` or `TimedOut`
-/// depending on the platform) to the typed variant.
-fn io_to_client(e: std::io::Error) -> ClientError {
-    match e.kind() {
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => ClientError::Timeout,
-        _ => ClientError::Io(e),
-    }
-}
-
-/// Connection-hardening knobs for [`Client::connect_with`].
-#[derive(Debug, Clone)]
-pub struct ClientOptions {
-    /// Give up on `connect` after this long (`None`: OS default).
-    pub connect_timeout: Option<Duration>,
-    /// Per-read deadline; a blocked read returns
-    /// [`ClientError::Timeout`] instead of waiting forever (`None`:
-    /// block indefinitely, the pre-hardening behaviour).
-    pub read_timeout: Option<Duration>,
-    /// Longest response line accepted before
-    /// [`ClientError::LineTooLong`].
-    pub max_line: usize,
-}
-
-impl Default for ClientOptions {
-    fn default() -> Self {
-        ClientOptions {
-            connect_timeout: None,
-            read_timeout: None,
-            max_line: 32 << 20,
-        }
-    }
-}
-
 /// A connected protocol client.
 pub struct Client {
     stream: TcpStream,
-    /// Bytes received but not yet consumed as a complete line. Kept
-    /// across [`ClientError::Timeout`] so a retried read resumes.
+    /// Bytes received but not yet consumed as a complete line.
     pending: Vec<u8>,
-    max_line: usize,
 }
 
 impl Client {
-    /// Connects to a running service with default (unbounded) options.
+    /// Connects to a running service.
     ///
     /// # Errors
     ///
     /// Propagates the connect failure.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::connect_with(addr, &ClientOptions::default())
-    }
-
-    /// Connects with explicit timeout and line-length limits.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Timeout`] when the connect deadline expires,
-    /// [`ClientError::Io`] on any other connect failure.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        opts: &ClientOptions,
-    ) -> Result<Client, ClientError> {
-        let stream = match opts.connect_timeout {
-            None => TcpStream::connect(addr).map_err(io_to_client)?,
-            Some(limit) => {
-                let mut last: Option<ClientError> = None;
-                let mut found = None;
-                for resolved in addr.to_socket_addrs().map_err(io_to_client)? {
-                    match TcpStream::connect_timeout(&resolved, limit) {
-                        Ok(s) => {
-                            found = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(io_to_client(e)),
-                    }
-                }
-                match found {
-                    Some(s) => s,
-                    None => {
-                        return Err(last.unwrap_or_else(|| {
-                            ClientError::Io(std::io::Error::new(
-                                ErrorKind::InvalidInput,
-                                "address resolved to no candidates",
-                            ))
-                        }))
-                    }
-                }
-            }
-        };
-        stream
-            .set_read_timeout(opts.read_timeout)
-            .map_err(io_to_client)?;
-        stream
-            .set_write_timeout(opts.read_timeout)
-            .map_err(io_to_client)?;
         Ok(Client {
-            stream,
+            stream: TcpStream::connect(addr)?,
             pending: Vec::new(),
-            max_line: opts.max_line.max(1),
         })
-    }
-
-    /// Adjusts the per-read deadline of an existing connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-option failure.
-    pub fn set_read_timeout(&mut self, limit: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(limit).map_err(io_to_client)
     }
 
     /// Sends one raw request line (a newline is appended).
     ///
     /// # Errors
     ///
-    /// [`ClientError::Timeout`] when a write deadline expires,
-    /// [`ClientError::Io`] on any other transport failure.
+    /// [`ClientError::Io`] on a transport failure.
     pub fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        writeln!(self.stream, "{line}").map_err(io_to_client)?;
-        self.stream.flush().map_err(io_to_client)
+        writeln!(self.stream, "{line}")?;
+        Ok(self.stream.flush()?)
     }
 
     /// Receives one response line (without the trailing newline),
-    /// honouring the read deadline and line-length guard.
+    /// honouring the line-length guard.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Timeout`] when the read deadline expires (retry
-    /// to keep waiting; buffered bytes are preserved),
     /// [`ClientError::Closed`] when the server hangs up mid-line,
     /// [`ClientError::LineTooLong`] when the guard trips,
     /// [`ClientError::Io`] on any other transport failure.
@@ -209,15 +110,15 @@ impl Client {
                 let line = std::mem::replace(&mut self.pending, rest);
                 return Ok(String::from_utf8_lossy(&line).trim_end().to_string());
             }
-            if self.pending.len() > self.max_line {
+            if self.pending.len() > MAX_LINE {
                 self.pending.clear();
-                return Err(ClientError::LineTooLong(self.max_line));
+                return Err(ClientError::LineTooLong(MAX_LINE));
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(ClientError::Closed),
                 Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(io_to_client(e)),
+                Err(e) => return Err(ClientError::Io(e)),
             }
         }
     }

@@ -15,25 +15,12 @@
 //!   in-flight jobs (each still delivers its response), rejects new
 //!   ones (503), then stops the acceptor and workers.
 //! * **Memoization** — results are cached across requests by the
-//!   stable config key; a repeated request never re-simulates.
+//!   stable config key, in process or in the persistent `mcr-store`
+//!   tier ([`ServeConfig::cache_dir`]) every worker shares; a repeated
+//!   request never re-simulates.
 //! * **Determinism** — a `run` request builds the exact two-point
 //!   sweep the `mcr_sim` CLI runs locally, so remote and local results
 //!   are byte-identical (`tests/sweep_determinism.rs` enforces it).
-//!
-//! Distributed serving (DESIGN.md §5k) adds three layers on top of the
-//! single-server contract:
-//!
-//! * **Shard dispatch** — [`Dispatcher`] splits one sweep/campaign
-//!   across a backend fleet by `config_key` hash, with bounded retries,
-//!   seeded-jitter exponential backoff, hedged re-dispatch of
-//!   stragglers, and failover when a backend dies mid-campaign. The
-//!   merged reply is byte-identical to a single-instance answer
-//!   (`tests/dispatch.rs` enforces it).
-//! * **Fault injection** — [`NetChaos`] is a deterministic TCP proxy
-//!   (connection refusal, truncation, delays, black holes, garbage)
-//!   used by the tests to prove every retry path.
-//! * **Load testing** — [`loadtest`] replays seeded submission volumes
-//!   and emits a balanced shed/latency ledger (`BENCH_serve.json`).
 //!
 //! ```no_run
 //! use mcr_serve::{Client, ServeConfig, Server};
@@ -58,19 +45,11 @@
 #![warn(missing_docs)]
 
 mod client;
-mod dispatch;
-pub mod loadtest;
-mod netchaos;
 pub mod protocol;
 mod server;
 mod telemetry;
 
-pub use client::{Client, ClientError, ClientOptions};
-pub use dispatch::{
-    backoff_ms, DispatchConfig, DispatchError, DispatchOutcome, DispatchTelemetry, Dispatcher,
-};
-pub use loadtest::{LoadTarget, LoadtestConfig, LoadtestReport, PhaseReport};
-pub use netchaos::{ChaosPlan, ChaosStats, NetChaos, NetFault};
+pub use client::{Client, ClientError};
 pub use protocol::{JobRequest, JobSpec, ProtocolError, Request, RunSpec};
 pub use server::{ServeConfig, Server};
 pub use telemetry::ServeTelemetry;

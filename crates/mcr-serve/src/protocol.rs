@@ -183,15 +183,6 @@ pub struct JobRequest {
     pub deadline_ms: Option<u64>,
     /// Attach the merged simulator telemetry to the response.
     pub metrics: bool,
-    /// Restrict the job to one shard of its grid: `(index, count)`
-    /// under [`mcr_dram::shard_of_key`]. Set by the shard dispatcher,
-    /// not by end users; the server builds the full grid, then keeps
-    /// only the points this shard owns.
-    pub shard: Option<(usize, usize)>,
-    /// Attach each point's full lossless report (`"report"` member,
-    /// `mcr-store` codec) to the response, so a dispatcher can merge
-    /// shards bit-identically with a single-instance run.
-    pub full_reports: bool,
     /// What to simulate.
     pub spec: JobSpec,
 }
@@ -431,13 +422,19 @@ impl SweepSpec {
 
     /// Expanded grid size (for admission control): per target, every
     /// non-empty MCR axis for the MCR backend, plus the seed axis once
-    /// for each other backend.
+    /// for each other backend. The axes come off the wire, so the
+    /// arithmetic saturates: a grid too large to count is `usize::MAX`,
+    /// never a wrapped small number that slips under the cap.
     pub fn point_count(&self) -> usize {
         let axis = |n: usize| n.max(1);
-        let mcr = axis(self.modes.len())
-            * axis(self.mechanisms.len())
-            * axis(self.allocs.len())
-            * axis(self.seeds.len());
+        let mcr = [
+            self.modes.len(),
+            self.mechanisms.len(),
+            self.allocs.len(),
+            self.seeds.len(),
+        ]
+        .into_iter()
+        .fold(1, |n: usize, len| n.saturating_mul(axis(len)));
         let per_target = if self.backends.is_empty() {
             mcr
         } else {
@@ -447,9 +444,9 @@ impl SweepSpec {
                     BackendKind::Mcr => mcr,
                     _ => axis(self.seeds.len()),
                 })
-                .sum()
+                .fold(0, usize::saturating_add)
         };
-        (self.workloads.len() + self.mixes.len()) * per_target
+        (self.workloads.len() + self.mixes.len()).saturating_mul(per_target)
     }
 
     /// Builds the grid.
@@ -646,38 +643,7 @@ fn mode_named(text: &str) -> Result<McrMode, ProtocolError> {
 }
 
 /// Fields shared by every job request.
-const JOB_COMMON: [&str; 6] = [
-    "cmd",
-    "id",
-    "deadline_ms",
-    "metrics",
-    "shard",
-    "full_reports",
-];
-
-/// Parses the optional `"shard": {"index": I, "count": N}` member.
-fn shard_opt(f: &Fields<'_>) -> Result<Option<(usize, usize)>, ProtocolError> {
-    let v = match f.get("shard") {
-        None | Some(Json::Null) => return Ok(None),
-        Some(v) => v,
-    };
-    let sf = Fields::of(v, "\"shard\"")?;
-    sf.restrict(&["index", "count"])?;
-    let index = sf
-        .u64_opt("index")?
-        .ok_or_else(|| schema("\"shard\" needs an \"index\""))?;
-    let count = sf
-        .u64_opt("count")?
-        .ok_or_else(|| schema("\"shard\" needs a \"count\""))?;
-    if count == 0 || index >= count {
-        return Err(schema(format!(
-            "shard index {index} out of range for count {count}"
-        )));
-    }
-    let index = usize::try_from(index).map_err(|_| schema("\"index\" is out of range"))?;
-    let count = usize::try_from(count).map_err(|_| schema("\"count\" is out of range"))?;
-    Ok(Some((index, count)))
-}
+const JOB_COMMON: [&str; 4] = ["cmd", "id", "deadline_ms", "metrics"];
 
 /// Parses a job request: rejects members outside [`JOB_COMMON`] and
 /// `fields`, reads the spec with `spec`, then the shared members.
@@ -693,8 +659,6 @@ fn job(
         id: f.str_opt("id")?,
         deadline_ms: f.u64_opt("deadline_ms")?,
         metrics: f.bool_or("metrics", false)?,
-        shard: shard_opt(f)?,
-        full_reports: f.bool_or("full_reports", false)?,
         spec,
     })))
 }
@@ -888,17 +852,12 @@ pub fn render_job_ok(
     queue_ms: u64,
     service_ms: u64,
 ) -> String {
-    let mut result = match Json::parse(&results.to_json()) {
+    let result = match Json::parse(&results.to_json()) {
         Ok(v) => v,
         Err(e) => {
             return render_error(&format!("internal: results emitter produced bad JSON: {e}"))
         }
     };
-    if req.full_reports {
-        if let Err(e) = attach_full_reports(&mut result, results) {
-            return render_error(&e);
-        }
-    }
     let mut members: Vec<(String, Json)> = vec![
         ("status".into(), Json::str("ok")),
         (
@@ -912,8 +871,8 @@ pub fn render_job_ok(
     ];
     if let JobSpec::Campaign(_) = req.spec {
         members.push(("reliability".into(), reliability_json(results)));
-        // An empty shard of a campaign has nothing to compare; it is
-        // vacuously clean (the dispatcher judges the merged whole).
+        // Clean: no retention escape, and every faulted point finished
+        // as many reads as the control (the first point).
         let reads0 = results.points.first().map(|p| p.report.reads_done);
         let clean = results.points.iter().all(|p| {
             p.report.reliability.retention_escapes == 0 && Some(p.report.reads_done) == reads0
@@ -931,27 +890,6 @@ pub fn render_job_ok(
         }
     }
     Json::Obj(members).to_string()
-}
-
-/// Adds each point's full lossless report (the `mcr-store` codec
-/// object) as a `"report"` member of the corresponding entry of the
-/// response's `result.points` array.
-fn attach_full_reports(result: &mut Json, results: &SweepResults) -> Result<(), String> {
-    let Json::Obj(members) = result else {
-        return Err("internal: results document is not an object".into());
-    };
-    let Some((_, Json::Arr(items))) = members.iter_mut().find(|(k, _)| k == "points") else {
-        return Err("internal: results document has no points array".into());
-    };
-    if items.len() != results.points.len() {
-        return Err("internal: results document points mismatch".into());
-    }
-    for (item, p) in items.iter_mut().zip(&results.points) {
-        if !item.set("report", mcr_store::report_to_json(&p.report)) {
-            return Err("internal: results point is not an object".into());
-        }
-    }
-    Ok(())
 }
 
 /// Per-point reliability summary for campaign responses.
@@ -1035,6 +973,28 @@ mod tests {
         assert_eq!(job.spec.point_count(), 12);
         let sweep = job.spec.sweep(Some(1)).expect("builds");
         assert_eq!(sweep.points().len(), 12);
+    }
+
+    #[test]
+    fn point_count_saturates_instead_of_wrapping() {
+        // 2^13 modes x 2^17 mechanisms x 2^17 allocs x 2^17 seeds = 2^64:
+        // the unchecked product wraps to 0 and would pass any cap.
+        let spec = SweepSpec {
+            len: 1_000,
+            workloads: vec!["libq".into()],
+            mixes: Vec::new(),
+            modes: vec![McrMode::off(); 1 << 13],
+            mechanisms: vec![1; 1 << 17],
+            allocs: vec![0.0; 1 << 17],
+            seeds: vec![0; 1 << 17],
+            backends: Vec::new(),
+        };
+        assert_eq!(spec.point_count(), usize::MAX);
+        let compare = SweepSpec {
+            backends: BackendKind::all().to_vec(),
+            ..spec
+        };
+        assert_eq!(compare.point_count(), usize::MAX);
     }
 
     #[test]

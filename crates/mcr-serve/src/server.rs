@@ -12,11 +12,10 @@
 //! Flow control is explicit at every stage:
 //!
 //! * **Admission control** — oversized requests are rejected with code
-//!   413 before any work is built (the point limit scales with the
-//!   request's shard count, since a shard keeps only `1/count` of the
-//!   grid); once the bounded queue is full, new jobs are shed with
-//!   code 429 instead of queueing unboundedly. Request lines longer
-//!   than [`ServeConfig::max_line_len`] drop the connection.
+//!   413 before any work is built; once the bounded queue is full, new
+//!   jobs are shed with code 429 instead of queueing unboundedly.
+//!   Request lines longer than [`ServeConfig::max_line_len`] drop the
+//!   connection.
 //! * **Deadlines** — a job carrying `deadline_ms` runs under a
 //!   [`RunBudget`] with that wall-clock deadline; the simulation
 //!   cooperatively aborts at the next budget-poll boundary (the
@@ -62,9 +61,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity; a full queue sheds load (code 429).
     pub queue_cap: usize,
-    /// Largest grid (in points) a single job may expand to (code 413).
-    /// Scaled by the shard count for sharded jobs, which keep only
-    /// `1/count` of the grid.
+    /// Largest grid (in points) a single job may expand to (code 413),
+    /// checked against the request's point count before the grid is
+    /// built.
     pub max_points: usize,
     /// Largest trace length a single job may request (code 413).
     pub max_trace_len: usize,
@@ -385,6 +384,9 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut Conn, progressed: &mut bool) ->
         let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') else {
             break;
         };
+        if pos > shared.cfg.max_line_len {
+            break; // the guard below refuses it, even when it arrived whole
+        }
         let rest = conn.buf.split_off(pos + 1);
         let line_bytes = std::mem::replace(&mut conn.buf, rest);
         let text = String::from_utf8_lossy(&line_bytes);
@@ -566,12 +568,8 @@ fn store_json(shared: &Shared) -> Json {
 /// from the poller; an admitted job marks the connection busy and the
 /// worker that runs it writes the reply.
 fn submit_job(shared: &Arc<Shared>, conn: &Arc<ConnShared>, req: JobRequest) {
-    // Size limits first: cheap, and independent of queue state. A
-    // sharded job keeps only 1/count of the grid, so the point limit
-    // scales with the shard count (each shard is admitted separately
-    // by the backend it lands on).
-    let shard_count = req.shard.map_or(1, |(_, count)| count);
-    if req.spec.point_count() > shared.cfg.max_points.saturating_mul(shard_count)
+    // Size limits first: cheap, and independent of queue state.
+    if req.spec.point_count() > shared.cfg.max_points
         || req.spec.trace_len() > shared.cfg.max_trace_len
     {
         lock(&shared.telemetry).rejected_too_large.inc();
@@ -587,10 +585,6 @@ fn submit_job(shared: &Arc<Shared>, conn: &Arc<ConnShared>, req: JobRequest) {
             write_line(conn, &render_error(&e.to_string()));
             return;
         }
-    };
-    let sweep = match req.shard {
-        Some((index, count)) => sweep.shard(index, count),
-        None => sweep,
     };
     let submitted = Instant::now();
     let deadline = req

@@ -41,8 +41,6 @@ fn unknown_flags_fail_with_exit_one() {
     assert_usage_error(&["--bogus"], "unknown flag");
     assert_usage_error(&["serve", "--bogus"], "unknown flag");
     assert_usage_error(&["submit", "--bogus"], "unknown flag");
-    assert_usage_error(&["dispatch", "--bogus"], "unknown flag");
-    assert_usage_error(&["loadtest", "--bogus"], "unknown flag");
     assert_usage_error(&["cache", "--bogus"], "unknown flag");
     assert_usage_error(&["compare", "--bogus"], "unknown flag");
     // Subcommands without an operand reject stray words as flags.
@@ -58,13 +56,6 @@ fn missing_values_name_the_flag() {
     assert_usage_error(&["serve", "--workers"], "--workers needs a value");
     assert_usage_error(&["serve", "--queue-cap"], "--queue-cap needs a value");
     assert_usage_error(&["submit", "--deadline-ms"], "--deadline-ms needs a value");
-    assert_usage_error(&["dispatch", "--backends"], "--backends needs a value");
-    assert_usage_error(&["dispatch", "--hedge-ms"], "--hedge-ms needs a value");
-    assert_usage_error(&["loadtest", "--addr"], "--addr needs a value");
-    assert_usage_error(
-        &["loadtest", "--submissions"],
-        "--submissions needs a value",
-    );
     assert_usage_error(&["cache", "--cache-dir"], "--cache-dir needs a value");
     assert_usage_error(&["compare", "--backends"], "--backends needs a value");
     assert_usage_error(&["compare", "--mode"], "--mode needs a value");
@@ -86,33 +77,6 @@ fn malformed_values_are_typed_errors() {
     assert_usage_error(
         &["submit", "x.json", "--deadline-ms", "soon"],
         "bad --deadline-ms",
-    );
-    assert_usage_error(
-        &[
-            "dispatch",
-            "x.json",
-            "--backends",
-            "a:1",
-            "--retries",
-            "many",
-        ],
-        "bad --retries",
-    );
-    assert_usage_error(
-        &["dispatch", "x.json", "--backends", ","],
-        "--backends needs at least one address",
-    );
-    assert_usage_error(
-        &["loadtest", "--loopback", "--submissions", "lots"],
-        "bad --submissions",
-    );
-    assert_usage_error(
-        &["loadtest", "--loopback", "--chaos-rate", "2"],
-        "--chaos-rate must be in [0, 1]",
-    );
-    assert_usage_error(
-        &["loadtest", "--loopback", "--submissions", "0"],
-        "--submissions must be at least 1",
     );
     assert_usage_error(
         &["cache", "frob", "--cache-dir", "unused"],
@@ -142,17 +106,6 @@ fn conflicting_or_missing_targets_are_rejected() {
     assert_usage_error(&["submit"], "needs a request file");
     assert_usage_error(&["submit", "a.json", "--shutdown"], "mutually exclusive");
     assert_usage_error(&["submit", "a.json", "b.json"], "exactly one request file");
-    assert_usage_error(&["dispatch", "--backends", "a:1"], "needs a request file");
-    assert_usage_error(&["dispatch", "a.json"], "dispatch needs --backends");
-    assert_usage_error(
-        &["dispatch", "a.json", "b.json", "--backends", "a:1"],
-        "exactly one request file",
-    );
-    assert_usage_error(&["loadtest"], "loadtest needs a target");
-    assert_usage_error(
-        &["loadtest", "--loopback", "--addr", "127.0.0.1:1"],
-        "pick exactly one of --addr, --backends, --loopback",
-    );
     assert_usage_error(&["cache", "--cache-dir", "unused"], "cache needs an action");
     assert_usage_error(&["cache", "stats"], "cache needs --cache-dir");
     assert_usage_error(&["cache", "stats", "gc"], "exactly one action");
@@ -183,6 +136,14 @@ fn conflicting_or_missing_targets_are_rejected() {
 }
 
 #[test]
+fn retired_fleet_subcommands_are_usage_errors() {
+    // `dispatch` and `loadtest` no longer exist; the words must not
+    // fall through to a local simulation.
+    assert_usage_error(&["dispatch", "x.json"], "\"dispatch\"");
+    assert_usage_error(&["loadtest", "--loopback"], "\"loadtest\"");
+}
+
+#[test]
 fn submit_reports_unreachable_server_and_unreadable_files() {
     let o = run(&["submit", "/no/such/request.json"]);
     assert_eq!(o.code, 1);
@@ -199,9 +160,7 @@ fn help_exits_cleanly_for_every_entry_point() {
         &["--help"][..],
         &["serve", "--help"][..],
         &["submit", "--help"][..],
-        &["dispatch", "--help"][..],
-        &["loadtest", "-h"][..],
-        &["cache", "--help"][..],
+        &["cache", "-h"][..],
         &["compare", "--help"][..],
     ] {
         let o = run(args);
@@ -215,8 +174,6 @@ fn help_exits_cleanly_for_every_entry_point() {
         for section in [
             "\noptions:",
             "submit options:",
-            "dispatch options (split one job across a backend fleet):",
-            "loadtest options (seeded replay of mixed submissions):",
             "cache subcommand (against a --cache-dir store):",
             "compare options (head-to-head across DRAM architectures):",
         ] {

@@ -6,9 +6,12 @@
 //! memoization, deadline expiry (`timeout`), queue-overflow load
 //! shedding (429), rejection while draining (503), and a graceful
 //! drain in which every accepted job still delivers its response.
+//! Raw-socket cases pin the connection guards: a stalled partial line
+//! hits the read deadline, an oversized line is refused and closed, and
+//! a malformed line gets a typed error on a connection that lives on.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -278,6 +281,160 @@ fn oversized_requests_are_rejected_before_any_work() {
     req(&mut c, r#"{"cmd": "shutdown"}"#);
     let t = handle.join().expect("server thread");
     assert_eq!(t.rejected_too_large.get(), 2);
+    assert_eq!(t.accepted.get(), 0);
+}
+
+/// A raw protocol connection: no client-side framing or guards, so a
+/// test can send partial, oversized or malformed lines. Reads give up
+/// after 10 s so a server that never answers fails the test instead of
+/// hanging it.
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+/// Reads until the server closes the connection; returns what arrived.
+fn read_to_close(stream: &mut TcpStream) -> String {
+    let mut out = Vec::new();
+    stream
+        .read_to_end(&mut out)
+        .expect("server closes the connection within 10 s");
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Sends one line and reads one reply line.
+fn raw_request(reader: &mut BufReader<TcpStream>, line: &str) -> Json {
+    writeln!(reader.get_mut(), "{line}").expect("send line");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply line");
+    Json::parse(reply.trim()).expect("reply is JSON")
+}
+
+/// Drains the server through a fresh connection and returns its
+/// final telemetry.
+fn shutdown(addr: SocketAddr, handle: JoinHandle<ServeTelemetry>) -> ServeTelemetry {
+    let mut c = Client::connect(addr).expect("connect for shutdown");
+    req(&mut c, r#"{"cmd": "shutdown"}"#);
+    handle.join().expect("server thread")
+}
+
+#[test]
+fn stalled_partial_line_is_dropped_at_the_read_deadline() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        read_deadline_ms: 50,
+        ..ServeConfig::default()
+    });
+    let mut stream = raw_connect(addr);
+    stream
+        .write_all(br#"{"cmd": "pi"#)
+        .expect("send partial line");
+    assert_eq!(
+        read_to_close(&mut stream),
+        "",
+        "a stalled line gets no reply"
+    );
+    let t = shutdown(addr, handle);
+    assert_eq!(t.read_deadline_drops.get(), 1);
+    assert_eq!(t.protocol_errors.get(), 0);
+}
+
+#[test]
+fn oversized_lines_are_refused_and_closed() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        max_line_len: 64,
+        ..ServeConfig::default()
+    });
+    // Both an unterminated payload and a complete, valid request past
+    // the limit, even one that arrives whole in a single read.
+    let long_ping = format!("{{\"cmd\": \"ping\", \"id\": \"{}\"}}\n", "x".repeat(200));
+    for payload in ["x".repeat(200), long_ping] {
+        let mut stream = raw_connect(addr);
+        stream
+            .write_all(payload.as_bytes())
+            .expect("send oversized payload");
+        let reply = read_to_close(&mut stream);
+        let reply = Json::parse(reply.trim()).expect("one JSON error line, then close");
+        assert_eq!(status(&reply), "error");
+        assert_eq!(
+            reply.get("reason").and_then(Json::as_str),
+            Some("request line exceeded 64 bytes")
+        );
+    }
+    let t = shutdown(addr, handle);
+    assert_eq!(t.oversized_lines.get(), 2);
+    assert_eq!(t.protocol_errors.get(), 2);
+    assert_eq!(t.accepted.get(), 0);
+}
+
+#[test]
+fn malformed_line_gets_a_typed_error_and_the_connection_lives_on() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut conn = BufReader::new(raw_connect(addr));
+    let bad = raw_request(&mut conn, "this is not json");
+    assert_eq!(status(&bad), "error", "{bad:?}");
+    let reason = bad.get("reason").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.starts_with("bad JSON"), "{reason}");
+    let pong = raw_request(&mut conn, r#"{"cmd": "ping"}"#);
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop(conn);
+    let t = shutdown(addr, handle);
+    assert_eq!(t.protocol_errors.get(), 1);
+    assert_eq!(t.accepted.get(), 0);
+}
+
+#[test]
+fn a_job_carrying_shard_is_refused_as_an_unknown_field() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr).expect("connect");
+    let reply = req(
+        &mut c,
+        r#"{"cmd": "sweep", "len": 1000, "workloads": ["libq"],
+            "shard": {"index": 0, "count": 2}}"#,
+    );
+    assert_eq!(status(&reply), "error", "{reply:?}");
+    let reason = reply.get("reason").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.starts_with("unknown field \"shard\""), "{reason}");
+    drop(c);
+    let t = shutdown(addr, handle);
+    assert_eq!(t.protocol_errors.get(), 1);
+    assert_eq!(t.accepted.get(), 0);
+}
+
+#[test]
+fn a_grid_whose_point_count_overflows_is_too_large() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // 2^13 modes x 2^17 mechanisms x 2^17 allocs x 2^17 seeds = 2^64
+    // points: an unchecked product wraps to 0 and would pass the cap.
+    let list = |item: &str, n: usize| vec![item; n].join(",");
+    let line = format!(
+        r#"{{"cmd": "sweep", "len": 1000, "workloads": ["libq"], "modes": [{}], "mechanisms": [{}], "allocs": [{}], "seeds": [{}]}}"#,
+        list(r#""off""#, 1 << 13),
+        list("1", 1 << 17),
+        list("0", 1 << 17),
+        list("0", 1 << 17),
+    );
+    assert!(line.len() < ServeConfig::default().max_line_len);
+    let mut c = Client::connect(addr).expect("connect");
+    let reply = req(&mut c, &line);
+    assert_eq!(status(&reply), "rejected", "{reply:?}");
+    assert_eq!(reply.get("code").and_then(Json::as_u64), Some(413));
+    drop(c);
+    let t = shutdown(addr, handle);
+    assert_eq!(t.rejected_too_large.get(), 1);
     assert_eq!(t.accepted.get(), 0);
 }
 
