@@ -3,7 +3,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare bench-smoke bench bench-core bench-sweep bench-compare bless-bench clean
+.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare bench-smoke bench bench-wallclock bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
@@ -11,9 +11,9 @@ OFFLINE ?= --offline
 # passes (source lint + timing/mode-table/region checks), the exhaustive
 # protocol model check + wake-soundness certification, then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
-# cross-backend compare smoke, and the event-wheel, persistent-store and
-# per-backend wall-clock gates.
-check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke compare bench-core bench-sweep bench-compare
+# cross-backend compare smoke, and the wall-clock gate (event wheel,
+# persistent store, per-backend throughput).
+check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke compare bench-wallclock
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -108,28 +108,19 @@ bench-smoke:
 bench:
 	$(CARGO) bench $(OFFLINE) --workspace
 
-# Event-wheel vs dense-drive wall clock (DESIGN.md §5h): writes
-# BENCH_core.json at the repo root and fails when any case's speedup
-# drops below 85% of the committed BENCH_baseline.json.
-bench-core:
-	MCR_BENCH_GATE=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock_core
-
-# Cold vs warm sweep through the persistent result store (DESIGN.md
-# §5j): writes BENCH_sweep.json at the repo root and fails when the
-# warm-over-cold speedup drops below 5x.
-bench-sweep:
-	MCR_BENCH_GATE=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock_sweep
-
-# Per-backend simulation throughput of the compare campaign (DESIGN.md
-# §5l): writes BENCH_compare.json at the repo root and fails unless
-# every registered backend is timed.
-bench-compare:
-	MCR_BENCH_GATE=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock_compare
+# Wall clock of the simulator (DESIGN.md §5h, §5j, §5l): event wheel vs
+# dense drive, cold vs warm sweep through the result store, and
+# per-backend throughput. Writes BENCH_wallclock.json at the repo root
+# and fails when a core speedup drops below 85% of the committed
+# BENCH_baseline.json (or the baseline is missing), a warm sweep is
+# under 5x faster than a cold one, or a registered backend is untimed.
+bench-wallclock:
+	MCR_BENCH_GATE=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock
 
 # Re-bless the wall-clock baseline after an intentional perf change,
 # then review the BENCH_baseline.json diff like any other code change.
 bless-bench:
-	MCR_BLESS_BENCH=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock_core
+	MCR_BLESS_BENCH=1 $(CARGO) bench $(OFFLINE) -q --bench wallclock
 
 clean:
 	$(CARGO) clean

@@ -116,14 +116,6 @@ impl TimingSolver {
             t_rfc_4gb: self.t_rfc_ns(m, k, 260.0),
         }
     }
-
-    /// Timing rows for all six Table 3 modes.
-    pub fn solve_table3(&self) -> Vec<McrTimingNs> {
-        crate::PaperTable3::modes()
-            .iter()
-            .map(|&(m, k)| self.solve(m, k))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! no two logical pages collide on one physical MCR.
 
 use crate::layout::{McrLayout, RegionMap};
-use cpu_model::TraceRecord;
 use dram_device::{DramAddress, Geometry, PhysAddr};
 use mem_controller::AddressMapper;
 use std::collections::HashMap;
@@ -136,22 +135,6 @@ impl RowRemapper {
         } else {
             mapper.encode(&b)
         }
-    }
-
-    /// Wraps a trace iterator so every record's address is remapped.
-    pub fn remap_trace<'a, I, M>(
-        &'a self,
-        trace: I,
-        mapper: &'a M,
-    ) -> impl Iterator<Item = TraceRecord> + 'a
-    where
-        I: Iterator<Item = TraceRecord> + 'a,
-        M: AddressMapper,
-    {
-        trace.map(move |mut r| {
-            r.addr = self.remap_phys(r.addr, mapper);
-            r
-        })
     }
 }
 

@@ -969,11 +969,6 @@ impl System {
         })
     }
 
-    /// Row-cache statistics (when the row cache is enabled).
-    pub fn cache_stats(&self) -> Option<RowCacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
     /// True when every core retired its trace and the controller drained.
     pub fn done(&self) -> bool {
         self.cores.iter().all(|c| c.done()) && self.controller.idle()

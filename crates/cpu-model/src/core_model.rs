@@ -283,11 +283,6 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         }
     }
 
-    /// Number of reads issued to the memory system and not yet completed.
-    pub fn inflight_reads(&self) -> usize {
-        self.inflight.len()
-    }
-
     /// What the core is waiting on after the cycle just simulated — the
     /// edge this core contributes to an event-wheel driver.
     ///

@@ -1,7 +1,11 @@
 //! Randomized (seeded, deterministic) tests for the core model and trace
 //! I/O — a dependency-free replacement for the former `proptest` suite.
+//! Trace files come from outside the process, so the trace reader is
+//! also mutation-fuzzed, in the style of `mcr-serve`'s `protocol_fuzz.rs`.
 
-use cpu_model::{read_trace, write_trace, Core, CoreParams, InstantMemory, TraceRecord};
+use cpu_model::{
+    read_trace, write_trace, Core, CoreParams, InstantMemory, ParseTraceError, TraceRecord,
+};
 use dram_device::{PhysAddr, ReqKind};
 use sim_rng::SmallRng;
 use std::io::BufReader;
@@ -91,4 +95,117 @@ fn trace_io_roundtrip() {
             .unwrap();
         assert_eq!(back, trace);
     }
+}
+
+fn read(doc: &[u8]) -> Vec<Result<TraceRecord, ParseTraceError>> {
+    read_trace(BufReader::new(doc)).collect()
+}
+
+/// Valid lines in every accepted spelling, then a comment and a blank
+/// line, which yield no record.
+const TRACE_SEEDS: [&str; 8] = [
+    "0 R 0x40",
+    "117 W 0xdeadbeef",
+    "3 r 0X0",
+    "42 w 7f3a40",
+    "4294967295 R 0xffffffffffffffff",
+    "  9\tR\t0x1000\r",
+    "# USIMM trace",
+    "",
+];
+
+/// `|`-separated tokens that hit the gap, kind and address checks.
+const TRACE_TOKENS: &str = "R|W|X|0x|0x10|-1|4294967296|1ffffffffffffffff|#| |\t|\r|\u{e9}|+|zz|7";
+
+/// One to three edits of `line`: remove a byte, overwrite or insert any
+/// byte but a newline, or splice in a token. The result need not be
+/// UTF-8.
+fn mutate(rng: &mut SmallRng, line: &str) -> Vec<u8> {
+    let tokens: Vec<&str> = TRACE_TOKENS.split('|').collect();
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let at = rng.gen_range(0..bytes.len() + 1);
+        let b = match rng.gen_range(0..256u32) as u8 {
+            b'\n' => b'\\',
+            b => b,
+        };
+        match rng.gen_range(0..4u32) {
+            0 if at < bytes.len() => _ = bytes.remove(at),
+            1 if at < bytes.len() => bytes[at] = b,
+            2 => bytes.insert(at, b),
+            _ => _ = bytes.splice(at..at, tokens[rng.gen_range(0..tokens.len())].bytes()),
+        }
+    }
+    bytes
+}
+
+/// Every error in `doc` is `Malformed` on a line `ok_line` accepts, in
+/// increasing line order. Returns whether any line failed.
+fn check_trace(doc: &[u8], ok_line: impl Fn(usize) -> bool) -> bool {
+    let mut last = 0;
+    for r in read(doc) {
+        match r {
+            Ok(_) => {}
+            Err(ParseTraceError::Malformed { line, .. }) if ok_line(line) && line > last => {
+                last = line;
+            }
+            Err(e) => panic!("{e:?} for {:?}", String::from_utf8_lossy(doc)),
+        }
+    }
+    last > 0
+}
+
+#[test]
+fn unmutated_trace_seeds_parse_ok() {
+    let results = read(TRACE_SEEDS.join("\n").as_bytes());
+    assert_eq!(results.len(), 6);
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
+}
+
+#[test]
+fn a_mutated_trace_line_fails_typed_on_that_line() {
+    let mut rng = SmallRng::seed_from_u64(0x7ace_f00d);
+    let mut rejected = 0usize;
+    for _ in 0..4_000 {
+        let at = rng.gen_range(0..TRACE_SEEDS.len());
+        let mut doc = Vec::new();
+        for (i, &seed) in TRACE_SEEDS.iter().enumerate() {
+            let line = if i == at {
+                mutate(&mut rng, seed)
+            } else {
+                seed.into()
+            };
+            doc.extend(line);
+            doc.push(b'\n');
+        }
+        rejected += usize::from(check_trace(&doc, |line| line == at + 1));
+    }
+    // Both outcomes must be well exercised, or the fuzz proves little.
+    assert!(
+        (1_000..3_800).contains(&rejected),
+        "{rejected} of 4000 rejected"
+    );
+}
+
+#[test]
+fn trace_byte_noise_never_panics() {
+    let mut rng = SmallRng::seed_from_u64(2015);
+    for _ in 0..2_000 {
+        let n = rng.gen_range(0..200usize);
+        let doc: Vec<u8> = (0..n).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let lines = doc.split(|&b| b == b'\n').count();
+        check_trace(&doc, |line| line <= lines);
+    }
+}
+
+/// Shrunk from `trace_byte_noise_never_panics`: a line that is not UTF-8 used
+/// to surface as an unnumbered I/O error.
+#[test]
+fn non_utf8_line_is_malformed_with_its_line_number() {
+    let results = read(b"5 R 0x100\n7 W 0x\xff\n9 R 0x200\n");
+    assert!(results[0].is_ok() && results[2].is_ok());
+    assert!(matches!(
+        results[1],
+        Err(ParseTraceError::Malformed { line: 2, .. })
+    ));
 }

@@ -315,12 +315,6 @@ impl ProtocolAuditor {
         self.cfg.clone_frames = frames;
     }
 
-    /// Replaces the fast-class ACT retention budget (see
-    /// [`AuditConfig::retention_limit`]).
-    pub fn set_retention_limit(&mut self, limit: Option<Cycle>) {
-        self.cfg.retention_limit = limit;
-    }
-
     /// Records a retention event detected by the channel's leakage-model
     /// margin detector (the online counterpart of the replay-side
     /// `retention_limit` rule: the channel has the fault plan and restore

@@ -56,12 +56,6 @@ impl Bank {
         }
     }
 
-    /// Snapshot of the protocol registers (the [`crate::proto`] state this
-    /// bank currently embodies).
-    pub fn proto_state(&self) -> BankProtoState {
-        self.state
-    }
-
     /// Earliest cycle at which an ACTIVATE is legal (same-bank constraints
     /// only; the rank may impose tRRD/tFAW on top).
     pub fn next_activate_cycle(&self) -> Cycle {
@@ -76,11 +70,6 @@ impl Bank {
     /// Earliest cycle at which a PRECHARGE is legal.
     pub fn next_precharge_cycle(&self) -> Cycle {
         self.state.next_pre
-    }
-
-    /// Cycle of the most recent ACTIVATE.
-    pub fn last_activate_cycle(&self) -> Cycle {
-        self.last_act
     }
 
     /// Issues an ACTIVATE at `now` with per-row timing `rt`.

@@ -430,11 +430,6 @@ impl Channel {
         &self.ranks[rank as usize]
     }
 
-    /// Mutable access to a rank's activity counters.
-    pub fn counters_mut(&mut self, rank: u8) -> &mut ActivityCounters {
-        &mut self.ranks[rank as usize].counters
-    }
-
     /// Finalizes residency integration in every rank at `now` (ranks still
     /// in power-down get their final span credited).
     pub fn finish_counters(&mut self, now: Cycle) {

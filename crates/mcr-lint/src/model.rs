@@ -22,10 +22,12 @@
 //!    `tests/counterexamples/`; a script that stops reproducing its
 //!    violation class is stale and fails the gate.
 //!
-//! The pass writes `BENCH_model.json` (states, states/sec, elapsed,
-//! certification coverage) at the repo root and honors a wall-clock
-//! budget via `MCR_MODEL_BUDGET_MS` (default 120000): exceeding it is
-//! itself an error, so the gate cannot silently grow unbounded.
+//! The pass writes `BENCH_model.json` (states, states/s, elapsed,
+//! certification coverage) at the repo root, in the
+//! `{"metrics": {name: {"value", "unit"}}}` shape of every bench file,
+//! and honors a wall-clock budget via `MCR_MODEL_BUDGET_MS` (default
+//! 120000): exceeding it is itself an error, so the gate cannot
+//! silently grow unbounded.
 //! `MCR_MODEL_CERTIFY_BURSTS` (default 10) scales the certification
 //! schedules.
 
@@ -210,36 +212,35 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     } else {
         0.0
     };
-    let bench = Json::obj([
-        ("states", Json::from(report.states as u64)),
-        ("transitions", Json::from(report.transitions)),
-        ("states_per_sec", Json::from(states_per_sec)),
+    let teeth = teeth_commands
+        .into_iter()
+        .map(|(bug, commands)| (format!("teeth.{bug}"), commands as f64, "commands"));
+    let metrics = [
+        ("states", report.states as f64, "count"),
+        ("transitions", report.transitions as f64, "count"),
+        ("states_per_s", states_per_sec, "states/s"),
+        ("sweep_elapsed_ms", sweep_elapsed.as_millis() as f64, "ms"),
+        ("elapsed_ms", elapsed_ms as f64, "ms"),
+        ("budget_ms", budget_ms as f64, "ms"),
+        ("certify.scenarios", cert.scenarios as f64, "count"),
+        ("certify.quiet_states", cert.quiet_states as f64, "count"),
+        ("certify.spans", cert.spans as f64, "count"),
         (
-            "sweep_elapsed_ms",
-            Json::from(sweep_elapsed.as_millis() as u64),
+            "certify.skipped_cycles",
+            cert.skipped_cycles as f64,
+            "count",
         ),
-        ("elapsed_ms", Json::from(elapsed_ms)),
-        ("budget_ms", Json::from(budget_ms)),
-        (
-            "certify",
-            Json::obj([
-                ("scenarios", Json::from(cert.scenarios as u64)),
-                ("quiet_states", Json::from(cert.quiet_states as u64)),
-                ("spans", Json::from(cert.spans)),
-                ("skipped_cycles", Json::from(cert.skipped_cycles)),
-            ]),
-        ),
-        (
-            "teeth",
-            Json::Obj(
-                teeth_commands
-                    .into_iter()
-                    .map(|(bug, commands)| (bug, Json::from(commands)))
-                    .collect(),
-            ),
-        ),
-        ("counterexamples_replayed", Json::from(replayed as u64)),
-    ]);
+        ("counterexamples_replayed", replayed as f64, "count"),
+    ]
+    .map(|(name, value, unit)| (name.to_string(), value, unit))
+    .into_iter()
+    .chain(teeth)
+    .map(|(name, value, unit)| {
+        let entry = Json::obj([("value", Json::from(value)), ("unit", Json::str(unit))]);
+        (format!("model.{name}"), entry)
+    })
+    .collect();
+    let bench = Json::obj([("metrics", Json::Obj(metrics))]);
     let bench_path = root.join("BENCH_model.json");
     if let Err(e) = std::fs::write(&bench_path, format!("{bench}\n")) {
         diags.push(Diagnostic::warning(

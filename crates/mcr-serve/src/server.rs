@@ -153,6 +153,9 @@ struct Conn {
     shared: Arc<ConnShared>,
     /// Received bytes not yet consumed as complete lines.
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline, so a line
+    /// that arrives in many reads is scanned once, not once per read.
+    scanned: usize,
     /// Last time the socket yielded bytes; ages partial lines toward
     /// the read deadline.
     last_data: Instant,
@@ -345,6 +348,7 @@ fn register_conn(shared: &Shared, stream: TcpStream) -> Option<Conn> {
             dead: AtomicBool::new(false),
         }),
         buf: Vec::new(),
+        scanned: 0,
         last_data: Instant::now(),
         eof: false,
     })
@@ -381,9 +385,12 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut Conn, progressed: &mut bool) ->
         }
     }
     while !conn.shared.busy.load(Ordering::Acquire) {
-        let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') else {
+        let Some(pos) = conn.buf[conn.scanned..].iter().position(|&b| b == b'\n') else {
+            conn.scanned = conn.buf.len();
             break;
         };
+        let pos = conn.scanned + pos;
+        conn.scanned = 0;
         if pos > shared.cfg.max_line_len {
             break; // the guard below refuses it, even when it arrived whole
         }

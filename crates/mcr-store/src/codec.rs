@@ -25,13 +25,10 @@
 //! field yields a [`CodecError`] naming the path, which the store maps
 //! to quarantine-and-recompute.
 
-use mcr_dram::{
-    BankCommandCounts, PointResult, ReliabilityReport, RowCacheStats, RunReport, Telemetry,
-};
+use mcr_dram::{BankCommandCounts, ReliabilityReport, RowCacheStats, RunReport, Telemetry};
 use mcr_telemetry::{LatencyHistogram, HISTOGRAM_BUCKETS};
 use mem_controller::{ControllerStats, CtlTelemetry, RefreshStats};
 use sim_json::Json;
-use std::time::Duration;
 
 /// Why a JSON document failed to decode back into a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -492,48 +489,6 @@ pub fn report_from_json(j: &Json) -> Result<RunReport, CodecError> {
             member(j, "reliability", path)?,
             &format!("{path}.reliability"),
         )?,
-    })
-}
-
-/// Encodes a [`PointResult`] (label, key, wall clock, hit flag and the
-/// embedded report). The config key is rendered as the same 16-hex-digit
-/// string the sweep JSON export uses.
-pub fn point_to_json(p: &PointResult) -> Json {
-    Json::obj([
-        ("label", Json::str(p.label.clone())),
-        ("key", Json::str(format!("{:016x}", p.key))),
-        ("cache_hit", Json::Bool(p.cache_hit)),
-        (
-            "wall_ns",
-            ju(u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX)),
-        ),
-        ("report", report_to_json(&p.report)),
-    ])
-}
-
-/// Decodes a [`point_to_json`] document.
-///
-/// # Errors
-///
-/// [`CodecError`] naming the first missing or mistyped field.
-pub fn point_from_json(j: &Json) -> Result<PointResult, CodecError> {
-    let path = "point";
-    let label = member(j, "label", path)?
-        .as_str()
-        .ok_or_else(|| CodecError::new("point.label", "not a string"))?
-        .to_string();
-    let key = parse_key_hex(
-        member(j, "key", path)?
-            .as_str()
-            .ok_or_else(|| CodecError::new("point.key", "not a string"))?,
-    )
-    .ok_or_else(|| CodecError::new("point.key", "not a 16-hex-digit key"))?;
-    Ok(PointResult {
-        label,
-        key,
-        report: report_from_json(member(j, "report", path)?)?,
-        wall: Duration::from_nanos(du(j, "wall_ns", path)?),
-        cache_hit: dbool(j, "cache_hit", path)?,
     })
 }
 

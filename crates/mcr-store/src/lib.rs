@@ -24,5 +24,5 @@
 pub mod codec;
 mod store;
 
-pub use codec::{point_from_json, point_to_json, report_from_json, report_to_json, CodecError};
+pub use codec::{report_from_json, report_to_json, CodecError};
 pub use store::{GcReport, ResultStore, StoreStats, VerifyReport, DEFAULT_SHARDS};

@@ -346,12 +346,6 @@ impl MemoryController {
         self.trace = Some(sink);
     }
 
-    /// The installed trace sink, if any (upcast to `&dyn Any` and
-    /// downcast to recover a concrete recorder).
-    pub fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.trace.as_deref()
-    }
-
     /// Removes and returns the installed trace sink.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.trace.take()

@@ -577,16 +577,21 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err(JsonErrorKind::ControlInString)),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so always valid).
-                    let rest = match std::str::from_utf8(&self.bytes[self.pos..]) {
-                        Ok(s) => s,
+                    // Copy the whole run of plain bytes at once. The run
+                    // stops before an ASCII byte or at the end, so on
+                    // `&str` input it is always whole UTF-8; validating
+                    // only the run keeps long strings linear.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
+                        Ok(run) => out.push_str(run),
                         Err(_) => return Err(self.err(JsonErrorKind::BadUnicode)),
-                    };
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err(JsonErrorKind::UnexpectedEof));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    }
                 }
             }
         }

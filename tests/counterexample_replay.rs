@@ -3,8 +3,13 @@
 //! reproducing its violation class — because the auditor, the timing
 //! tables, or the script codec changed — fails here instead of silently
 //! shipping a stale counterexample.
+//!
+//! Scripts are read from disk, so `parse_script` is also mutation-fuzzed
+//! (in the style of `mcr-serve`'s `protocol_fuzz.rs`): never a panic, and
+//! an error caused by one line names it as `script line N: ...`.
 
 use mcr_model::{parse_script, replay_script};
+use sim_rng::SmallRng;
 use std::path::PathBuf;
 
 fn scripts_dir() -> PathBuf {
@@ -24,6 +29,10 @@ fn shipped_scripts() -> Vec<PathBuf> {
     paths
 }
 
+fn read(path: &PathBuf) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
 #[test]
 fn every_shipped_counterexample_still_reproduces() {
     let paths = shipped_scripts();
@@ -33,8 +42,7 @@ fn every_shipped_counterexample_still_reproduces() {
         paths.len()
     );
     for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let text = read(&path);
         let parsed =
             parse_script(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
         let violations =
@@ -46,8 +54,7 @@ fn every_shipped_counterexample_still_reproduces() {
 #[test]
 fn scripts_state_their_expectation_and_are_minimal_enough() {
     for path in shipped_scripts() {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let text = read(&path);
         let parsed =
             parse_script(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
         assert!(
@@ -56,5 +63,97 @@ fn scripts_state_their_expectation_and_are_minimal_enough() {
             path.display(),
             parsed.commands.len()
         );
+    }
+}
+
+/// A script that uses every key, command kind and token the format
+/// knows; the fuzz seeds are it and the shipped scripts.
+const FULL_SCRIPT: &str = "expect: RetentionViolation   # every key\n\
+     geometry: ranks=2 banks=8\n\
+     rows-per-bank: 128\n\
+     classes: 11/28 8/18\n\
+     retention-limit: 400\n\
+     \n\
+     cmd: ACT rank1 bank3 row8 class1 @0\n\
+     cmd: RD rank1 bank3 row8 col4 @11\n\
+     cmd: WR rank1 bank3 row8 col5 auto @20\n\
+     cmd: PRE rank0 bank0 @40\n\
+     cmd: REF rank0 bank0 trfc208 @60\n\
+     cmd: MRS rank0 bank0 @300\n";
+
+/// The errors that belong to the whole script rather than one line.
+const WHOLE_SCRIPT_ERRORS: [&str; 2] = ["script has no `expect:` header", "script has no commands"];
+
+/// `|`-separated tokens that hit the key, number and command checks.
+const TOKENS: &str = "expect:|cmd:|:|#|=|/|@|ranks=|banks=300|row|class|trfc|auto|ACT|NOP|-1|\
+                      18446744073709551616|TrcdViolation| |\u{e9}";
+
+/// One to three edits of `line`: remove a character, overwrite or
+/// insert an ASCII character (never a newline), or splice in a token.
+fn mutate(rng: &mut SmallRng, line: &str) -> String {
+    let tokens: Vec<&str> = TOKENS.split('|').collect();
+    let mut chars: Vec<char> = line.chars().collect();
+    for _ in 0..rng.gen_range(1..4usize) {
+        let at = rng.gen_range(0..chars.len() + 1);
+        let c = match char::from(rng.gen_range(0..0x80u32) as u8) {
+            '\n' => '\r',
+            c => c,
+        };
+        match rng.gen_range(0..4u32) {
+            0 if at < chars.len() => _ = chars.remove(at),
+            1 if at < chars.len() => chars[at] = c,
+            2 => chars.insert(at, c),
+            _ => _ = chars.splice(at..at, tokens[rng.gen_range(0..tokens.len())].chars()),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+/// Parses `text`; an error must be a whole-script one or name a line
+/// `ok_line` accepts. Returns whether the script was rejected.
+fn check(text: &str, ok_line: impl Fn(usize) -> bool) -> bool {
+    let Err(e) = parse_script(text) else {
+        return false;
+    };
+    let line = e
+        .strip_prefix("script line ")
+        .and_then(|rest| rest.split_once(':'))
+        .and_then(|(n, _)| n.parse::<usize>().ok());
+    let whole = WHOLE_SCRIPT_ERRORS.contains(&e.as_str());
+    assert!(whole || line.is_some_and(ok_line), "{e:?} for {text:?}");
+    true
+}
+
+#[test]
+fn a_mutated_script_line_fails_on_that_line() {
+    let mut seeds: Vec<String> = shipped_scripts().iter().map(read).collect();
+    seeds.push(FULL_SCRIPT.to_string());
+    for seed in &seeds {
+        parse_script(seed).unwrap_or_else(|e| panic!("unmutated seed: {e}\n{seed}"));
+    }
+    let mut rng = SmallRng::seed_from_u64(0x5c21_97f0);
+    let mut rejected = 0usize;
+    for _ in 0..4_000 {
+        let seed = &seeds[rng.gen_range(0..seeds.len())];
+        let mut lines: Vec<String> = seed.lines().map(str::to_string).collect();
+        let at = rng.gen_range(0..lines.len());
+        lines[at] = mutate(&mut rng, &lines[at]);
+        rejected += usize::from(check(&lines.join("\n"), |line| line == at + 1));
+    }
+    // Both outcomes must be well exercised, or the fuzz proves little.
+    assert!(
+        (1_000..3_800).contains(&rejected),
+        "{rejected} of 4000 rejected"
+    );
+}
+
+#[test]
+fn script_noise_never_panics() {
+    let mut rng = SmallRng::seed_from_u64(2015);
+    for _ in 0..2_000 {
+        let n = rng.gen_range(0..200usize);
+        let bytes: Vec<u8> = (0..n).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        let text = String::from_utf8_lossy(&bytes);
+        check(&text, |line| (1..=text.lines().count()).contains(&line));
     }
 }

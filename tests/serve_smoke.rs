@@ -145,19 +145,23 @@ fn burst_sheds_load_and_drain_rejects_new_work() {
     let (addr, handle) = start(ServeConfig {
         workers: 1,
         queue_cap: 1,
+        max_line_len: 32 << 20,
         ..ServeConfig::default()
     });
     let mut c = Client::connect(addr).expect("connect");
 
-    // A occupies the single worker for a while.
-    let slow = std::thread::spawn(move || {
-        let mut ca = Client::connect(addr).expect("connect A");
-        req(
-            &mut ca,
-            r#"{"cmd": "run", "id": "A", "workload": "libq",
-                "mode": "4/4x/100", "len": 80000}"#,
-        )
-    });
+    // A holds the single worker by backpressure, not by simulation
+    // time: the reply echoes A's 16 MiB id, several times what loopback
+    // socket buffers hold (~3 MiB on a stock Linux host), and nobody
+    // reads A's connection until the end, so the worker stays blocked
+    // writing the reply however fast the simulation finished.
+    let mut a = raw_connect(addr);
+    let hold_id = "a".repeat(16 << 20);
+    writeln!(
+        a,
+        r#"{{"cmd": "run", "id": "{hold_id}", "workload": "libq", "len": 2000}}"#
+    )
+    .expect("send A");
     wait_for_stats(&mut c, "A in flight", |s| stat_u64(s, "in_flight") == 1);
 
     // B fills the (capacity-1) queue behind A.
@@ -170,10 +174,11 @@ fn burst_sheds_load_and_drain_rejects_new_work() {
     });
     wait_for_stats(&mut c, "B queued", |s| stat_u64(s, "queue_depth_now") == 1);
 
-    // C finds the queue full and is shed with the typed 429 reject.
+    // C finds the queue full and is shed with the typed 429 reject. Its
+    // config differs from B's, so no cache hit could answer it instead.
     let shed = req(
         &mut c,
-        r#"{"cmd": "run", "id": "C", "workload": "libq", "len": 12000}"#,
+        r#"{"cmd": "run", "id": "C", "workload": "comm1", "len": 12000}"#,
     );
     assert_eq!(status(&shed), "rejected", "response: {shed:?}");
     assert_eq!(shed.get("code").and_then(Json::as_u64), Some(429));
@@ -182,7 +187,8 @@ fn burst_sheds_load_and_drain_rejects_new_work() {
         Some("queue-full")
     );
 
-    // Shutdown while A runs and B waits: both must still complete.
+    // Shutdown while A holds the worker and B waits: both must still
+    // complete.
     let drainer = std::thread::spawn(move || {
         let mut cd = Client::connect(addr).expect("connect drainer");
         req(&mut cd, r#"{"cmd": "shutdown"}"#)
@@ -203,9 +209,15 @@ fn burst_sheds_load_and_drain_rejects_new_work() {
         Some("draining")
     );
 
-    // Zero lost responses: A and B complete, the drainer sees the drain.
-    let a = slow.join().expect("thread A");
-    assert_eq!(status(&a), "ok", "A must survive the drain: {a:?}");
+    // Zero lost responses: reading A's reply frees the worker for B,
+    // both complete, and the drainer sees the drain.
+    let mut reply = String::new();
+    BufReader::new(a)
+        .read_line(&mut reply)
+        .expect("A's reply line");
+    let a = Json::parse(reply.trim()).expect("A's reply is JSON");
+    assert_eq!(status(&a), "ok", "A must survive the drain");
+    assert_eq!(a.get("id").and_then(Json::as_str), Some(hold_id.as_str()));
     let b = queued.join().expect("thread B");
     assert_eq!(status(&b), "ok", "B must survive the drain: {b:?}");
     let d = drainer.join().expect("drainer thread");
