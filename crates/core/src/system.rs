@@ -759,6 +759,9 @@ pub struct System {
     mapper: Box<dyn AddressMapper>,
     /// Per-core (latency sum, completed reads) for fairness analysis.
     per_core_reads: Vec<(u64, u64)>,
+    /// Per-core scratch for [`System::cycle_cores`]: the core takes this
+    /// memory cycle in one batch.
+    batched: Vec<bool>,
     /// Event-wheel chicken bit: `false` forces dense cycle-by-cycle
     /// execution (the reference drive the equivalence suite compares
     /// against).
@@ -965,6 +968,7 @@ impl System {
             cache,
             mapper: config.make_mapper(),
             per_core_reads: vec![(0, 0); n_cores],
+            batched: vec![false; n_cores],
             skip_ahead: true,
         })
     }
@@ -1004,22 +1008,49 @@ impl System {
             self.cores[c.core_id as usize].complete_read(c.token, c.ready_at * CPU_PER_MEM_CYCLE);
         }
         self.apply_guardband_transitions();
-        for sub in 0..CPU_PER_MEM_CYCLE {
-            let cpu_now = self.mem_now * CPU_PER_MEM_CYCLE + sub;
-            let mut sink = CtlSink {
-                ctl: &mut self.controller,
-                cache: self.cache.as_mut(),
-                mapper: self.mapper.as_ref(),
-            };
-            for core in &mut self.cores {
-                if !core.done() {
-                    core.cycle(cpu_now, &mut sink);
-                }
-            }
-        }
+        self.cycle_cores();
         let quiet = !self.controller.had_activity() && self.cores_quiet();
         self.mem_now += 1;
         quiet
+    }
+
+    /// Runs the CPU subcycles of the current memory cycle. A lone core
+    /// takes them in one [`Core::step`]. Several cores must reach the
+    /// controller in subcycle-major order, so a core batches only when it
+    /// proves it cannot reach the sink this memory cycle: it is fetching
+    /// a gap that [`Core::compute_quiet_cycles`] vouches for past the
+    /// cycle's end, or it is parked without a queue retry behind a ROB
+    /// head that cannot retire before then. The rest interleave cycle by
+    /// cycle.
+    fn cycle_cores(&mut self) {
+        let cpu_now = self.mem_now * CPU_PER_MEM_CYCLE;
+        let end = cpu_now + CPU_PER_MEM_CYCLE;
+        let mut sink = CtlSink {
+            ctl: &mut self.controller,
+            cache: self.cache.as_mut(),
+            mapper: self.mapper.as_ref(),
+        };
+        if let [core] = self.cores.as_mut_slice() {
+            core.step(cpu_now, CPU_PER_MEM_CYCLE, &mut sink);
+            return;
+        }
+        for (core, batched) in self.cores.iter_mut().zip(&mut self.batched) {
+            *batched = core.compute_quiet_cycles() >= CPU_PER_MEM_CYCLE
+                || matches!(core.wait_hint(), CoreWait::Stalled {
+                    retire_at,
+                    queue_retry: false,
+                } if retire_at.is_none_or(|t| t >= end));
+            if *batched {
+                core.step(cpu_now, CPU_PER_MEM_CYCLE, &mut sink);
+            }
+        }
+        for sub in 0..CPU_PER_MEM_CYCLE {
+            for (core, &batched) in self.cores.iter_mut().zip(&self.batched) {
+                if !batched && !core.done() {
+                    core.cycle(cpu_now + sub, &mut sink);
+                }
+            }
+        }
     }
 
     /// True when every core is either done or parked in a stall the event

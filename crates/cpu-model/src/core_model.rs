@@ -3,7 +3,7 @@
 use crate::stats::CoreStats;
 use crate::trace::TraceRecord;
 use dram_device::{PhysAddr, ReqKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Completion sentinel for reads still waiting on DRAM.
 const PENDING: u64 = u64::MAX;
@@ -94,24 +94,46 @@ enum FetchState {
     Drained,
 }
 
+/// `count` consecutive ROB instructions that all complete at CPU cycle
+/// `complete_at`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    complete_at: u64,
+    count: u32,
+}
+
+/// A read waiting on DRAM: the sink's token, the id of the ROB run that
+/// holds it, and its issue CPU cycle.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    token: u64,
+    run: u64,
+    issued_at: u64,
+}
+
 /// A single trace-driven core.
 ///
 /// Generic over the trace iterator so synthetic generators stream records
 /// lazily without materializing whole traces.
+///
+/// The ROB is stored run-length encoded: instructions fetched in one
+/// cycle share a completion time, so they form one run. A read always
+/// starts a run of its own (completion `PENDING`) that nothing merges
+/// into until DRAM answers, so the read is addressed by its run id.
 #[derive(Debug)]
 pub struct Core<T> {
     id: u32,
     params: CoreParams,
     trace: T,
     fetch: FetchState,
-    /// Completion CPU-cycle per in-flight instruction, in fetch order.
-    rob: VecDeque<u64>,
-    /// Sequence number of `rob[0]`.
-    head_seq: u64,
-    /// Sequence number the next fetched instruction will get.
-    next_seq: u64,
-    /// Sink-minted read tokens → (ROB sequence number, issue CPU cycle).
-    inflight: HashMap<u64, (u64, u64)>,
+    /// In-flight instructions in fetch order, as runs.
+    rob: VecDeque<Run>,
+    /// Instructions in `rob` (the sum of the run counts).
+    rob_len: usize,
+    /// Id of the run at `rob[0]`; run ids count every run ever pushed.
+    head_run: u64,
+    /// Reads waiting on DRAM, in issue order.
+    inflight: VecDeque<InFlight>,
     /// The last memory request of the fetch stage was refused (the fetch
     /// stage is parked on [`FetchState::MemOp`] retrying every cycle).
     queue_blocked: bool,
@@ -127,9 +149,9 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             trace,
             fetch: FetchState::NextRecord,
             rob: VecDeque::with_capacity(params.rob_size),
-            head_seq: 0,
-            next_seq: 0,
-            inflight: HashMap::new(),
+            rob_len: 0,
+            head_run: 0,
+            inflight: VecDeque::new(),
             queue_blocked: false,
             stats: CoreStats::default(),
         }
@@ -152,7 +174,57 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
 
     /// Number of instructions currently in the ROB.
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        self.rob_len
+    }
+
+    fn rob_full(&self) -> bool {
+        self.rob_len >= self.params.rob_size
+    }
+
+    /// Completion cycle of the ROB head (`PENDING` for a read still
+    /// waiting on DRAM).
+    fn head_complete_at(&self) -> Option<u64> {
+        self.rob.front().map(|r| r.complete_at)
+    }
+
+    /// Appends `count` instructions completing at `complete_at`, merging
+    /// them into the tail run when its completion time is the same. A
+    /// pending read's run never merges: pushed completions are finite.
+    fn push(&mut self, complete_at: u64, count: u32) {
+        self.rob_len += count as usize;
+        match self.rob.back_mut() {
+            Some(tail) if tail.complete_at == complete_at => tail.count += count,
+            _ => self.rob.push_back(Run { complete_at, count }),
+        }
+    }
+
+    /// Appends a read waiting on DRAM as a run of its own and returns its
+    /// run id.
+    fn push_read(&mut self) -> u64 {
+        self.rob_len += 1;
+        self.rob.push_back(Run {
+            complete_at: PENDING,
+            count: 1,
+        });
+        self.head_run + self.rob.len() as u64 - 1
+    }
+
+    /// Removes the `n` oldest instructions.
+    fn pop(&mut self, mut n: u64) {
+        self.rob_len -= n as usize;
+        while n > 0 {
+            let Some(head) = self.rob.front_mut() else {
+                unreachable!("popped past the ROB tail")
+            };
+            let count = u64::from(head.count);
+            if count > n {
+                head.count -= n as u32;
+                return;
+            }
+            n -= count;
+            self.rob.pop_front();
+            self.head_run += 1;
+        }
     }
 
     /// Marks the read with token `token` as completing at CPU cycle
@@ -162,20 +234,21 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     ///
     /// Panics if the token does not refer to an in-flight read.
     pub fn complete_read(&mut self, token: u64, ready_at: u64) {
-        let Some((seq, issued_at)) = self.inflight.remove(&token) else {
+        let pos = self.inflight.iter().position(|r| r.token == token);
+        let Some(read) = pos.and_then(|pos| self.inflight.remove(pos)) else {
             panic!("token {token} does not name an in-flight read of this core")
         };
         self.stats
             .mem_read_latency
-            .record(ready_at.saturating_sub(issued_at));
-        let Some(idx) = seq.checked_sub(self.head_seq) else {
+            .record(ready_at.saturating_sub(read.issued_at));
+        let Some(idx) = read.run.checked_sub(self.head_run) else {
             panic!("read {token} retired before completing")
         };
-        let Some(slot) = self.rob.get_mut(idx as usize) else {
+        let Some(run) = self.rob.get_mut(idx as usize) else {
             panic!("token {token} beyond ROB tail")
         };
-        assert_eq!(*slot, PENDING, "ROB slot is not a pending read");
-        *slot = ready_at;
+        assert_eq!(run.complete_at, PENDING, "ROB slot is not a pending read");
+        run.complete_at = ready_at;
     }
 
     /// Advances the core by one CPU cycle: retire, then fetch.
@@ -190,15 +263,44 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         }
     }
 
+    /// Executes the `n` cycles starting at CPU cycle `start`, exactly as
+    /// `n` [`Core::cycle`] calls would, stopping early once the core is
+    /// done (a driver cycles live cores only).
+    ///
+    /// Once the ROB is full behind a head not due before `start + n`,
+    /// every remaining cycle retires nothing and fetch only records a rob
+    /// stall, so those cycles are accounted in one step.
+    pub fn step(&mut self, start: u64, n: u64, mem: &mut impl RequestSink) {
+        let end = start + n;
+        for now in start..end {
+            if self.done() {
+                return;
+            }
+            if self.rob_full() && self.head_complete_at().is_some_and(|t| t >= end) {
+                self.stats.rob_stall_cycles += end - now;
+                return;
+            }
+            self.cycle(now, mem);
+        }
+    }
+
     fn retire(&mut self, now: u64) {
-        for _ in 0..self.params.retire_width {
-            match self.rob.front() {
-                Some(&t) if t <= now => {
-                    self.rob.pop_front();
-                    self.head_seq += 1;
-                    self.stats.committed += 1;
-                }
-                _ => break,
+        let mut budget = self.params.retire_width;
+        while budget > 0 {
+            let Some(head) = self.rob.front_mut() else {
+                return;
+            };
+            if head.complete_at > now {
+                return;
+            }
+            let k = budget.min(head.count);
+            budget -= k;
+            self.rob_len -= k as usize;
+            self.stats.committed += u64::from(k);
+            head.count -= k;
+            if head.count == 0 {
+                self.rob.pop_front();
+                self.head_run += 1;
             }
         }
     }
@@ -207,7 +309,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         let complete_at = now + self.params.pipeline_depth as u64;
         let mut budget = self.params.fetch_width;
         while budget > 0 {
-            if self.rob.len() >= self.params.rob_size {
+            if self.rob_full() {
                 self.stats.rob_stall_cycles += 1;
                 return;
             }
@@ -234,12 +336,16 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                     }
                 },
                 FetchState::Gap { left, kind, addr } => {
-                    self.rob.push_back(complete_at);
-                    self.next_seq += 1;
-                    budget -= 1;
-                    self.fetch = if left > 1 {
+                    // As many gap instructions as budget and ROB space
+                    // allow, in one run; the loop then retries the ROB-full
+                    // check exactly where per-instruction fetch would.
+                    let room = (self.params.rob_size - self.rob_len) as u32;
+                    let k = budget.min(left).min(room);
+                    self.push(complete_at, k);
+                    budget -= k;
+                    self.fetch = if left > k {
                         FetchState::Gap {
-                            left: left - 1,
+                            left: left - k,
                             kind,
                             addr,
                         }
@@ -250,9 +356,12 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                 FetchState::MemOp { kind, addr } => match kind {
                     ReqKind::Read => match mem.try_read(self.id, addr) {
                         Some(token) => {
-                            self.inflight.insert(token, (self.next_seq, now));
-                            self.rob.push_back(PENDING);
-                            self.next_seq += 1;
+                            let run = self.push_read();
+                            self.inflight.push_back(InFlight {
+                                token,
+                                run,
+                                issued_at: now,
+                            });
                             self.stats.reads_issued += 1;
                             self.queue_blocked = false;
                             budget -= 1;
@@ -266,8 +375,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
                     },
                     ReqKind::Write => {
                         if mem.try_write(self.id, addr) {
-                            self.rob.push_back(complete_at);
-                            self.next_seq += 1;
+                            self.push(complete_at, 1);
                             self.stats.writes_issued += 1;
                             self.queue_blocked = false;
                             budget -= 1;
@@ -295,7 +403,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         if self.done() {
             return CoreWait::Done;
         }
-        let rob_full = self.rob.len() >= self.params.rob_size;
+        let rob_full = self.rob_full();
         let fetch_blocked = match self.fetch {
             FetchState::Drained => true,
             FetchState::MemOp { .. } => self.queue_blocked,
@@ -305,7 +413,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             return CoreWait::Active;
         }
         CoreWait::Stalled {
-            retire_at: self.rob.front().copied().filter(|&t| t != PENDING),
+            retire_at: self.head_complete_at().filter(|&t| t != PENDING),
             queue_retry: !rob_full && self.queue_blocked,
         }
     }
@@ -341,7 +449,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         // `budget`, so take the larger of the two guarantees — a full ROB
         // stretches the provable span from `gap/fetch_width` to nearly
         // the whole gap.
-        let headroom = (self.params.rob_size - self.rob.len()) as u64;
+        let headroom = (self.params.rob_size - self.rob_len) as u64;
         let mut k = budget / fw;
         if budget >= headroom {
             k = k.max((budget - headroom) / rw);
@@ -379,11 +487,11 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         let end = start_cpu + cpu_cycles;
         let mut now = start_cpu;
         while now < end {
-            if self.rob.len() >= self.params.rob_size {
+            if self.rob_full() {
                 // Blocked: the head (often a read still waiting on DRAM)
                 // cannot retire before the span ends, so every remaining
                 // cycle only records a rob stall.
-                if self.rob.front().is_some_and(|&t| t >= end) {
+                if self.head_complete_at().is_some_and(|t| t >= end) {
                     self.stats.rob_stall_cycles += end - now;
                     return;
                 }
@@ -417,12 +525,16 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         {
             return 0;
         }
-        for (j, &t) in self.rob.iter().enumerate() {
+        let mut j = 0;
+        for run in &self.rob {
             // The entry at index j is popped in the cycle now + j/rw; a
-            // later completion time (or a pending read) ends the run.
-            if t > now + j as u64 / rw {
-                return j as u64 / rw;
+            // later completion time (or a pending read) ends the churn.
+            // Within a run that bound only grows, so its first entry
+            // decides.
+            if run.complete_at > now + j / rw {
+                return j / rw;
             }
+            j += u64::from(run.count);
         }
         u64::MAX
     }
@@ -447,31 +559,26 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             kind,
             addr,
         };
-        self.head_seq += consumed;
-        self.next_seq += consumed;
         self.stats.committed += consumed;
         if fw > rw {
             // After the refill fills the freed slots, the leftover fetch
             // budget hits the ROB-full check once per cycle.
             self.stats.rob_stall_cycles += k;
         }
-        let len = self.rob.len() as u64;
-        if consumed < len {
-            self.rob.drain(..consumed as usize);
-            for i in 0..k {
-                for _ in 0..rw {
-                    self.rob.push_back(now + i + depth);
-                }
-            }
-        } else {
-            // The whole original ROB (and the older refills) retired;
-            // what remains are the last `len` refilled entries, pushed
-            // `retire_width` per cycle.
-            self.rob.clear();
-            for idx in (consumed - len)..consumed {
-                self.rob.push_back(now + idx / rw + depth);
-            }
-        }
+        let len = self.rob_len as u64;
+        // Of the `consumed` refills (`retire_width` per cycle), the last
+        // `min(consumed, len)` are still in flight; everything older,
+        // original contents first, retired.
+        self.pop(len.min(consumed));
+        // Refill `idx` was fetched in cycle `idx / rw` and completes
+        // `depth` cycles later, but it cannot reach the head sooner than
+        // `rob_size / rw > depth` cycles after its fetch: every refill is
+        // due by the time it is the head. So they retire alike as one run
+        // stamped with the earliest of their times, and every reader, who
+        // compares a head's time with the current cycle or a later one,
+        // sees what per-instruction times would show.
+        let first = consumed.saturating_sub(len);
+        self.push(now + first / rw + depth, (consumed - first) as u32);
     }
 
     /// Replays the stall accounting of `cpu_cycles` skipped quiet cycles,
@@ -483,7 +590,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         if self.done() {
             return;
         }
-        if self.rob.len() >= self.params.rob_size {
+        if self.rob_full() {
             // The fetch stage hits the ROB-full check first, once per call.
             self.stats.rob_stall_cycles += cpu_cycles;
         } else if matches!(self.fetch, FetchState::MemOp { .. }) && self.queue_blocked {
@@ -592,6 +699,117 @@ mod tests {
             core.cycle(now, &mut mem);
         }
         assert_eq!(core.stats().done_cycle, done);
+    }
+
+    /// A sink that mints sequential read tokens and accepts a write only
+    /// once `accept_writes` is set.
+    #[derive(Default)]
+    struct GatedWrites {
+        next_token: u64,
+        accept_writes: bool,
+    }
+
+    impl RequestSink for GatedWrites {
+        fn try_read(&mut self, _: u32, _: PhysAddr) -> Option<u64> {
+            self.next_token += 1;
+            Some(self.next_token - 1)
+        }
+        fn try_write(&mut self, _: u32, _: PhysAddr) -> bool {
+            self.accept_writes
+        }
+    }
+
+    fn runs<T>(core: &Core<T>) -> Vec<(u64, u32)> {
+        core.rob.iter().map(|r| (r.complete_at, r.count)).collect()
+    }
+
+    /// A core that has issued one read (token 0) at cycle 0 and whose
+    /// fetch is parked on a refused write right behind it.
+    fn read_then_parked_write() -> (Core<std::vec::IntoIter<TraceRecord>>, GatedWrites) {
+        let trace = vec![
+            TraceRecord::new(0, ReqKind::Read, PhysAddr(0)),
+            TraceRecord::new(0, ReqKind::Write, PhysAddr(64)),
+        ];
+        let mut core = Core::new(0, CoreParams::msc_default(), trace.into_iter());
+        let mut mem = GatedWrites::default();
+        core.cycle(0, &mut mem);
+        assert_eq!(runs(&core), [(PENDING, 1)]);
+        mem.accept_writes = true;
+        (core, mem)
+    }
+
+    #[test]
+    fn pushes_never_merge_into_a_pending_read() {
+        // Gap instructions fetched behind a read in the same cycle get a
+        // run of their own, and so does each later cycle's fetch.
+        let trace = vec![
+            TraceRecord::new(0, ReqKind::Read, PhysAddr(0)),
+            TraceRecord::new(9, ReqKind::Write, PhysAddr(64)),
+        ];
+        let mut core = Core::new(0, CoreParams::msc_default(), trace.into_iter());
+        let mut mem = GatedWrites::default();
+        core.cycle(0, &mut mem);
+        core.cycle(1, &mut mem);
+        assert_eq!(runs(&core), [(PENDING, 1), (10, 3), (11, 4)]);
+        assert_eq!(core.rob_occupancy(), 8);
+        // The parked write behind the read never merges into it either.
+        let (mut core, mut mem) = read_then_parked_write();
+        core.cycle(1, &mut mem);
+        assert_eq!(runs(&core), [(PENDING, 1), (11, 1)]);
+    }
+
+    #[test]
+    fn a_push_merges_into_a_completed_read_with_the_same_time() {
+        // The write fetched at cycle 1 completes at 1 + depth = 11, the
+        // same cycle DRAM delivers the read, so the two share a run.
+        let (mut core, mut mem) = read_then_parked_write();
+        core.complete_read(0, 11);
+        core.cycle(1, &mut mem);
+        assert_eq!(runs(&core), [(11, 2)]);
+        // A different time starts a run of its own.
+        let (mut core, mut mem) = read_then_parked_write();
+        core.complete_read(0, 12);
+        core.cycle(1, &mut mem);
+        assert_eq!(runs(&core), [(12, 1), (11, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not name an in-flight read")]
+    fn completing_an_unknown_token_panics() {
+        let (mut core, _) = read_then_parked_write();
+        core.complete_read(7, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired before completing")]
+    fn completing_a_retired_read_panics() {
+        let (mut core, mut mem) = read_then_parked_write();
+        core.complete_read(0, 5);
+        for now in 1..20 {
+            core.cycle(now, &mut mem);
+        }
+        assert!(core.done());
+        // Corrupt the bookkeeping: the retired read is in flight again.
+        core.inflight.push_back(InFlight {
+            token: 0,
+            run: 0,
+            issued_at: 0,
+        });
+        core.complete_read(0, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pending read")]
+    fn completing_a_read_twice_panics() {
+        let (mut core, _) = read_then_parked_write();
+        core.complete_read(0, 20);
+        // Corrupt the bookkeeping: the completed read is in flight again.
+        core.inflight.push_back(InFlight {
+            token: 0,
+            run: 0,
+            issued_at: 0,
+        });
+        core.complete_read(0, 30);
     }
 
     /// `advance_compute` over vouched-for spans must leave the core in

@@ -4,7 +4,8 @@
 //! also mutation-fuzzed, in the style of `mcr-serve`'s `protocol_fuzz.rs`.
 
 use cpu_model::{
-    read_trace, write_trace, Core, CoreParams, InstantMemory, ParseTraceError, TraceRecord,
+    read_trace, write_trace, Core, CoreParams, CoreStats, CoreWait, InstantMemory, ParseTraceError,
+    RequestSink, TraceRecord, CPU_PER_MEM_CYCLE,
 };
 use dram_device::{PhysAddr, ReqKind};
 use sim_rng::SmallRng;
@@ -79,6 +80,114 @@ fn completion_monotone_in_latency() {
         let fast = run(10);
         let slow = run(200);
         assert!(slow >= fast, "slow {slow} < fast {fast}");
+    }
+}
+
+/// A sink that refuses requests at random and logs every call with its
+/// answer. Two sinks with the same seed answer the same call sequence
+/// alike.
+struct FlakySink {
+    rng: SmallRng,
+    next_token: u64,
+    outstanding: Vec<u64>,
+    calls: Vec<(ReqKind, u64, bool)>,
+}
+
+impl RequestSink for FlakySink {
+    fn try_read(&mut self, _core_id: u32, addr: PhysAddr) -> Option<u64> {
+        let ok = self.rng.gen_bool(0.7);
+        self.calls.push((ReqKind::Read, addr.0, ok));
+        ok.then(|| {
+            self.next_token += 1;
+            self.outstanding.push(self.next_token);
+            self.next_token
+        })
+    }
+
+    fn try_write(&mut self, _core_id: u32, addr: PhysAddr) -> bool {
+        let ok = self.rng.gen_bool(0.7);
+        self.calls.push((ReqKind::Write, addr.0, ok));
+        ok
+    }
+}
+
+/// One memory cycle's view of a core: stats, wait hint and occupancy.
+type Snapshot = (CoreStats, CoreWait, usize);
+
+/// Drives `trace` four CPU cycles per memory cycle, delivering each
+/// outstanding read at random with a random completion time, and with
+/// the four cycles taken by one `step` or by four `cycle` calls.
+fn drive_in_memory_cycles(
+    trace: &[TraceRecord],
+    seed: u64,
+    batched: bool,
+) -> (Vec<Snapshot>, Vec<(ReqKind, u64, bool)>) {
+    let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
+    let mut sink = FlakySink {
+        rng: SmallRng::seed_from_u64(seed),
+        next_token: 0,
+        outstanding: Vec::new(),
+        calls: Vec::new(),
+    };
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    let mut log = Vec::new();
+    let mut now = 0u64;
+    while !core.done() {
+        assert!(now < 4_000_000, "core wedged");
+        // Completion times land before, inside and past this memory
+        // cycle's four CPU cycles.
+        let mut waiting = Vec::new();
+        for token in std::mem::take(&mut sink.outstanding) {
+            if rng.gen_bool(0.2) {
+                core.complete_read(token, now.saturating_sub(2) + rng.gen_range(0..12u64));
+            } else {
+                waiting.push(token);
+            }
+        }
+        sink.outstanding = waiting;
+        if batched {
+            core.step(now, CPU_PER_MEM_CYCLE, &mut sink);
+        } else {
+            for sub in 0..CPU_PER_MEM_CYCLE {
+                core.cycle(now + sub, &mut sink);
+            }
+        }
+        log.push((core.stats().clone(), core.wait_hint(), core.rob_occupancy()));
+        now += CPU_PER_MEM_CYCLE;
+    }
+    (log, sink.calls)
+}
+
+/// `step` over a memory cycle is four `cycle` calls: the same stats, wait
+/// hint and ROB occupancy after every memory cycle, and the same sink
+/// calls in the same order, across gap-heavy and memory-bound traces,
+/// refused requests and reads that complete early, mid-step or late.
+#[test]
+fn step_matches_four_cycles() {
+    let mut rng = SmallRng::seed_from_u64(0x57e9);
+    for case in 0..150 {
+        let n = rng.gen_range(1..80usize);
+        let trace: Vec<TraceRecord> = (0..n)
+            .map(|_| {
+                let kind = if rng.gen_bool(0.6) {
+                    ReqKind::Read
+                } else {
+                    ReqKind::Write
+                };
+                TraceRecord::new(
+                    rng.gen_range(0..301u32),
+                    kind,
+                    PhysAddr(rng.gen_range(0..1u64 << 20) * 64),
+                )
+            })
+            .collect();
+        let seed = rng.gen_range(0..u64::MAX);
+        let stepped = drive_in_memory_cycles(&trace, seed, true);
+        let cycled = drive_in_memory_cycles(&trace, seed, false);
+        assert!(
+            stepped == cycled,
+            "case {case}: step diverged from four cycles"
+        );
     }
 }
 

@@ -7,6 +7,8 @@
 //! and re-runs the independent replay auditor, so a shipped script keeps
 //! reproducing its violation even if the model that found it changes
 //! (`tests/counterexamples/` is replayed by an integration test).
+//! Command cycles are at most 2^48 and class timings at most 2^20, so no
+//! script that parses can overflow the replay.
 //!
 //! ```text
 //! # seeded tRP off-by-one: re-ACT one cycle early after PRE
@@ -125,6 +127,29 @@ fn parse_err(line_no: usize, what: &str) -> String {
     format!("script line {line_no}: {what}")
 }
 
+/// Largest command cycle a script may name: far past any simulated run,
+/// and low enough that the auditor's sums of a cycle and timing
+/// parameters cannot overflow.
+const MAX_SCRIPT_CYCLE: Cycle = 1 << 48;
+
+/// Largest class timing (tRCD, tRAS) a script may name, so the auditor's
+/// `tRAS + tRP` cannot overflow.
+const MAX_SCRIPT_TIMING: u32 = 1 << 20;
+
+/// Parses `v` as a number no larger than `max`.
+fn parse_bounded<T: std::str::FromStr + PartialOrd>(
+    v: &str,
+    max: T,
+    no: usize,
+    what: &str,
+) -> Result<T, String> {
+    match v.parse() {
+        Ok(n) if n <= max => Ok(n),
+        Ok(_) => Err(parse_err(no, &format!("{what} out of range"))),
+        Err(_) => Err(parse_err(no, &format!("bad {what}"))),
+    }
+}
+
 /// Parses a counterexample script.
 pub fn parse_script(text: &str) -> Result<ParsedScript, String> {
     let mut expect = None;
@@ -171,8 +196,8 @@ pub fn parse_script(text: &str) -> Result<ParsedScript, String> {
                         return Err(parse_err(no, "class must be tRCD/tRAS"));
                     };
                     classes.push(RowTiming {
-                        t_rcd: rcd.parse().map_err(|_| parse_err(no, "bad tRCD"))?,
-                        t_ras: ras.parse().map_err(|_| parse_err(no, "bad tRAS"))?,
+                        t_rcd: parse_bounded(rcd, MAX_SCRIPT_TIMING, no, "tRCD")?,
+                        t_ras: parse_bounded(ras, MAX_SCRIPT_TIMING, no, "tRAS")?,
                     });
                 }
             }
@@ -229,7 +254,7 @@ fn parse_command(rest: &str, no: usize) -> Result<Command, String> {
     let mut have_cycle = false;
     for tok in toks {
         if let Some(v) = tok.strip_prefix('@') {
-            cmd.cycle = v.parse().map_err(|_| parse_err(no, "bad cycle"))?;
+            cmd.cycle = parse_bounded(v, MAX_SCRIPT_CYCLE, no, "cycle")?;
             have_cycle = true;
         } else if let Some(v) = tok.strip_prefix("rank") {
             cmd.addr.rank = v.parse().map_err(|_| parse_err(no, "bad rank"))?;

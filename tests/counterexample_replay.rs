@@ -6,7 +6,9 @@
 //!
 //! Scripts are read from disk, so `parse_script` is also mutation-fuzzed
 //! (in the style of `mcr-serve`'s `protocol_fuzz.rs`): never a panic, and
-//! an error caused by one line names it as `script line N: ...`.
+//! an error caused by one line names it as `script line N: ...`. Every
+//! fuzzed script that parses is also replayed, which must not panic
+//! either.
 
 use mcr_model::{parse_script, replay_script};
 use sim_rng::SmallRng;
@@ -110,10 +112,16 @@ fn mutate(rng: &mut SmallRng, line: &str) -> String {
 }
 
 /// Parses `text`; an error must be a whole-script one or name a line
-/// `ok_line` accepts. Returns whether the script was rejected.
+/// `ok_line` accepts, and a script that parses must replay without a
+/// panic (reproducing its violation or not). Returns whether the script
+/// was rejected.
 fn check(text: &str, ok_line: impl Fn(usize) -> bool) -> bool {
-    let Err(e) = parse_script(text) else {
-        return false;
+    let e = match parse_script(text) {
+        Ok(parsed) => {
+            _ = replay_script(&parsed);
+            return false;
+        }
+        Err(e) => e,
     };
     let line = e
         .strip_prefix("script line ")
@@ -156,4 +164,59 @@ fn script_noise_never_panics() {
         let text = String::from_utf8_lossy(&bytes);
         check(&text, |line| (1..=text.lines().count()).contains(&line));
     }
+}
+
+/// Regression: an ACT at the last representable cycle used to parse,
+/// and its replay then overflowed computing the bank's next-CAS cycle.
+/// Such a cycle is now rejected on its line.
+#[test]
+fn act_at_the_last_cycle_is_rejected() {
+    let text = "expect: TrcdViolation\ncmd: ACT rank0 bank0 row8 class0 @18446744073709551615\n";
+    assert_eq!(
+        parse_script(text).map(|_| ()),
+        Err("script line 2: cycle out of range".to_string())
+    );
+}
+
+/// Every number in every seed script, swapped one at a time for a
+/// boundary value: whatever parses must replay without a panic.
+#[test]
+fn boundary_numbers_replay_without_panic() {
+    const BOUNDARIES: [&str; 8] = [
+        "0",
+        "1",
+        "255",
+        "65535",
+        "4294967295",
+        "9223372036854775807",
+        "18446744073709551614",
+        "18446744073709551615",
+    ];
+    let mut seeds: Vec<String> = shipped_scripts().iter().map(read).collect();
+    seeds.push(FULL_SCRIPT.to_string());
+    let mut replayed = 0usize;
+    for seed in &seeds {
+        let lines: Vec<&str> = seed.lines().collect();
+        for (at, line) in lines.iter().enumerate() {
+            let bytes = line.as_bytes();
+            let mut start = 0;
+            while start < bytes.len() {
+                if !bytes[start].is_ascii_digit() {
+                    start += 1;
+                    continue;
+                }
+                let end = (start..bytes.len())
+                    .find(|&i| !bytes[i].is_ascii_digit())
+                    .unwrap_or(bytes.len());
+                for value in BOUNDARIES {
+                    let mut edited = lines.clone();
+                    let swapped = format!("{}{value}{}", &line[..start], &line[end..]);
+                    edited[at] = &swapped;
+                    replayed += usize::from(!check(&edited.join("\n"), |l| l == at + 1));
+                }
+                start = end;
+            }
+        }
+    }
+    assert!(replayed > 100, "only {replayed} edited scripts parsed");
 }
