@@ -9,11 +9,13 @@ OFFLINE ?= --offline
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
 # snapshots), the mcr-lint static
 # passes (source lint + timing/mode-table/region checks), the exhaustive
-# protocol model check + wake-soundness certification, then a seeded
+# protocol model check + wake-soundness certification, the command-stream
+# audit of the release build (the online auditor is armed by default only
+# in debug builds), then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
 # cross-backend compare smoke, and the wall-clock gate (event wheel,
 # persistent store, per-backend throughput).
-check: build clippy doc fmt-check test benchmark-test golden lint model chaos serve-smoke compare bench-wallclock
+check: build clippy doc fmt-check test benchmark-test golden lint model audit chaos serve-smoke compare bench-wallclock
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -69,8 +71,11 @@ model:
 # Protocol audit: Fig. 9 refresh-schedule replays plus a full-system
 # command-stream audit of the fig9/fig11-style configuration suite, with
 # the online auditor compiled in (release build + protocol-audit feature).
+# Built in a target directory of its own: the feature changes every
+# crate above dram-device, so sharing target/release would rebuild them
+# for `model` and again here on every `make check`.
 audit:
-	$(CARGO) run $(OFFLINE) --release -p mcr-lint --features protocol-audit -- audit
+	$(CARGO) run $(OFFLINE) --release --target-dir target/audit -p mcr-lint --features protocol-audit -- audit
 
 # Seeded retention-fault chaos campaign (DESIGN.md §5f): a clean control
 # run, then escalating fault rates; fails on any retention escape or any

@@ -99,7 +99,8 @@ pub use sweep::{
     SweepExecStats, SweepPoint, SweepResults,
 };
 pub use system::{
-    ConfigError, MappingKind, ReliabilityReport, RunReport, System, SystemConfig, DEFAULT_SEED,
+    ConfigError, MappingKind, ReliabilityReport, RunExecStats, RunReport, System, SystemConfig,
+    DEFAULT_SEED,
 };
 pub use telemetry::{BankCommandCounts, Telemetry};
 // Fault-injection surface, re-exported so experiment drivers need only

@@ -684,13 +684,41 @@ pub struct ReliabilityReport {
     pub retention_escapes: u64,
 }
 
+/// Where a run's simulated memory cycles went: executed one by one, or
+/// crossed by one of the event wheel's skips (DESIGN.md §5h).
+///
+/// Carried on [`RunReport::exec`]. The counts describe the drive, not the
+/// simulated machine: the dense drive ([`System::set_skip_ahead`]) and
+/// the wheel reach the same report by different work. So, like
+/// [`crate::SweepExecStats`], they are left out of the report's equality
+/// and of its serialization, and a report read back from a result store
+/// carries zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunExecStats {
+    /// Memory cycles executed densely: controller tick plus the cores'
+    /// CPU subcycles.
+    pub dense_cycles: u64,
+    /// Cycles skipped while the controller was quiet and every live core
+    /// stalled.
+    pub quiet_skipped_cycles: u64,
+    /// Cycles crossed by a compute span while the controller stayed quiet.
+    pub quiet_span_cycles: u64,
+    /// Cycles crossed by a compute span that overlapped a working
+    /// controller (its ticks are counted in `controller_alone_ticks`).
+    pub overlapped_span_cycles: u64,
+    /// Controller ticks executed inside overlapped compute spans, with no
+    /// core stepped alongside.
+    pub controller_alone_ticks: u64,
+}
+
 /// End-of-run metrics.
 ///
 /// Reports are pure functions of the [`SystemConfig`] that produced them
 /// (compare with `==`): the simulator is single-threaded per run and all
 /// randomness flows from the config's seed, which is what lets the
-/// [`crate::sweep`] engine cache and parallelize runs freely.
-#[derive(Debug, Clone, PartialEq)]
+/// [`crate::sweep`] engine cache and parallelize runs freely. Equality
+/// ignores the drive-dependent [`RunReport::exec`] section.
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// CPU cycle at which the last core retired its final instruction —
     /// the paper's execution-time metric.
@@ -722,6 +750,44 @@ pub struct RunReport {
     /// Reliability section: fault-injection campaign counters and the
     /// guardband ladder's response (all-zero without a fault plan).
     pub reliability: ReliabilityReport,
+    /// How the drive spent the run (volatile: excluded from `==` and from
+    /// serialization).
+    pub exec: RunExecStats,
+}
+
+impl PartialEq for RunReport {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that a new field cannot be left out silently.
+        let RunReport {
+            exec_cpu_cycles,
+            per_core_cpu_cycles,
+            total_mem_cycles,
+            reads_done,
+            avg_read_latency,
+            controller,
+            energy,
+            edp,
+            instructions,
+            cache,
+            per_core_read_latency,
+            telemetry,
+            reliability,
+            exec: _,
+        } = self;
+        *exec_cpu_cycles == other.exec_cpu_cycles
+            && *per_core_cpu_cycles == other.per_core_cpu_cycles
+            && *total_mem_cycles == other.total_mem_cycles
+            && *reads_done == other.reads_done
+            && *avg_read_latency == other.avg_read_latency
+            && *controller == other.controller
+            && *energy == other.energy
+            && *edp == other.edp
+            && *instructions == other.instructions
+            && *cache == other.cache
+            && *per_core_read_latency == other.per_core_read_latency
+            && *telemetry == other.telemetry
+            && *reliability == other.reliability
+    }
 }
 
 impl RunReport {
@@ -746,7 +812,9 @@ impl RunReport {
 /// every live core is stalled — the wheel jumps `mem_now` directly to the
 /// earliest timing edge any component exposes (next command-legal cycle,
 /// refresh deadline, completion delivery, power-down expiry, guardband
-/// re-arm, core retire). Skipped cycles are bulk-accounted so reports and
+/// re-arm, core retire). While every live core computes through a trace
+/// gap, the controller runs those cycles alone and the cores catch up in
+/// one batch each. Skipped cycles are bulk-accounted so reports and
 /// telemetry stay *bit-identical* to cycle-by-cycle execution; the
 /// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
 /// [`System::set_skip_ahead`] can force the dense drive for debugging.
@@ -766,6 +834,11 @@ pub struct System {
     /// execution (the reference drive the equivalence suite compares
     /// against).
     skip_ahead: bool,
+    /// Refresh-starvation budget the protocol auditor gets whenever it is
+    /// armed ([`System::set_audit_enabled`]).
+    audit_refresh_budget: Cycle,
+    /// Where simulated time went so far ([`RunReport::exec`]).
+    exec: RunExecStats,
 }
 
 impl std::fmt::Debug for System {
@@ -910,17 +983,15 @@ impl System {
             })?;
             controller.set_guardband(config.guardband.unwrap_or_default());
         }
-        if controller.audit_enabled() {
-            // Refresh-starvation budget for the protocol auditor: with
-            // Refresh-Skipping, a group legally goes up to one skip period
-            // of tREFI slots without a REFRESH; add the JEDEC postponement
-            // cap and a wide margin so the check only fires on streams
-            // that stopped refreshing altogether. `max_skip` is the
-            // backend's legality view — 1 for every backend that keeps
-            // the JEDEC every-slot contract.
-            let budget = Cycle::from(max_skip) * 10 * Cycle::from(t_refi);
-            controller.set_audit_refresh_budget(Some(budget));
-        }
+        // Refresh-starvation budget for the protocol auditor: with
+        // Refresh-Skipping, a group legally goes up to one skip period of
+        // tREFI slots without a REFRESH; add the JEDEC postponement cap
+        // and a wide margin so the check only fires on streams that
+        // stopped refreshing altogether. `max_skip` is the backend's
+        // legality view — 1 for every backend that keeps the JEDEC
+        // every-slot contract. A no-op while the auditor is disarmed.
+        let audit_refresh_budget = Cycle::from(max_skip) * 10 * Cycle::from(t_refi);
+        controller.set_audit_refresh_budget(Some(audit_refresh_budget));
 
         let cores = config
             .workloads
@@ -970,6 +1041,8 @@ impl System {
             per_core_reads: vec![(0, 0); n_cores],
             batched: vec![false; n_cores],
             skip_ahead: true,
+            audit_refresh_budget,
+            exec: RunExecStats::default(),
         })
     }
 
@@ -998,7 +1071,22 @@ impl System {
     /// every live core sat stalled — the precondition for the event wheel
     /// to jump ahead.
     fn advance_cycle(&mut self) -> bool {
+        self.tick_controller();
+        self.cycle_cores();
+        let quiet = !self.controller.had_activity() && self.cores_quiet();
+        self.mem_now += 1;
+        self.exec.dense_cycles += 1;
+        quiet
+    }
+
+    /// The controller's half of memory cycle `mem_now`: one tick, each
+    /// completed read handed to its core, then the guardband's MRS moves
+    /// (later ACTIVATEs read the policy they set).
+    fn tick_controller(&mut self) {
         for c in self.controller.tick(self.mem_now) {
+            // Overlapped compute spans rely on this: data arrives on the
+            // cycle of the tick that delivers it.
+            debug_assert_eq!(c.ready_at, self.mem_now, "late completion");
             if c.core_id == COPY_CORE {
                 continue; // cache-copy traffic; nobody waits on it
             }
@@ -1008,10 +1096,6 @@ impl System {
             self.cores[c.core_id as usize].complete_read(c.token, c.ready_at * CPU_PER_MEM_CYCLE);
         }
         self.apply_guardband_transitions();
-        self.cycle_cores();
-        let quiet = !self.controller.had_activity() && self.cores_quiet();
-        self.mem_now += 1;
-        quiet
     }
 
     /// Runs the CPU subcycles of the current memory cycle. A lone core
@@ -1113,6 +1197,7 @@ impl System {
             core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);
         }
         self.mem_now = target;
+        self.exec.quiet_skipped_cycles += skipped;
     }
 
     /// The compute-span counterpart of [`System::skip_to_next_edge`]: the
@@ -1126,7 +1211,9 @@ impl System {
     /// fetch/retire logic, so ROB churn and stall counters replay
     /// bit-identically). The span is clamped at every controller edge
     /// (read completions included, so no `complete_read` can land inside
-    /// it) and at every stalled core's retire edge.
+    /// it) and at every stalled core's retire edge. With every live core
+    /// in a gap, [`System::overlap_compute_span`] runs first, so this path
+    /// serves the runs where other cores are stalled alongside.
     fn skip_compute_span(&mut self, until: Cycle) {
         let now = self.mem_now - 1;
         let mut span_cpu = Cycle::MAX;
@@ -1187,6 +1274,68 @@ impl System {
             }
         }
         self.mem_now = target;
+        self.exec.quiet_span_cycles += skipped;
+    }
+
+    /// The compute span that overlaps a busy controller. When every live
+    /// core is fetching through a trace gap that
+    /// [`Core::compute_quiet_cycles`] vouches for past the next memory
+    /// cycle, no core can reach the sink or its trace before the shortest
+    /// vouched span ends. The controller then runs those cycles alone:
+    /// a tick where it works, a jump to its next edge after a quiet tick.
+    /// Each read it completes is handed to its core early, stamped with
+    /// the cycle its data arrives, which is the tick's own cycle (the
+    /// wheel never skips a completion edge) and so no earlier than the
+    /// core's view of it in the dense drive; until that cycle, a stamped
+    /// read and a pending one behave alike. The cores then catch up with
+    /// one [`Core::advance_compute`] each, and another span follows while
+    /// they are all still vouched for. Returns `false`, having done
+    /// nothing, when no span applies.
+    fn overlap_compute_span(&mut self, until: Cycle) -> bool {
+        let mut quiet = !self.controller.had_activity();
+        let mut spanned = false;
+        loop {
+            let mut span_cpu = None;
+            for core in self.cores.iter().filter(|c| !c.done()) {
+                let safe = core.compute_quiet_cycles();
+                if safe < CPU_PER_MEM_CYCLE {
+                    return spanned;
+                }
+                span_cpu = Some(span_cpu.map_or(safe, |s: u64| s.min(safe)));
+            }
+            let Some(span_cpu) = span_cpu else {
+                return spanned;
+            };
+            let start = self.mem_now;
+            let end = start
+                .saturating_add(span_cpu / CPU_PER_MEM_CYCLE)
+                .min(until);
+            if end <= start {
+                return spanned;
+            }
+            while self.mem_now < end {
+                if quiet {
+                    // Edges are relative to the cycle just ticked; a quiet
+                    // controller's edges stay put across skipped cycles.
+                    let edge = self.controller.next_event(self.mem_now - 1);
+                    let target = edge.map_or(end, |e| e.min(end));
+                    self.controller.note_skipped_cycles(target - self.mem_now);
+                    self.mem_now = target;
+                    if target == end {
+                        break;
+                    }
+                }
+                self.tick_controller();
+                quiet = !self.controller.had_activity();
+                self.mem_now += 1;
+                self.exec.controller_alone_ticks += 1;
+            }
+            for core in self.cores.iter_mut().filter(|c| !c.done()) {
+                core.advance_compute(start * CPU_PER_MEM_CYCLE, (end - start) * CPU_PER_MEM_CYCLE);
+            }
+            self.exec.overlapped_span_cycles += end - start;
+            spanned = true;
+        }
     }
 
     /// Advances the simulation to memory cycle `target` (exactly, unless
@@ -1205,7 +1354,7 @@ impl System {
             let quiet = self.advance_cycle();
             // Never skip once the run is finished: `now` must land on the
             // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead && !self.done() {
+            if self.skip_ahead && !self.done() && !self.overlap_compute_span(target) {
                 if quiet {
                     self.skip_to_next_edge(target);
                 } else if !self.controller.had_activity() {
@@ -1370,6 +1519,17 @@ impl System {
         self.controller.audit_enabled()
     }
 
+    /// Arms (or disarms) the command-stream protocol auditor on every
+    /// channel, whatever the build profile, with the refresh-starvation
+    /// budget [`System::try_build`] gives an auditor armed by default.
+    /// Arm it before the run starts: an auditor armed mid-run has not seen
+    /// the commands before it.
+    pub fn set_audit_enabled(&mut self, enabled: bool) {
+        self.controller.set_audit_enabled(enabled);
+        self.controller
+            .set_audit_refresh_budget(Some(self.audit_refresh_budget));
+    }
+
     /// Protocol violations the auditor has recorded so far, across all
     /// channels (empty when the auditor is disarmed).
     pub fn audit_violations(&self) -> impl Iterator<Item = &dram_device::Violation> {
@@ -1495,6 +1655,7 @@ impl System {
             per_core_read_latency,
             telemetry,
             reliability,
+            exec: self.exec,
         }
     }
 }

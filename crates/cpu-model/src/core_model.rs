@@ -228,7 +228,8 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     }
 
     /// Marks the read with token `token` as completing at CPU cycle
-    /// `ready_at` (data has arrived from DRAM).
+    /// `ready_at` (data has arrived from DRAM). The call may come any time
+    /// before the core reaches `ready_at` (see [`Core::advance_compute`]).
     ///
     /// # Panics
     ///
@@ -430,9 +431,8 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// span the core's evolution — fetch, retire, ROB-full churn, stall
     /// accounting — is a pure function of its own state, so an
     /// event-wheel driver may execute it in bulk with
-    /// [`Core::advance_compute`] while the rest of the system is frozen,
-    /// provided no [`Core::complete_read`] lands inside the span (the
-    /// driver bounds every span at the controller's completion edges).
+    /// [`Core::advance_compute`], delivering the span's read completions
+    /// before it runs (see there).
     pub fn compute_quiet_cycles(&self) -> u64 {
         let FetchState::Gap { left, .. } = self.fetch else {
             return 0;
@@ -462,9 +462,15 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// same fetch/retire interleaving, same stall counters — but without
     /// a memory system in reach.
     ///
-    /// Only valid for a span [`Core::compute_quiet_cycles`] vouched for:
-    /// the core must not touch memory, and the driver must deliver no
-    /// read completion until the span ends.
+    /// Only valid for a span [`Core::compute_quiet_cycles`] vouched for,
+    /// so that the core cannot touch memory. A read whose data arrives
+    /// inside the span must be delivered ([`Core::complete_read`]) before
+    /// the call. Delivering `complete_read(token, t)` at any time before
+    /// the core reaches cycle `t` is exact: until `t` the stamped read
+    /// does not retire, just like a pending one, so the core evolves as
+    /// if it had been delivered at `t`. Only [`Core::wait_hint`] can tell,
+    /// by naming a head's retire cycle sooner, and the latency histogram
+    /// records the read sooner.
     ///
     /// Two regimes dominate a long gap and are replayed in closed form
     /// rather than cycle by cycle: a full ROB whose head cannot retire

@@ -318,3 +318,198 @@ fn non_utf8_line_is_malformed_with_its_line_number() {
         Err(ParseTraceError::Malformed { line: 2, .. })
     ));
 }
+
+/// A sink that accepts a random 80% of requests and times every read:
+/// its data arrives a random 1–80 CPU cycles after issue, and the early
+/// driver may learn of it any time from issue on. Two sinks with the same
+/// seed answer the same call sequence alike.
+struct TimedSink {
+    rng: SmallRng,
+    now: u64,
+    next_token: u64,
+    /// `(token, data cycle, cycle the early driver delivers it)`.
+    outstanding: Vec<(u64, u64, u64)>,
+}
+
+impl TimedSink {
+    fn new(seed: u64) -> Self {
+        TimedSink {
+            rng: SmallRng::seed_from_u64(seed),
+            now: 0,
+            next_token: 0,
+            outstanding: Vec::new(),
+        }
+    }
+
+    /// Hands `core` every read that `due` picks, keeping the rest.
+    fn deliver<T: Iterator<Item = TraceRecord>>(
+        &mut self,
+        core: &mut Core<T>,
+        due: impl Fn(u64, u64) -> bool,
+    ) {
+        self.outstanding.retain(|&(token, ready, early)| {
+            let hand_over = due(ready, early);
+            if hand_over {
+                core.complete_read(token, ready);
+            }
+            !hand_over
+        });
+    }
+}
+
+impl RequestSink for TimedSink {
+    fn try_read(&mut self, _core_id: u32, _addr: PhysAddr) -> Option<u64> {
+        if !self.rng.gen_bool(0.8) {
+            return None;
+        }
+        self.next_token += 1;
+        let ready = self.now + self.rng.gen_range(1..81u64);
+        let early = self.rng.gen_range(self.now..ready + 1);
+        self.outstanding.push((self.next_token, ready, early));
+        Some(self.next_token)
+    }
+
+    fn try_write(&mut self, _core_id: u32, _addr: PhysAddr) -> bool {
+        self.rng.gen_bool(0.8)
+    }
+}
+
+/// The on-time reference: one `cycle` per CPU cycle, each read handed
+/// over just before the cycle its data arrives. Returns the snapshot
+/// after every cycle, indexed by the cycle count so far.
+fn drive_on_time(trace: &[TraceRecord], seed: u64) -> Vec<Snapshot> {
+    let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
+    let mut sink = TimedSink::new(seed);
+    let mut log = vec![(core.stats().clone(), core.wait_hint(), core.rob_occupancy())];
+    while !core.done() {
+        let now = sink.now;
+        assert!(now < 4_000_000, "core wedged");
+        sink.deliver(&mut core, |ready, _| ready <= now);
+        core.cycle(now, &mut sink);
+        sink.now += 1;
+        log.push((core.stats().clone(), core.wait_hint(), core.rob_occupancy()));
+    }
+    log
+}
+
+/// The early driver: each read is handed over at a random cycle between
+/// its issue and its data, and where [`Core::compute_quiet_cycles`]
+/// vouches for a span, a random prefix of it runs as one
+/// `advance_compute` with every read due inside it handed over first.
+/// Returns `(cycle count, snapshot)` after every call, and the number of
+/// `advance_compute` calls.
+fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, usize) {
+    let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
+    let mut sink = TimedSink::new(seed);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xea21);
+    let mut log = Vec::new();
+    let mut spans = 0;
+    while !core.done() {
+        let now = sink.now;
+        assert!(now < 4_000_000, "core wedged");
+        sink.deliver(&mut core, |_, early| early <= now);
+        let safe = core.compute_quiet_cycles();
+        if safe > 0 && rng.gen_bool(0.7) {
+            let n = rng.gen_range(1..safe + 1);
+            sink.deliver(&mut core, |ready, _| ready < now + n);
+            core.advance_compute(now, n);
+            sink.now += n;
+            spans += 1;
+        } else {
+            core.cycle(now, &mut sink);
+            sink.now += 1;
+        }
+        log.push((
+            sink.now,
+            (core.stats().clone(), core.wait_hint(), core.rob_occupancy()),
+        ));
+    }
+    (log, spans)
+}
+
+/// `hint` as seen from cycle `at`: a retire cycle already reached reads
+/// as `at`. (`advance_compute`'s churn form stamps a run of refills with
+/// the earliest of their times, all of them due.)
+fn seen_at(hint: CoreWait, at: u64) -> CoreWait {
+    match hint {
+        CoreWait::Stalled {
+            retire_at: Some(t),
+            queue_retry,
+        } => CoreWait::Stalled {
+            retire_at: Some(t.max(at)),
+            queue_retry,
+        },
+        other => other,
+    }
+}
+
+/// A read handed over before the core reaches its data cycle changes
+/// nothing but what `wait_hint` knows and when its latency is recorded:
+/// same `CoreStats` at the end, the same ones but the latency histogram
+/// and the same ROB occupancy after every call, through `cycle` and through `advance_compute`, and
+/// the same wait hint except that a head the on-time core still sees as
+/// pending may already show its retire cycle. This is the contract that
+/// lets a driver deliver a span's completions before the span runs.
+#[test]
+fn early_completions_match_on_time_ones() {
+    let mut rng = SmallRng::seed_from_u64(0xea71);
+    let (mut spans, mut known_early) = (0usize, 0usize);
+    for case in 0..200 {
+        let n = rng.gen_range(1..60usize);
+        let trace: Vec<TraceRecord> = (0..n)
+            .map(|_| {
+                let kind = if rng.gen_bool(0.6) {
+                    ReqKind::Read
+                } else {
+                    ReqKind::Write
+                };
+                TraceRecord::new(
+                    rng.gen_range(0..400u32),
+                    kind,
+                    PhysAddr(rng.gen_range(0..1u64 << 20) * 64),
+                )
+            })
+            .collect();
+        let seed = rng.gen_range(0..u64::MAX);
+        let on_time = drive_on_time(&trace, seed);
+        let (early, case_spans) = drive_early(&trace, seed);
+        spans += case_spans;
+        for (at, (stats, hint, occupancy)) in &early {
+            let (ref_stats, ref_hint, ref_occupancy) = &on_time[*at as usize];
+            // The read-latency histogram records a read when it is handed
+            // over, so it only matches once both cores have every read.
+            let without_latency = |s: &CoreStats| CoreStats {
+                mem_read_latency: Default::default(),
+                ..s.clone()
+            };
+            assert!(
+                without_latency(stats) == without_latency(ref_stats) && occupancy == ref_occupancy,
+                "case {case}: diverged by cycle {at}"
+            );
+            let (hint, ref_hint) = (seen_at(*hint, *at), seen_at(*ref_hint, *at));
+            if hint != ref_hint {
+                known_early += 1;
+                assert!(
+                    matches!(
+                        (ref_hint, hint),
+                        (
+                            CoreWait::Stalled { retire_at: None, queue_retry: a },
+                            CoreWait::Stalled { retire_at: Some(t), queue_retry: b },
+                        ) if a == b && t >= *at
+                    ),
+                    "case {case}: cycle {at}: {hint:?} vs {ref_hint:?}"
+                );
+            }
+        }
+        let (finished, (stats, ..)) = early.last().expect("a trace takes a cycle");
+        let (ref_stats, ..) = on_time.last().expect("a trace takes a cycle");
+        assert_eq!(*finished, on_time.len() as u64 - 1, "case {case}");
+        assert_eq!(stats, ref_stats, "case {case}: final stats differ");
+    }
+    // Both the batched path and an early-stamped head must be exercised,
+    // or the test proves little.
+    assert!(
+        spans > 1_000 && known_early > 100,
+        "{spans} spans, {known_early} early heads"
+    );
+}

@@ -25,7 +25,9 @@
 //! field yields a [`CodecError`] naming the path, which the store maps
 //! to quarantine-and-recompute.
 
-use mcr_dram::{BankCommandCounts, ReliabilityReport, RowCacheStats, RunReport, Telemetry};
+use mcr_dram::{
+    BankCommandCounts, ReliabilityReport, RowCacheStats, RunExecStats, RunReport, Telemetry,
+};
 use mcr_telemetry::{LatencyHistogram, HISTOGRAM_BUCKETS};
 use mem_controller::{ControllerStats, CtlTelemetry, RefreshStats};
 use sim_json::Json;
@@ -489,6 +491,8 @@ pub fn report_from_json(j: &Json) -> Result<RunReport, CodecError> {
             member(j, "reliability", path)?,
             &format!("{path}.reliability"),
         )?,
+        // How the drive spent the run is not part of the stored result.
+        exec: RunExecStats::default(),
     })
 }
 

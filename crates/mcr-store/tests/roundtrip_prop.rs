@@ -168,6 +168,15 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
             retention_violations: ru(rng),
             retention_escapes: ru(rng),
         },
+        // Not stored: a decoded report carries zeros here and must still
+        // compare equal.
+        exec: mcr_dram::RunExecStats {
+            dense_cycles: ru(rng),
+            quiet_skipped_cycles: ru(rng),
+            quiet_span_cycles: ru(rng),
+            overlapped_span_cycles: ru(rng),
+            controller_alone_ticks: ru(rng),
+        },
     }
 }
 

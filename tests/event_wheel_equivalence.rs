@@ -9,7 +9,9 @@
 //! compare the full reports with `assert_eq!`. Any drift here is a
 //! missing or late wheel edge, never a tolerance question.
 
-use mcr_dram::{FaultPlan, McrMode, RunReport, System, SystemConfig};
+use mcr_dram::{
+    FaultPlan, GuardbandConfig, McrMode, RowCacheConfig, RunReport, System, SystemConfig,
+};
 use mem_controller::{RowPolicy, SchedulerKind};
 use trace_gen::multi_programmed_mixes;
 
@@ -28,9 +30,38 @@ fn wheel_and_dense(cfg: &SystemConfig) -> (RunReport, RunReport) {
     (wheel, dense.run())
 }
 
-fn assert_identical(label: &str, cfg: &SystemConfig) {
+/// Asserts that both drives report alike, and that each one's `exec`
+/// section accounts for every simulated cycle. Returns the wheel's report.
+fn assert_identical(label: &str, cfg: &SystemConfig) -> RunReport {
     let (wheel, dense) = wheel_and_dense(cfg);
     assert_eq!(wheel, dense, "{label}: wheel and dense reports differ");
+    let e = dense.exec;
+    assert_eq!(
+        e.dense_cycles, dense.total_mem_cycles,
+        "{label}: dense exec"
+    );
+    assert_eq!(e.controller_alone_ticks, 0, "{label}: dense exec");
+    let e = wheel.exec;
+    assert_eq!(
+        e.dense_cycles + e.quiet_skipped_cycles + e.quiet_span_cycles + e.overlapped_span_cycles,
+        wheel.total_mem_cycles,
+        "{label}: wheel exec {e:?}"
+    );
+    assert!(
+        e.controller_alone_ticks <= e.overlapped_span_cycles,
+        "{label}: wheel exec {e:?}"
+    );
+    wheel
+}
+
+/// Asserts that the wheel ran the controller alone inside an overlapped
+/// compute span, so the case covers that loop.
+fn assert_overlapped(label: &str, wheel: &RunReport) {
+    assert!(
+        wheel.exec.controller_alone_ticks > 0,
+        "{label}: no overlapped compute span ticked the controller: {:?}",
+        wheel.exec
+    );
 }
 
 #[test]
@@ -128,4 +159,72 @@ fn mid_run_mode_change_lands_on_the_same_cycle() {
     assert!(dense.run_until(u64::MAX), "dense run did not finish");
     assert_eq!(wheel.now(), dense.now(), "completion cycle differs");
     assert_eq!(wheel.report(), dense.report(), "post-change reports differ");
+}
+
+#[test]
+fn row_cache_copies_are_wheel_identical() {
+    // Promotions inject copy traffic under a core id nobody waits on; its
+    // completions are dropped, inside overlapped compute spans too.
+    let cfg = SystemConfig::single_core("comm2", LEN)
+        .with_mode(McrMode::new(4, 4, 0.5).expect("valid Table 1 mode"))
+        .with_row_cache(RowCacheConfig {
+            promote_threshold: 4,
+        });
+    let wheel = assert_identical("row cache", &cfg);
+    let stats = wheel.cache.expect("row cache armed");
+    assert!(stats.promotions > 0, "no copy traffic: {stats:?}");
+    assert_overlapped("row cache", &wheel);
+}
+
+#[test]
+fn guardband_moves_are_wheel_identical() {
+    // Sense glitches walk the guardband ladder down and back up; every
+    // move reprograms the policy that later ACTIVATEs of the same
+    // overlapped span read. Gap-heavy `black` spends most of its cycles
+    // in such spans; on `libq` a drive that applied the moves only at
+    // the next dense cycle still matched.
+    let pacing = GuardbandConfig {
+        window: 25_000,
+        threshold: 2,
+        hysteresis: 2_000,
+        backoff_base: 1_000,
+        backoff_cap: 2,
+    };
+    let cfg = SystemConfig::single_core("black", LEN)
+        .with_mode(McrMode::headline())
+        .with_fault_plan(FaultPlan::new(7).with_sense_glitches(0.02))
+        .with_guardband(pacing);
+    let wheel = assert_identical("guardband", &cfg);
+    let r = &wheel.reliability;
+    assert!(
+        r.guardband_degrades > 0 && r.guardband_rearms > 0,
+        "the ladder never moved both ways: {r:?}"
+    );
+    assert_overlapped("guardband", &wheel);
+}
+
+#[test]
+fn quad_core_powerdown_is_wheel_identical() {
+    // Four cores finish at different cycles, so overlapped spans run with
+    // done cores alongside, across power-down entry and exit edges. The
+    // paper's mixes keep the ranks awake (of mix01..mix14 at 2,000
+    // operations and 16 idle cycles, only mix12 powers down, once), so
+    // this quad runs the gap-heavy `black` on every core.
+    let black = trace_gen::workload("black").expect("built-in workload");
+    for threshold in [16, 64, 512] {
+        let cfg = SystemConfig::multi_core([black; 4], 2_000)
+            .with_mode(McrMode::headline())
+            .with_powerdown(threshold);
+        let label = format!("quad black powerdown {threshold}");
+        let wheel = assert_identical(&label, &cfg);
+        // At 512 idle cycles the ranks never sleep; the idle timers
+        // still arm and reset.
+        assert_eq!(
+            wheel.telemetry.powerdown_entries > 0,
+            threshold < 512,
+            "{label}: {} power-down entries",
+            wheel.telemetry.powerdown_entries
+        );
+        assert_overlapped(&label, &wheel);
+    }
 }

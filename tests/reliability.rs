@@ -127,14 +127,15 @@ fn disarmed_detector_escapes_are_audit_errors() {
     // corrupt data. The protocol auditor must log every one as an
     // error-severity RetentionEscape (which is why this test inspects
     // violations directly instead of calling `report`, which panics on
-    // audit errors in debug builds).
+    // audit errors while the auditor is armed).
     let cfg = mcr_config(LEN).with_fault_plan(
         FaultPlan::new(99)
             .with_sense_glitches(1.0)
             .with_detector(false),
     );
     let mut sys = System::build(&cfg);
-    assert!(sys.audit_enabled(), "auditor must be armed for this test");
+    // Armed explicitly: by default only debug builds arm the auditor.
+    sys.set_audit_enabled(true);
     assert!(sys.run_until(400_000_000), "wedged");
     sys.audit_finish_now();
     let escapes = sys
