@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use mcr_dram::{registered_backends, ResultTable, SweepBuilder, SweepResults};
 use sim_json::Json;

@@ -698,11 +698,10 @@ pub struct RunExecStats {
     /// Memory cycles executed densely: controller tick plus the cores'
     /// CPU subcycles.
     pub dense_cycles: u64,
-    /// Cycles skipped while the controller was quiet and every live core
-    /// stalled.
+    /// Cycles skipped while the controller stayed frozen and every live
+    /// core proved it sat them out (stalled, or computing through a trace
+    /// gap).
     pub quiet_skipped_cycles: u64,
-    /// Cycles crossed by a compute span while the controller stayed quiet.
-    pub quiet_span_cycles: u64,
     /// Cycles crossed by a compute span that overlapped a working
     /// controller (its ticks are counted in `controller_alone_ticks`).
     pub overlapped_span_cycles: u64,
@@ -801,20 +800,20 @@ impl RunReport {
 ///
 /// Drive it either with [`System::run`] / [`System::run_budgeted`] (to
 /// completion, optionally under a [`crate::sweep::RunBudget`]) or
-/// incrementally with [`System::run_until`] /
-/// [`System::advance_to_next_event`], which allow runtime MCR-mode
-/// changes via [`System::reconfigure`] between calls.
+/// incrementally with [`System::run_until`], which allows runtime
+/// MCR-mode changes via [`System::reconfigure`] between calls.
 ///
 /// # Event-wheel core
 ///
-/// Internally the simulator is an event wheel (DESIGN.md §5h): after any
-/// fully *quiet* cycle — the controller reported no observable work and
-/// every live core is stalled — the wheel jumps `mem_now` directly to the
-/// earliest timing edge any component exposes (next command-legal cycle,
-/// refresh deadline, completion delivery, power-down expiry, guardband
-/// re-arm, core retire). While every live core computes through a trace
-/// gap, the controller runs those cycles alone and the cores catch up in
-/// one batch each. Skipped cycles are bulk-accounted so reports and
+/// Internally the simulator is an event wheel (DESIGN.md §5h): after a
+/// cycle where the controller reported no observable work, and while
+/// every live core is stalled or computing through a vouched trace gap,
+/// the wheel jumps `mem_now` directly to the earliest timing edge any
+/// component exposes (next command-legal cycle, refresh deadline,
+/// completion delivery, power-down expiry, guardband re-arm, core
+/// retire, gap end). While every live core computes through a trace gap,
+/// the controller runs those cycles alone and the cores catch up in one
+/// batch each. Skipped cycles are bulk-accounted so reports and
 /// telemetry stay *bit-identical* to cycle-by-cycle execution; the
 /// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
 /// [`System::set_skip_ahead`] can force the dense drive for debugging.
@@ -1066,17 +1065,12 @@ impl System {
 
     /// Simulates exactly one memory cycle (controller tick, completion
     /// dispatch, guardband MRS application, four CPU subcycles) and
-    /// advances `mem_now`. Returns `true` when the cycle was fully
-    /// *quiet*: the controller neither did nor queued observable work and
-    /// every live core sat stalled — the precondition for the event wheel
-    /// to jump ahead.
-    fn advance_cycle(&mut self) -> bool {
+    /// advances `mem_now`.
+    fn advance_cycle(&mut self) {
         self.tick_controller();
         self.cycle_cores();
-        let quiet = !self.controller.had_activity() && self.cores_quiet();
         self.mem_now += 1;
         self.exec.dense_cycles += 1;
-        quiet
     }
 
     /// The controller's half of memory cycle `mem_now`: one tick, each
@@ -1137,144 +1131,66 @@ impl System {
         }
     }
 
-    /// True when every core is either done or parked in a stall the event
-    /// wheel can wake precisely. Two stalls are *not* parked:
+    /// Freezes a quiet controller until its next edge while every live
+    /// core proves it sits the span out, bulk-accounting the skipped
+    /// cycles so the result is bit-identical to stepping through them.
+    /// Runs after a dense cycle whose tick had no activity, when no
+    /// overlapped span applies. A live core may give either of two
+    /// proofs, and the longer one bounds the span:
     ///
-    /// * a core whose ROB head is already retirable (`retire_at` due
-    ///   within the next cycle) — a full ROB then churns retire + refill
-    ///   every cycle without touching the controller, which is work, not
-    ///   a stall;
-    /// * a queue-blocked core when a row cache is armed: retried
-    ///   enqueues route through the cache and mutate its LRU/promotion
-    ///   state even when refused, so those retries must keep executing
-    ///   densely.
-    fn cores_quiet(&self) -> bool {
-        self.cores.iter().all(|c| match c.wait_hint() {
-            CoreWait::Done => true,
-            CoreWait::Active => false,
-            CoreWait::Stalled {
-                retire_at,
-                queue_retry,
-            } => {
-                let retire_due =
-                    retire_at.is_some_and(|t| t / CPU_PER_MEM_CYCLE <= self.mem_now + 1);
-                !(retire_due || queue_retry && self.cache.is_some())
-            }
-        })
-    }
-
-    /// Jumps `mem_now` to the earliest pending timing edge (clamped to
-    /// `until`), bulk-accounting the skipped quiet cycles into controller
-    /// and core counters so the result is bit-identical to stepping
-    /// through them. No edge means no jump: the dense loop keeps walking
-    /// (and the wedge cap eventually flags a true deadlock).
-    fn skip_to_next_edge(&mut self, until: Cycle) {
-        // Edges are computed relative to the cycle just executed; only
-        // strictly-future edges count.
-        let now = self.mem_now - 1;
-        let mut edge = self.controller.next_event(now);
-        for core in &self.cores {
-            if let CoreWait::Stalled {
-                retire_at: Some(t), ..
-            } = core.wait_hint()
-            {
-                // The retire fires inside this memory cycle; simulate it
-                // densely.
-                let mem = t / CPU_PER_MEM_CYCLE;
-                if mem > now {
-                    edge = Some(edge.map_or(mem, |e| e.min(mem)));
+    /// * a trace gap that [`Core::compute_quiet_cycles`] vouches for: the
+    ///   core cannot touch the memory system, so it executes the span in
+    ///   one [`Core::advance_compute`] (the real fetch/retire logic, so ROB
+    ///   churn and stall counters replay bit-identically);
+    /// * a [`CoreWait::Stalled`] fetch stage, up to the memory cycle its
+    ///   ROB head retires in (which executes densely), with no bound while
+    ///   the head waits on DRAM; a completion is a controller edge. A
+    ///   queue retry while a row cache is armed is no proof: the retried
+    ///   enqueue routes through the cache and mutates its LRU/promotion
+    ///   state even when refused.
+    ///
+    /// A core with neither proof, or no edge at all (the wedge cap then
+    /// flags a true deadlock), means no jump. The span also ends at every
+    /// controller edge, read completions included, so no `complete_read`
+    /// lands inside it.
+    fn skip_frozen_span(&mut self, until: Cycle) {
+        // Edges are computed relative to the cycle just executed.
+        let mut edge = self.controller.next_event(self.mem_now - 1);
+        let mut fold = |end: Cycle| edge = Some(edge.map_or(end, |e| e.min(end)));
+        for core in self.cores.iter().filter(|c| !c.done()) {
+            let gap_end = self.mem_now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
+            let retire_at = match core.wait_hint() {
+                CoreWait::Stalled {
+                    retire_at,
+                    queue_retry,
+                } if !(queue_retry && self.cache.is_some()) => retire_at,
+                _ if gap_end > self.mem_now => {
+                    fold(gap_end);
+                    continue;
                 }
+                _ => return,
+            };
+            if let Some(t) = retire_at {
+                fold((t / CPU_PER_MEM_CYCLE).max(gap_end));
             }
         }
         let Some(edge) = edge else { return };
         let target = edge.max(self.mem_now).min(until);
-        let skipped = target.saturating_sub(self.mem_now);
-        if skipped == 0 {
-            return;
-        }
-        self.controller.note_skipped_cycles(skipped);
-        for core in &mut self.cores {
-            core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);
-        }
-        self.mem_now = target;
-        self.exec.quiet_skipped_cycles += skipped;
-    }
-
-    /// The compute-span counterpart of [`System::skip_to_next_edge`]: the
-    /// controller just had a fully quiet cycle but at least one core is
-    /// busy fetching through a trace gap. Over the span each gap-fetching
-    /// core vouches for ([`cpu_model::Core::compute_quiet_cycles`]) no
-    /// core can touch the memory system, so the controller is frozen and
-    /// bulk-replayed exactly as in a stalled skip while every busy core
-    /// executes its own cycles in a tight batch
-    /// ([`cpu_model::Core::advance_compute`] — the real per-cycle
-    /// fetch/retire logic, so ROB churn and stall counters replay
-    /// bit-identically). The span is clamped at every controller edge
-    /// (read completions included, so no `complete_read` can land inside
-    /// it) and at every stalled core's retire edge. With every live core
-    /// in a gap, [`System::overlap_compute_span`] runs first, so this path
-    /// serves the runs where other cores are stalled alongside.
-    fn skip_compute_span(&mut self, until: Cycle) {
-        let now = self.mem_now - 1;
-        let mut span_cpu = Cycle::MAX;
-        let mut any_compute = false;
-        for core in &self.cores {
-            let safe = core.compute_quiet_cycles();
-            if safe > 0 {
-                any_compute = true;
-                span_cpu = span_cpu.min(safe);
-                continue;
-            }
-            match core.wait_hint() {
-                CoreWait::Done => {}
-                CoreWait::Active => return,
-                CoreWait::Stalled { queue_retry, .. } => {
-                    // Same exclusion as `cores_quiet`: cache-routed
-                    // enqueue retries must keep executing densely. The
-                    // retire edge is folded in below.
-                    if queue_retry && self.cache.is_some() {
-                        return;
-                    }
-                }
-            }
-        }
-        let span_mem = span_cpu / CPU_PER_MEM_CYCLE;
-        if !any_compute || span_mem == 0 {
-            return;
-        }
-        let mut target = self.mem_now.saturating_add(span_mem).min(until);
-        if let Some(e) = self.controller.next_event(now) {
-            target = target.min(e);
-        }
-        for core in &self.cores {
-            if core.compute_quiet_cycles() > 0 {
-                continue;
-            }
-            if let CoreWait::Stalled {
-                retire_at: Some(t), ..
-            } = core.wait_hint()
-            {
-                // The retire cycle itself must execute densely (the core
-                // resumes fetching there); a due retire collapses the
-                // span to nothing.
-                target = target.min(t / CPU_PER_MEM_CYCLE);
-            }
-        }
-        let skipped = target.saturating_sub(self.mem_now);
+        let skipped = target - self.mem_now;
         if skipped == 0 {
             return;
         }
         self.controller.note_skipped_cycles(skipped);
         let start_cpu = self.mem_now * CPU_PER_MEM_CYCLE;
         for core in &mut self.cores {
-            if core.compute_quiet_cycles() > 0 {
+            if core.compute_quiet_cycles() >= skipped * CPU_PER_MEM_CYCLE {
                 core.advance_compute(start_cpu, skipped * CPU_PER_MEM_CYCLE);
             } else {
                 core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);
             }
         }
         self.mem_now = target;
-        self.exec.quiet_span_cycles += skipped;
+        self.exec.quiet_skipped_cycles += skipped;
     }
 
     /// The compute span that overlaps a busy controller. When every live
@@ -1351,38 +1267,18 @@ impl System {
             if self.done() {
                 return true;
             }
-            let quiet = self.advance_cycle();
+            self.advance_cycle();
             // Never skip once the run is finished: `now` must land on the
             // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead && !self.done() && !self.overlap_compute_span(target) {
-                if quiet {
-                    self.skip_to_next_edge(target);
-                } else if !self.controller.had_activity() {
-                    self.skip_compute_span(target);
-                }
+            if self.skip_ahead
+                && !self.done()
+                && !self.overlap_compute_span(target)
+                && !self.controller.had_activity()
+            {
+                self.skip_frozen_span(target);
             }
         }
         self.done()
-    }
-
-    /// Advances until at least one non-quiet memory cycle has executed
-    /// (some component did observable work), or the run finishes.
-    /// Returns `true` when done. The event-wheel analogue of the old
-    /// fixed-chunk `step` polling loop: each call lands just past the
-    /// next interesting edge instead of a hundred thousand cycles later.
-    pub fn advance_to_next_event(&mut self) -> bool {
-        loop {
-            if self.done() {
-                return true;
-            }
-            let quiet = self.advance_cycle();
-            if !quiet || self.done() {
-                return self.done();
-            }
-            if self.skip_ahead {
-                self.skip_to_next_edge(Cycle::MAX);
-            }
-        }
     }
 
     /// Applies ladder moves the guardband monitor decided during the last

@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod audit;
 pub mod config_check;
@@ -63,7 +64,7 @@ pub struct Diagnostic {
     /// Severity.
     pub level: Level,
     /// Stable rule identifier, `pass/rule` (e.g. `timing/tras-window`,
-    /// `src/no-unwrap`).
+    /// `src/truncating-cast`).
     pub code: &'static str,
     /// Human-readable description of the specific violation.
     pub message: String,

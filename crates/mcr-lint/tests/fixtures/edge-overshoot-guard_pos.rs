@@ -4,5 +4,6 @@
 fn wake_target(ctl: &Controller, now: u64, until: u64) -> u64 {
     let wake = ctl.next_event(now).unwrap_or(u64::MAX);
     let refresh_due = ctl.next_due(0).map_or(Cycle::MAX, |c| c + 1);
-    wake.min(refresh_due).min(until)
+    let retire = ctl.head.retire_at.map_or(Cycle::MAX, |t| t / 4);
+    wake.min(refresh_due).min(retire).min(until)
 }

@@ -4,15 +4,14 @@
 //! without fixtures fails the completeness test at the bottom.
 
 use mcr_lint::srclint::{
-    self, RULE_BACKEND_TIMING_LEAK, RULE_EDGE_OVERSHOOT, RULE_NO_UNWRAP, RULE_PANICKING_WORKER,
+    self, RULE_BACKEND_TIMING_LEAK, RULE_EDGE_OVERSHOOT, RULE_PANICKING_WORKER,
     RULE_TRUNCATING_CAST, RULE_UNBOUNDED_NET_READ,
 };
 use std::path::PathBuf;
 
 /// Every rule, with the short fixture stem and the path label the rule
 /// cares about (the sweep rule only fires in `sweep.rs`).
-const RULES: [(&str, &str, &str); 6] = [
-    (RULE_NO_UNWRAP, "no-unwrap", "crates/demo/src/lib.rs"),
+const RULES: [(&str, &str, &str); 5] = [
     (
         RULE_TRUNCATING_CAST,
         "truncating-cast",
@@ -91,7 +90,6 @@ fn every_rule_constant_has_fixtures() {
     // rule constants live in one module, and this list must track them.
     let covered: Vec<&str> = RULES.iter().map(|(code, _, _)| *code).collect();
     for code in [
-        RULE_NO_UNWRAP,
         RULE_TRUNCATING_CAST,
         RULE_PANICKING_WORKER,
         RULE_EDGE_OVERSHOOT,

@@ -27,20 +27,21 @@ fn real_workspace_is_lint_clean() {
 
 #[test]
 fn seeded_violation_fails_the_walk() {
-    // Fabricate a one-crate workspace with an unwrap in library code and
-    // check the walk (the same entry point `make check` uses) flags it.
+    // Fabricate a one-crate workspace with a narrowing cast in library
+    // timing code and check the walk (the same entry point `make check`
+    // uses) flags it.
     let root = std::env::temp_dir().join(format!("mcr-lint-seed-{}", std::process::id()));
     let src = root.join("crates").join("seeded").join("src");
     std::fs::create_dir_all(&src).expect("mkdir");
     std::fs::write(
         src.join("lib.rs"),
-        "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "pub fn f(t_rcd: u64) -> u16 {\n    t_rcd as u16\n}\n",
     )
     .expect("write seed");
     let diags = lint_workspace(&root).expect("walk");
     std::fs::remove_dir_all(&root).ok();
     assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, "src/no-unwrap");
+    assert_eq!(diags[0].code, "src/truncating-cast");
     assert!(
         diags[0].location.ends_with("lib.rs:2"),
         "{}",
@@ -72,13 +73,13 @@ fn service_crates_are_inside_the_lint_walk() {
         std::fs::create_dir_all(src.join("bin")).expect("mkdir");
         std::fs::write(
             src.join("lib.rs"),
-            "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+            "pub fn f(t_rcd: u64) -> u16 {\n    t_rcd as u16\n}\n",
         )
         .expect("write seed");
         // Binary entry points stay exempt even in the new crates.
         std::fs::write(
             src.join("bin").join("mcr_sim.rs"),
-            "fn main() {\n    None::<u32>.unwrap();\n}\n",
+            "fn main() {\n    let _ = t_rcd as u16;\n}\n",
         )
         .expect("write bin seed");
     }
@@ -89,7 +90,7 @@ fn service_crates_are_inside_the_lint_walk() {
         assert!(
             diags
                 .iter()
-                .any(|d| d.code == "src/no-unwrap" && d.location.contains(krate)),
+                .any(|d| d.code == "src/truncating-cast" && d.location.contains(krate)),
             "walk must reach {krate}: {diags:?}"
         );
     }

@@ -173,7 +173,6 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
         exec: mcr_dram::RunExecStats {
             dense_cycles: ru(rng),
             quiet_skipped_cycles: ru(rng),
-            quiet_span_cycles: ru(rng),
             overlapped_span_cycles: ru(rng),
             controller_alone_ticks: ru(rng),
         },

@@ -43,7 +43,7 @@ fn assert_identical(label: &str, cfg: &SystemConfig) -> RunReport {
     assert_eq!(e.controller_alone_ticks, 0, "{label}: dense exec");
     let e = wheel.exec;
     assert_eq!(
-        e.dense_cycles + e.quiet_skipped_cycles + e.quiet_span_cycles + e.overlapped_span_cycles,
+        e.dense_cycles + e.quiet_skipped_cycles + e.overlapped_span_cycles,
         wheel.total_mem_cycles,
         "{label}: wheel exec {e:?}"
     );
@@ -227,4 +227,28 @@ fn quad_core_powerdown_is_wheel_identical() {
         );
         assert_overlapped(&label, &wheel);
     }
+}
+
+#[test]
+fn queue_full_row_cache_is_wheel_identical() {
+    // Eight cores keep the read queue full, so fetch stages park on
+    // refused enqueues. With a row cache armed, every retry routes
+    // through the cache and moves its LRU and promotion state even when
+    // refused: a queue retry is then no proof that the core sits a frozen
+    // span out. A wheel that accepted it diverged here.
+    let libq = *trace_gen::workload("libq").expect("built-in workload");
+    let cfg = SystemConfig {
+        workloads: vec![libq; 8],
+        ..SystemConfig::single_core("libq", 2_000)
+    }
+    .with_mode(McrMode::new(4, 4, 0.5).expect("valid Table 1 mode"))
+    .with_row_cache(RowCacheConfig {
+        promote_threshold: 4,
+    });
+    let wheel = assert_identical("queue-full row cache", &cfg);
+    assert!(
+        wheel.exec.quiet_skipped_cycles > 0,
+        "no frozen span: {:?}",
+        wheel.exec
+    );
 }
