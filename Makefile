@@ -3,7 +3,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare bench-smoke bench bench-wallclock bless-bench clean
+.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
@@ -101,14 +101,13 @@ compare:
 		compare --workload libq --len 4000 \
 		--backends baseline,mcr,tldram,clrdram
 
-# Quick pass over the figure benches at reduced trace lengths — shape
-# checks, not statistics (a few seconds instead of minutes).
-bench-smoke:
-	MCR_BENCH_LEN=6000 MCR_BENCH_LEN_MULTI=1500 $(CARGO) bench $(OFFLINE) -q \
-		--bench fig9_refresh_skip \
-		--bench fig11_single_ratio \
-		--bench fig14_multi_ratio \
-		--bench fig17_mechanisms
+# The paper-claims ledger (crates/bench/src/claims.rs) at FULL scale:
+# every row over five seeds, through a disk store in target/claims-store
+# so a rerun simulates nothing new. Prints min/median/max per row,
+# rewrites EXPERIMENTS.md's generated tables, and fails when a row holds
+# at fewer seeds than its stated share. (`make test` runs the CHECK rows.)
+claims:
+	$(CARGO) bench $(OFFLINE) -q --bench claims
 
 bench:
 	$(CARGO) bench $(OFFLINE) --workspace

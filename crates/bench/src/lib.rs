@@ -1,145 +1,27 @@
 //! # mcr-bench
 //!
-//! Shared harness for the benches that regenerate every table and figure
-//! of the MCR-DRAM paper's evaluation. Each bench is a `harness = false`
-//! binary that prints a paper-style table (paper value next to measured
-//! value where the paper reports one) and its own wall-clock time.
+//! The paper's evaluation as one checked ledger, and the simulator's own
+//! wall clock.
 //!
-//! Scale knobs (environment variables):
-//!
-//! * `MCR_BENCH_LEN` — memory operations per single-core trace
-//!   (default 60 000).
-//! * `MCR_BENCH_LEN_MULTI` — memory operations per core in quad-core runs
-//!   (default 20 000).
-//! * `MCR_BENCH_CSV_DIR` — when set, benches additionally dump their
-//!   result tables as CSV files (and sweep results as JSON) into this
-//!   directory.
-//! * `MCR_BENCH_JOBS` — worker threads for the sweep engine (default:
-//!   one per core via `std::thread::available_parallelism`).
-//!
-//! Increase them for tighter statistics; results are deterministic at any
-//! scale and for any `MCR_BENCH_JOBS` value.
-//!
-//! The `wallclock` bench times the simulator itself rather than a paper
-//! figure. Its results are a [`Metrics`] file, `BENCH_wallclock.json`,
-//! and [`gate`] checks them against the committed `BENCH_baseline.json`.
+//! * [`claims`] holds one row per claim of the paper's Table 3, Figs.
+//!   8–18, headline, ablations and known deltas. `make claims` runs
+//!   every row at [`claims::FULL`] scale through a disk store under
+//!   `target/`, prints min / median / max per row, rewrites
+//!   EXPERIMENTS.md's generated tables and fails on any row below its
+//!   stated share of seeds. `cargo test` runs the [`claims::CHECK`]
+//!   rows.
+//! * The `wallclock` bench times the simulator. Its results are a
+//!   [`Metrics`] file, `BENCH_wallclock.json`, and [`gate`] checks them
+//!   against the committed `BENCH_baseline.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use mcr_dram::{registered_backends, ResultTable, SweepBuilder, SweepResults};
+pub mod claims;
+
+use mcr_dram::registered_backends;
 use sim_json::Json;
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// Memory operations per single-core trace.
-pub fn single_len() -> usize {
-    std::env::var("MCR_BENCH_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60_000)
-}
-
-/// Memory operations per core in multi-core runs.
-pub fn multi_len() -> usize {
-    std::env::var("MCR_BENCH_LEN_MULTI")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000)
-}
-
-/// Applies the `MCR_BENCH_JOBS` worker-thread override to a
-/// [`SweepBuilder`] when it is set (unset: one worker per core).
-pub fn with_bench_jobs(builder: SweepBuilder) -> SweepBuilder {
-    match std::env::var("MCR_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(jobs) => builder.jobs(jobs),
-        None => builder,
-    }
-}
-
-/// Prints one line of sweep-engine bookkeeping (points, workers, cache
-/// hits, wall time) so every bench reports how it was obtained.
-pub fn sweep_stats(results: &SweepResults) {
-    println!(
-        "[sweep] {} points, {} workers, {} cache hits, wall {:.1?}",
-        results.points.len(),
-        results.jobs,
-        results.cache_hits(),
-        results.wall
-    );
-}
-
-/// Prints a bench header.
-pub fn header(id: &str, what: &str) {
-    println!();
-    println!("================================================================");
-    println!("{id}: {what}");
-    println!("================================================================");
-}
-
-/// Prints one row of a two-column-group table.
-pub fn row(label: &str, cols: &[(String, f64)]) {
-    print!("{label:<14}");
-    for (name, v) in cols {
-        print!(" {name}={v:>7.2}");
-    }
-    println!();
-}
-
-/// Runs `f`, then prints elapsed wall-clock time for the whole bench.
-pub fn timed(id: &str, f: impl FnOnce()) {
-    let t = Instant::now();
-    f();
-    println!("[{id}] completed in {:.1?}", t.elapsed());
-}
-
-/// Formats a measured-vs-paper pair.
-pub fn vs(measured: f64, paper: f64) -> String {
-    format!("{measured:6.2} (paper {paper:5.2})")
-}
-
-/// Writes `table` as `<name>.csv` into `$MCR_BENCH_CSV_DIR` when that
-/// variable is set; silently does nothing otherwise. I/O errors are
-/// reported to stderr but never fail the bench.
-pub fn csv_out(name: &str, table: &ResultTable) {
-    let Some(dir) = std::env::var_os("MCR_BENCH_CSV_DIR") else {
-        return;
-    };
-    let path = PathBuf::from(dir).join(format!("{name}.csv"));
-    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-        eprintln!("csv_out: failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
-}
-
-/// Writes `results` as `<name>.json` into `$MCR_BENCH_CSV_DIR` when that
-/// variable is set; silently does nothing otherwise. I/O errors are
-/// reported to stderr but never fail the bench.
-pub fn json_out(name: &str, results: &SweepResults) {
-    let Some(dir) = std::env::var_os("MCR_BENCH_CSV_DIR") else {
-        return;
-    };
-    let path = PathBuf::from(dir).join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, results.to_json()) {
-        eprintln!("json_out: failed to write {}: {e}", path.display());
-    } else {
-        println!("wrote {}", path.display());
-    }
-}
-
-/// Arithmetic mean.
-pub fn avg(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
 
 /// A `core.*.speedup` (wheel over dense) may drop to this fraction of
 /// its committed baseline before [`gate`] fails: a >15% regression.
@@ -266,19 +148,6 @@ pub fn gate(current: &Metrics, baseline: &Metrics) -> Result<(), Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_without_env() {
-        // Env vars are unset in CI; defaults apply.
-        assert!(single_len() >= 1000);
-        assert!(multi_len() >= 1000);
-    }
-
-    #[test]
-    fn avg_handles_empty() {
-        assert_eq!(avg(&[]), 0.0);
-        assert_eq!(avg(&[2.0, 4.0]), 3.0);
-    }
 
     /// A current run sitting exactly on every floor of [`gate`], and
     /// its baseline.

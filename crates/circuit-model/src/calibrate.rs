@@ -47,8 +47,8 @@ fn ras_error(s: &TimingSolver) -> f64 {
 /// `seed`.
 ///
 /// Deterministic and fast (a few hundred thousand evaluations of a pair of
-/// closed-form expressions); used by the `table3_timing` bench and by the
-/// crate's own regression test.
+/// closed-form expressions); used by the claims ledger's `table3.*` rows
+/// and by the crate's own regression test.
 pub fn calibrate(seed: CircuitParams) -> FitReport {
     // --- sensing: 2-D grid over (tau, overhead) ---
     let mut best = seed;

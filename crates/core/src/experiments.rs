@@ -1,27 +1,13 @@
-//! Reusable experiment runners for the paper's evaluation figures.
+//! Reductions against a baseline, and a one-point runner.
 //!
-//! Each bench in `crates/bench/benches` composes these helpers into the
-//! sweep the corresponding figure reports. Keeping the runners here (and
-//! unit-testing them at small scale) lets integration tests assert the
-//! qualitative shapes without duplicating harness code.
+//! The paper-claims ledger (`mcr_bench::claims`) reduces each figure's
+//! runs to [`Outcome`]s and their [`mean`]; tests and examples use
+//! [`run_single`] for one configuration.
 
 use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
 use crate::sweep::SweepBuilder;
 use crate::system::{ConfigError, RunReport, SystemConfig};
-use trace_gen::Mix;
-
-/// Runs one labelled config through a single-point sweep — every runner
-/// below funnels through the [`crate::sweep`] engine so config validation
-/// and memoization behave identically everywhere.
-fn run_one(label: &str, cfg: SystemConfig) -> Result<RunReport, ConfigError> {
-    let trace_len = cfg.trace_len;
-    let sweep = SweepBuilder::new(trace_len)
-        .point(label, cfg)
-        .jobs(1)
-        .build()?;
-    Ok(sweep.run().points.remove(0).report)
-}
 
 /// Percentage reduction of `new` relative to `base` (positive = better).
 ///
@@ -74,44 +60,6 @@ pub fn mean(outcomes: &[Outcome], f: impl Fn(&Outcome) -> f64) -> f64 {
     outcomes.iter().map(f).sum::<f64>() / outcomes.len() as f64
 }
 
-/// Weighted speedup of `new` over `base`: `Σ_i T_base,i / T_new,i` over
-/// cores — the standard multi-programmed throughput metric. Equals the
-/// core count when nothing changed; larger is better.
-///
-/// # Panics
-///
-/// Panics if the two reports have different core counts.
-pub fn weighted_speedup(base: &RunReport, new: &RunReport) -> f64 {
-    assert_eq!(
-        base.per_core_cpu_cycles.len(),
-        new.per_core_cpu_cycles.len(),
-        "core counts differ"
-    );
-    base.per_core_cpu_cycles
-        .iter()
-        .zip(&new.per_core_cpu_cycles)
-        .map(|(&b, &n)| b as f64 / n.max(1) as f64)
-        .sum()
-}
-
-/// Fairness of a multi-core run: min over cores of per-core speedup
-/// divided by max (1.0 = perfectly uniform benefit).
-pub fn fairness(base: &RunReport, new: &RunReport) -> f64 {
-    let speedups: Vec<f64> = base
-        .per_core_cpu_cycles
-        .iter()
-        .zip(&new.per_core_cpu_cycles)
-        .map(|(&b, &n)| b as f64 / n.max(1) as f64)
-        .collect();
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = speedups.iter().copied().fold(0.0f64, f64::max);
-    if max == 0.0 {
-        0.0
-    } else {
-        min / max
-    }
-}
-
 /// Runs one single-core configuration.
 ///
 /// # Errors
@@ -129,146 +77,17 @@ pub fn run_single(
         .with_mode(mode)
         .with_mechanisms(mechanisms)
         .with_alloc_ratio(alloc_ratio);
-    run_one(name, cfg)
-}
-
-/// Runs one quad-core configuration.
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`] of the composed configuration.
-pub fn run_multi(
-    mix: &Mix,
-    mode: McrMode,
-    mechanisms: Mechanisms,
-    alloc_ratio: f64,
-    trace_len: usize,
-) -> Result<RunReport, ConfigError> {
-    let cfg = SystemConfig::multi_core_mix(mix, trace_len)
-        .with_mode(mode)
-        .with_mechanisms(mechanisms)
-        .with_alloc_ratio(alloc_ratio);
-    run_one(mix.name, cfg)
-}
-
-/// Single-core baseline (conventional DRAM) for a workload.
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`] of the composed configuration.
-pub fn baseline_single(name: &str, trace_len: usize) -> Result<RunReport, ConfigError> {
-    run_single(name, McrMode::off(), Mechanisms::none(), 0.0, trace_len)
-}
-
-/// Quad-core baseline for a mix.
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`] of the composed configuration.
-pub fn baseline_multi(mix: &Mix, trace_len: usize) -> Result<RunReport, ConfigError> {
-    run_multi(mix, McrMode::off(), Mechanisms::none(), 0.0, trace_len)
-}
-
-/// Summary of a metric over several seeds: mean plus min/max spread.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedSpread {
-    /// Mean over seeds.
-    pub mean: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl SeedSpread {
-    fn of(xs: &[f64]) -> Self {
-        let mean = xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-        SeedSpread {
-            mean,
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-
-    /// Half-width of the observed range (a cheap error bar).
-    pub fn half_range(&self) -> f64 {
-        (self.max - self.min) / 2.0
-    }
-}
-
-/// Runs one single-core configuration under several seeds and reports the
-/// spread of the execution-time reduction — the error bar for any claim a
-/// bench makes. Deterministic per seed.
-pub fn seed_sweep_single(
-    name: &str,
-    mode: McrMode,
-    mechanisms: Mechanisms,
-    alloc_ratio: f64,
-    trace_len: usize,
-    seeds: &[u64],
-) -> Result<SeedSpread, ConfigError> {
-    // One sweep, two points (baseline, MCR) per seed: the engine
-    // parallelizes across seeds and memoizes repeats.
-    let mut builder = SweepBuilder::new(trace_len);
-    for &seed in seeds {
-        let base = SystemConfig::single_core(name, trace_len).with_seed(seed);
-        let mcr = SystemConfig::single_core(name, trace_len)
-            .with_mode(mode)
-            .with_mechanisms(mechanisms)
-            .with_alloc_ratio(alloc_ratio)
-            .with_seed(seed);
-        builder = builder
-            .point(format!("{name} base s={seed}"), base)
-            .point(format!("{name} mcr s={seed}"), mcr);
-    }
-    let results = builder.build()?.run();
-    let reductions: Vec<f64> = results
-        .points
-        .chunks(2)
-        .map(|pair| {
-            reduction_pct(
-                pair[0].report.exec_cpu_cycles as f64,
-                pair[1].report.exec_cpu_cycles as f64,
-            )
-        })
-        .collect();
-    Ok(SeedSpread::of(&reductions))
-}
-
-/// The MCR-ratio sweep of Fig. 11/14: mode `[M/Kx]` with the region knob
-/// standing in for the "MCR to total row ratio"; Early-Access and
-/// Early-Precharge only, no allocation (the paper's setup for this
-/// figure).
-pub fn ratio_point(
-    name: &str,
-    m: u32,
-    k: u32,
-    ratio: f64,
-    trace_len: usize,
-) -> Result<(RunReport, RunReport), ConfigError> {
-    let mode = McrMode::new(m, k, ratio)?;
-    let mut results = SweepBuilder::new(trace_len)
-        .point(
-            format!("{name} baseline"),
-            SystemConfig::single_core(name, trace_len).with_mechanisms(Mechanisms::none()),
-        )
-        .point(
-            format!("{name} {mode}"),
-            SystemConfig::single_core(name, trace_len)
-                .with_mode(mode)
-                .with_mechanisms(Mechanisms::access_only()),
-        )
-        .build()?
-        .run();
-    let mcr = results.points.remove(1).report;
-    let base = results.points.remove(0).report;
-    Ok((base, mcr))
+    // A one-point sweep, so validation is the same as for every grid.
+    let sweep = SweepBuilder::new(trace_len)
+        .point(name, cfg)
+        .jobs(1)
+        .build()?;
+    Ok(sweep.run().points.remove(0).report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_gen::multi_programmed_mixes;
 
     const LEN: usize = 5_000;
 
@@ -283,9 +102,18 @@ mod tests {
         assert!(reduction_pct(100.0, 110.0) < 0.0);
     }
 
+    /// Baseline and `[M/Kx]` at ratio 1.0 with Early-Access and
+    /// Early-Precharge only (the Fig. 11 setup).
+    fn full_region(name: &str, m: u32, k: u32) -> (RunReport, RunReport) {
+        let base = run_single(name, McrMode::off(), Mechanisms::none(), 0.0, LEN).unwrap();
+        let mode = McrMode::new(m, k, 1.0).unwrap();
+        let mcr = run_single(name, mode, Mechanisms::access_only(), 0.0, LEN).unwrap();
+        (base, mcr)
+    }
+
     #[test]
     fn ratio_point_improves_latency_at_full_region() {
-        let (base, mcr) = ratio_point("libq", 4, 4, 1.0, LEN).unwrap();
+        let (base, mcr) = full_region("libq", 4, 4);
         let o = Outcome::versus("libq", &base, &mcr);
         assert!(
             o.latency_reduction > 0.0,
@@ -297,8 +125,8 @@ mod tests {
     #[test]
     fn higher_k_does_not_lose_to_lower_k_at_same_ratio() {
         // Paper Fig. 11: mode [4/4x] beats [2/2x] at equal MCR ratio.
-        let (base, m22) = ratio_point("leslie", 2, 2, 1.0, LEN).unwrap();
-        let (_, m44) = ratio_point("leslie", 4, 4, 1.0, LEN).unwrap();
+        let (base, m22) = full_region("leslie", 2, 2);
+        let (_, m44) = full_region("leslie", 4, 4);
         let o22 = Outcome::versus("2/2x", &base, &m22);
         let o44 = Outcome::versus("4/4x", &base, &m44);
         assert!(
@@ -307,53 +135,6 @@ mod tests {
             o44.latency_reduction,
             o22.latency_reduction
         );
-    }
-
-    #[test]
-    fn multi_core_runner_works() {
-        let mix = &multi_programmed_mixes(2015)[0];
-        let base = baseline_multi(mix, 800).unwrap();
-        let mcr = run_multi(mix, McrMode::headline(), Mechanisms::all(), 0.0, 800).unwrap();
-        let o = Outcome::versus(mix.name, &base, &mcr);
-        // Smoke: metrics exist; shape assertions live in the benches where
-        // trace lengths are realistic.
-        assert!(o.exec_reduction.abs() < 100.0);
-    }
-
-    #[test]
-    fn seed_sweep_reports_tight_spread_for_real_effects() {
-        let spread = seed_sweep_single(
-            "libq",
-            McrMode::headline(),
-            Mechanisms::all(),
-            0.0,
-            6_000,
-            &[1, 2, 3],
-        )
-        .unwrap();
-        assert!(spread.mean > 0.0, "MCR effect must survive seed changes");
-        assert!(spread.min <= spread.mean && spread.mean <= spread.max);
-        assert!(
-            spread.half_range() < spread.mean,
-            "effect ({:.2}%) should exceed seed noise (+/-{:.2}%)",
-            spread.mean,
-            spread.half_range()
-        );
-    }
-
-    #[test]
-    fn weighted_speedup_and_fairness() {
-        let mix = &multi_programmed_mixes(2015)[0];
-        let base = baseline_multi(mix, 1_200).unwrap();
-        let mcr = run_multi(mix, McrMode::headline(), Mechanisms::all(), 0.0, 1_200).unwrap();
-        let ws = weighted_speedup(&base, &mcr);
-        // 4 cores, all at least slightly faster: 4.0 <= ws < 8.
-        assert!((3.9..8.0).contains(&ws), "weighted speedup {ws}");
-        let f = fairness(&base, &mcr);
-        assert!(f > 0.5 && f <= 1.0, "fairness {f}");
-        // Identity check.
-        assert!((weighted_speedup(&base, &base) - 4.0).abs() < 1e-12);
-        assert!((fairness(&base, &base) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Structured rendering of experiment results (text tables and CSV).
-//!
-//! The figure benches print human-readable tables; this module gives
-//! downstream tooling a machine-readable path: collect [`Outcome`]s into a
-//! [`ResultTable`] and render it as CSV or an aligned text table, or
-//! export a run's [`Telemetry`] section as JSON / CSV
-//! ([`telemetry_to_json`], [`telemetry_to_csv`]).
+//! Machine-readable exports of a run's [`Telemetry`] section
+//! ([`telemetry_to_json`], [`telemetry_to_csv`]), and the CSV quoting
+//! the compare table shares.
 
-use crate::experiments::Outcome;
 use crate::telemetry::Telemetry;
 use mcr_telemetry::LatencyHistogram;
 use std::fmt::Write as _;
@@ -17,102 +12,6 @@ pub(crate) fn csv_field(s: &str) -> String {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
-    }
-}
-
-/// A labelled collection of experiment outcomes (rows) under named
-/// configurations (columns hold the three standard reductions).
-#[derive(Debug, Clone, Default)]
-pub struct ResultTable {
-    title: String,
-    rows: Vec<Outcome>,
-}
-
-impl ResultTable {
-    /// An empty table with a title.
-    pub fn new(title: impl Into<String>) -> Self {
-        ResultTable {
-            title: title.into(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one outcome row.
-    pub fn push(&mut self, outcome: Outcome) {
-        self.rows.push(outcome);
-    }
-
-    /// The collected rows.
-    pub fn rows(&self) -> &[Outcome] {
-        &self.rows
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// Renders as CSV with a header row. Labels containing commas or
-    /// quotes are quoted per RFC 4180.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("label,exec_reduction_pct,latency_reduction_pct,edp_reduction_pct\n");
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{},{:.4},{:.4},{:.4}",
-                csv_field(&r.label),
-                r.exec_reduction,
-                r.latency_reduction,
-                r.edp_reduction
-            );
-        }
-        out
-    }
-
-    /// Renders as an aligned text table (what the benches print).
-    pub fn to_text(&self) -> String {
-        let width = self
-            .rows
-            .iter()
-            .map(|r| r.label.len())
-            .max()
-            .unwrap_or(5)
-            .max(5);
-        let mut out = format!(
-            "{}\n{:<width$} {:>10} {:>10} {:>10}\n",
-            self.title, "label", "exec%", "lat%", "edp%"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<width$} {:>10.2} {:>10.2} {:>10.2}",
-                r.label, r.exec_reduction, r.latency_reduction, r.edp_reduction
-            );
-        }
-        out
-    }
-
-    /// Column means `(exec, latency, edp)`, or `None` for an empty table.
-    ///
-    /// An empty table has no mean; the old `(0.0, 0.0, 0.0)` sentinel was
-    /// indistinguishable from a genuine zero-reduction result.
-    pub fn means(&self) -> Option<(f64, f64, f64)> {
-        if self.rows.is_empty() {
-            return None;
-        }
-        let n = self.rows.len() as f64;
-        Some((
-            self.rows.iter().map(|r| r.exec_reduction).sum::<f64>() / n,
-            self.rows.iter().map(|r| r.latency_reduction).sum::<f64>() / n,
-            self.rows.iter().map(|r| r.edp_reduction).sum::<f64>() / n,
-        ))
-    }
-}
-
-impl Extend<Outcome> for ResultTable {
-    fn extend<T: IntoIterator<Item = Outcome>>(&mut self, iter: T) {
-        self.rows.extend(iter);
     }
 }
 
@@ -297,48 +196,11 @@ pub fn telemetry_to_csv(t: &Telemetry) -> String {
 mod tests {
     use super::*;
 
-    fn outcome(label: &str, e: f64) -> Outcome {
-        Outcome {
-            label: label.into(),
-            exec_reduction: e,
-            latency_reduction: e * 1.5,
-            edp_reduction: e * 2.0,
-        }
-    }
-
     #[test]
     fn csv_roundtrips_structure() {
-        let mut t = ResultTable::new("fig11");
-        t.push(outcome("libq", 8.0));
-        t.push(outcome("weird,label", 1.0));
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("label,exec"));
-        assert!(lines[1].starts_with("libq,8.0000"));
-        assert!(lines[2].starts_with("\"weird,label\""));
-    }
-
-    #[test]
-    fn text_table_aligns_and_means_compute() {
-        let mut t = ResultTable::new("demo");
-        t.extend([outcome("a", 10.0), outcome("bbbb", 20.0)]);
-        let text = t.to_text();
-        assert!(text.contains("demo"));
-        assert!(text.contains("bbbb"));
-        let Some((e, l, d)) = t.means() else {
-            panic!("non-empty table must have means")
-        };
-        assert_eq!(e, 15.0);
-        assert_eq!(l, 22.5);
-        assert_eq!(d, 30.0);
-    }
-
-    #[test]
-    fn empty_table_is_sane() {
-        let t = ResultTable::new("empty");
-        assert_eq!(t.means(), None, "empty table has no mean");
-        assert_eq!(t.to_csv().lines().count(), 1);
+        assert_eq!(csv_field("libq"), "libq");
+        assert_eq!(csv_field("weird,label"), "\"weird,label\"");
+        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]

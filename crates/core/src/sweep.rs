@@ -345,25 +345,6 @@ impl SweepBuilder {
         self
     }
 
-    /// Adds the cross product of `(M, K)` pairs and region fractions to
-    /// the mode axis — the shape of the Fig. 11/14 ratio sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `(M, K, fraction)` combination violates Table 1.
-    pub fn mode_grid(mut self, mks: &[(u32, u32)], fractions: &[f64]) -> Self {
-        for &(m, k) in mks {
-            for &frac in fractions {
-                let mode = match McrMode::new(m, k, frac) {
-                    Ok(mode) => mode,
-                    Err(e) => panic!("invalid Table 1 mode [{m}/{k}x/{frac}]: {e}"),
-                };
-                self.modes.push(mode);
-            }
-        }
-        self
-    }
-
     /// Adds one mechanism set to the mechanism axis (the Fig. 17
     /// ablation).
     pub fn mechanisms(mut self, mechanisms: Mechanisms) -> Self {
@@ -405,7 +386,8 @@ impl SweepBuilder {
     }
 
     /// Appends one fully explicit point after the grid (escape hatch for
-    /// irregular sweeps such as Fig. 17's per-case modes).
+    /// irregular sweeps such as Fig. 17's per-case modes). A non-empty
+    /// seed axis crosses explicit points too: one copy per seed.
     pub fn point(mut self, label: impl Into<String>, config: SystemConfig) -> Self {
         self.extra.push(SweepPoint {
             label: label.into(),
@@ -510,7 +492,18 @@ impl SweepBuilder {
                 }
             }
         }
-        points.extend(self.extra);
+        for extra in self.extra {
+            if self.seeds.is_empty() {
+                points.push(extra);
+                continue;
+            }
+            for &seed in &self.seeds {
+                points.push(SweepPoint {
+                    label: extra.label.clone(),
+                    config: extra.config.clone().with_seed(seed),
+                });
+            }
+        }
         if points.is_empty() {
             return Err(ConfigError::EmptyWorkloads);
         }
@@ -1086,6 +1079,22 @@ mod tests {
         assert_eq!(implicit.points().len(), 32);
         // Equal configs, so equal labels and `config_key`s too.
         assert_eq!(implicit.points(), explicit.points());
+    }
+
+    #[test]
+    fn explicit_points_cross_the_seed_axis() {
+        let cfg = SystemConfig::single_core("libq", LEN).with_mode(McrMode::headline());
+        let sweep = SweepBuilder::new(LEN)
+            .point("a", cfg.clone())
+            .point("b", cfg.clone())
+            .seeds([7, 8])
+            .build()
+            .unwrap();
+        let points = sweep.points();
+        let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels, ["a", "a", "b", "b"]);
+        assert_eq!(points[0].config, cfg.clone().with_seed(7));
+        assert_eq!(points[3].config, cfg.with_seed(8));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The system-level simulator consumes the paper's published constants
 //! (the canonical source); [`McrTimingTable::from_circuit_model`] derives
-//! the same table from the analytical circuit model instead, which the
-//! `table3_timing` bench compares side by side.
+//! the same table from the analytical circuit model instead, whose fit
+//! error the claims ledger's `table3.*` rows bound.
 
 use circuit_model::{PaperTable3, TimingSolver};
 use dram_device::{ns_to_cycles, RowTiming};

@@ -127,24 +127,21 @@ pub fn max_refresh_interval_ms(bits: u32, wiring: RefreshWiring, k: u64, retenti
     assert!(k <= rows, "K exceeds row count");
     let schedule = refresh_schedule(bits, wiring);
     let slot_ms = retention_ms / rows as f64;
-    let groups = rows / k;
+    // One pass: per group, the first and the latest visit so far.
+    let mut visits: Vec<Option<(u64, u64)>> = vec![None; (rows / k) as usize];
     let mut max_gap = 0u64;
-    for g in 0..groups {
-        let visits: Vec<u64> = schedule
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| *row / k == g)
-            .map(|(i, _)| i as u64)
-            .collect();
-        debug_assert_eq!(visits.len() as u64, k);
-        for (i, &v) in visits.iter().enumerate() {
-            let next = if i + 1 < visits.len() {
-                visits[i + 1]
-            } else {
-                visits[0] + rows // wrap to the next sweep
-            };
-            max_gap = max_gap.max(next - v);
-        }
+    for (i, &row) in (0u64..).zip(&schedule) {
+        let group = &mut visits[(row / k) as usize];
+        *group = match *group {
+            None => Some((i, i)),
+            Some((first, last)) => {
+                max_gap = max_gap.max(i - last);
+                Some((first, i))
+            }
+        };
+    }
+    for (first, last) in visits.into_iter().flatten() {
+        max_gap = max_gap.max(first + rows - last); // wrap to the next sweep
     }
     max_gap as f64 * slot_ms
 }

@@ -173,6 +173,26 @@ fn mechanisms_off_equals_baseline_even_in_mcr_mode() {
 }
 
 #[test]
+fn mechanisms_are_inert_with_mcr_off() {
+    // With MCR off there is nothing for a mechanism to act on, so every
+    // mechanism set gives the same report: the claims ledger measures
+    // every row against one `Mechanisms::none()` baseline.
+    let mix = multi_programmed_mixes(2015)[0];
+    let targets = single_core_workloads()
+        .into_iter()
+        .map(|w| SystemConfig::single_core(w.name, LEN))
+        .chain([SystemConfig::multi_core_mix(&mix, 1_000)]);
+    for cfg in targets {
+        let run = |m: Mechanisms| System::build(&cfg.clone().with_mechanisms(m)).run();
+        let none = run(Mechanisms::none());
+        for case in 1..=4 {
+            let with = run(Mechanisms::fig17_case(case));
+            assert_eq!(none, with, "{:?} case {case}", cfg.workloads[0].name);
+        }
+    }
+}
+
+#[test]
 fn row_buffer_stats_are_consistent() {
     let cfg = SystemConfig::single_core("libq", 8_000);
     let r = System::build(&cfg).run();
