@@ -101,7 +101,7 @@ pub use sweep::{
 };
 pub use system::{
     ConfigError, MappingKind, ReliabilityReport, RunExecStats, RunReport, System, SystemConfig,
-    DEFAULT_SEED,
+    DEFAULT_SEED, WEDGE_CAP,
 };
 pub use telemetry::{BankCommandCounts, Telemetry};
 // Fault-injection surface, re-exported so experiment drivers need only

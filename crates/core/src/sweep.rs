@@ -196,8 +196,8 @@ pub trait ReportStore: Send + Sync {
 
 /// Shared, content-addressed memo of completed runs, keyed by
 /// [`SystemConfig::config_key`]. A [`Sweep`] owns one internally; pass
-/// your own to [`Sweep::run_with_cache`] to share results across sweeps
-/// (e.g. a bench that reuses baselines between figures). This is the
+/// your own to [`Sweep::run_with_store`] to share results across sweeps
+/// in one process (identical configs are simulated once). This is the
 /// process-local [`ReportStore`]; `mcr-store` provides the one that
 /// survives restarts.
 #[derive(Debug, Default)]
@@ -575,14 +575,7 @@ impl Sweep {
 
     /// Runs every point using the sweep's own memo cache.
     pub fn run(&self) -> SweepResults {
-        self.run_with_cache(&self.cache)
-    }
-
-    /// Runs every point against a caller-supplied [`ResultCache`],
-    /// letting several sweeps share results (identical configs are
-    /// simulated once, ever).
-    pub fn run_with_cache(&self, cache: &ResultCache) -> SweepResults {
-        self.run_with_store(cache)
+        self.run_with_store(&self.cache)
     }
 
     /// Runs every point against any [`ReportStore`] tier — e.g. the
@@ -1145,9 +1138,9 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let first = build().run_with_cache(&cache);
+        let first = build().run_with_store(&cache);
         assert_eq!(first.cache_misses(), 1);
-        let second = build().run_with_cache(&cache);
+        let second = build().run_with_store(&cache);
         assert_eq!(second.cache_hits(), 1, "fresh sweep, warm shared cache");
         assert_eq!(first.points[0].report, second.points[0].report);
         assert_eq!(cache.len(), 1);

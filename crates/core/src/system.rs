@@ -13,10 +13,11 @@ use crate::policy::McrPolicy;
 use crate::telemetry::Telemetry;
 use circuit_model::{CircuitParams, LeakageModel, TimingSolver};
 use cpu_model::{Core, CoreParams, CoreWait, RequestSink, TraceRecord, CPU_PER_MEM_CYCLE};
-use dram_device::{Cycle, Geometry, PhysAddr, RefreshWiring, RetentionConfig, TimingSet, T_CK_NS};
+use dram_device::{
+    Command, Cycle, Geometry, PhysAddr, RefreshWiring, RetentionConfig, TimingSet, T_CK_NS,
+};
 use dram_power::{edp, EnergyBreakdown, PowerParams};
 use mcr_faults::FaultPlan;
-use mcr_telemetry::TraceSink;
 use mem_controller::{
     AddressMapper, BitReversal, ControllerConfig, ControllerStats, DegradeLevel, DevicePolicy,
     GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave, PermutationInterleave,
@@ -862,8 +863,9 @@ const BUDGET_POLL_CYCLES: Cycle = 100_000;
 /// Cycle bound past which an unbudgeted run is declared wedged. Generous:
 /// even a fully serialized run needs < ~tRC cycles per memory op;
 /// anything past this is a scheduling deadlock (a simulator bug), not a
-/// slow workload.
-const WEDGE_CAP: Cycle = 500_000_000;
+/// slow workload. Drivers that call [`System::run_until`] themselves
+/// pass it as their horizon.
+pub const WEDGE_CAP: Cycle = 500_000_000;
 
 struct CtlSink<'a> {
     ctl: &'a mut MemoryController,
@@ -1452,18 +1454,20 @@ impl System {
         t
     }
 
-    /// Installs a trace sink on the memory controller; every scheduler
-    /// decision (ACT/CAS/PRE/REF, power-down, mode changes) is recorded
-    /// into it.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.controller.set_trace_sink(sink);
+    /// Records the last `capacity` commands each channel issues
+    /// (ACT/RD/WR/PRE/REF/MRS, with row, timing class and refresh tRFC).
+    pub fn enable_command_trace(&mut self, capacity: usize) {
+        self.controller.enable_command_trace(capacity);
     }
 
-    /// Removes and returns the installed trace sink, if any. Call before
-    /// [`System::report`] (which consumes the system) to inspect the
-    /// recorded events.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.controller.take_trace_sink()
+    /// The recorded commands as `(channel, command)`, channel by channel,
+    /// oldest first within each. Call before [`System::report`], which
+    /// consumes the system.
+    pub fn command_trace(&self) -> impl Iterator<Item = (usize, &Command)> {
+        self.controller
+            .channels()
+            .enumerate()
+            .flat_map(|(ci, chan)| chan.command_trace().map(move |cmd| (ci, cmd)))
     }
 
     /// Runs the auditor's end-of-timeline checks (tail refresh-starvation)

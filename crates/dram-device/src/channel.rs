@@ -268,8 +268,9 @@ impl Channel {
         &self.telemetry
     }
 
-    /// Enables recording of the last `capacity` issued commands, for
-    /// debugging and command-sequence assertions in tests.
+    /// Enables recording of the last `capacity` issued commands (a
+    /// drop-oldest ring): the record behind command-sequence assertions
+    /// and `mcr_sim --trace-out`.
     pub fn enable_command_trace(&mut self, capacity: usize) {
         self.cmd_trace = Some((capacity.max(1), VecDeque::with_capacity(capacity.max(1))));
     }

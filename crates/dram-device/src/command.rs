@@ -56,9 +56,11 @@ impl fmt::Display for CommandKind {
 
 /// A fully-specified DRAM command as placed on the command bus.
 ///
-/// This is primarily a trace/debug artifact: the scheduler calls the typed
-/// methods on [`crate::Channel`] directly, but records `Command` values so
-/// tests and tools can audit issued sequences.
+/// This is primarily a trace artifact: the scheduler calls the typed
+/// methods on [`crate::Channel`] directly, and the channel feeds each
+/// `Command` it issues to the protocol auditor and to its opt-in command
+/// trace, the one record of the issued stream (read by tests and
+/// `mcr_sim --trace-out`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Command {
     /// Command kind.

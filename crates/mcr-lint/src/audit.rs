@@ -22,7 +22,7 @@ use crate::Diagnostic;
 use dram_device::{RefreshCounter, RefreshWiring};
 use mcr_dram::{
     ConfigError, DeviceClass, FaultPlan, McrMode, McrPolicy, McrTimingTable, Mechanisms, RegionMap,
-    System, SystemConfig,
+    System, SystemConfig, WEDGE_CAP,
 };
 use mem_controller::{DevicePolicy, RefreshAction};
 use std::collections::HashMap;
@@ -199,7 +199,7 @@ pub struct PointAudit {
 /// the same generous wedge cap `System::run` enforces.
 fn run_to_completion(sys: &mut System) {
     assert!(
-        sys.run_until(500_000_000),
+        sys.run_until(WEDGE_CAP),
         "audit replay wedged at cycle {}",
         sys.now()
     );

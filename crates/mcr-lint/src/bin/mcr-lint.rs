@@ -12,10 +12,9 @@
 //!
 //! Exits 0 when no error-level diagnostic was produced, 1 otherwise, 2 on
 //! usage/I-O problems. The `audit` pass needs the online auditor compiled
-//! in (`--features protocol-audit`, or any debug build); the suite run
-//! honors `MCR_LINT_TRACE_LEN` (default 4000 requests per point). The
-//! `model` pass honors `MCR_MODEL_BUDGET_MS` and
-//! `MCR_MODEL_CERTIFY_BURSTS` and writes `BENCH_model.json` at the repo
+//! in (`--features protocol-audit`, or any debug build); its suite run
+//! replays `SUITE_TRACE_LEN` (4000) requests per point. The `model` pass
+//! honors `MCR_MODEL_BUDGET_MS` and writes `BENCH_model.json` at the repo
 //! root. With `--json` the human lines are replaced by one JSON object
 //! (`{passes, errors, warnings, diagnostics: [{level, code, location,
 //! message, citation}]}`); exit codes are unchanged.
@@ -34,12 +33,8 @@ fn workspace_root() -> PathBuf {
     dir
 }
 
-fn suite_trace_len() -> usize {
-    std::env::var("MCR_LINT_TRACE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4000)
-}
+/// Requests per point in the `audit` pass's full-system suite.
+const SUITE_TRACE_LEN: usize = 4000;
 
 /// The Fig. 9 refresh-schedule replays the `audit` pass always runs
 /// (these need no armed auditor: they replay the policy directly).
@@ -110,7 +105,7 @@ fn main() -> ExitCode {
             "config" => diags.extend(config_check::check_builtin()),
             "audit" => {
                 diags.extend(refresh_replays());
-                diags.extend(audit::audit_suite(suite_trace_len()));
+                diags.extend(audit::audit_suite(SUITE_TRACE_LEN));
             }
             "model" => diags.extend(model::run(&workspace_root())),
             other => {

@@ -27,9 +27,8 @@
 //! `{"metrics": {name: {"value", "unit"}}}` shape of every bench file,
 //! and honors a wall-clock budget via `MCR_MODEL_BUDGET_MS` (default
 //! 120000): exceeding it is itself an error, so the gate cannot
-//! silently grow unbounded.
-//! `MCR_MODEL_CERTIFY_BURSTS` (default 10) scales the certification
-//! schedules.
+//! silently grow unbounded. Certification runs `CERTIFY_BURSTS` (10)
+//! request bursts per scenario schedule.
 
 use crate::{Diagnostic, Level};
 use mcr_model::{certify, explore, parse_script, replay_script, teeth, ModelSpec, SeededBug};
@@ -47,6 +46,9 @@ const MIN_STATES: usize = 10_000;
 
 /// Maximum commands in a teeth-proof counterexample.
 const MAX_TEETH_COMMANDS: usize = 6;
+
+/// Request bursts per certification scenario schedule.
+const CERTIFY_BURSTS: usize = 10;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -125,7 +127,6 @@ fn replay_shipped(root: &Path, diags: &mut Vec<Diagnostic>) -> usize {
 /// an error (read-only checkouts still get the full gate).
 pub fn run(root: &Path) -> Vec<Diagnostic> {
     let budget_ms = env_u64("MCR_MODEL_BUDGET_MS", 120_000);
-    let bursts = env_u64("MCR_MODEL_CERTIFY_BURSTS", 10) as usize;
     let started = Instant::now();
     let mut diags = Vec::new();
 
@@ -175,7 +176,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     }
 
     // Stage 3: wake-soundness certification of the event wheel.
-    let cert = certify(bursts);
+    let cert = certify(CERTIFY_BURSTS);
     for f in &cert.findings {
         diags.push(finding_diag("certify", f));
     }

@@ -24,12 +24,11 @@
 use mcr_dram::experiments::Outcome;
 use mcr_dram::{
     telemetry_to_json, CompareTable, McrMode, RunReport, Sweep, SweepResults, System, SystemConfig,
-    DEFAULT_SEED,
+    DEFAULT_SEED, WEDGE_CAP,
 };
 use mcr_serve::protocol::{parse_mode, SweepSpec, DEFAULT_LEN};
 use mcr_serve::{Client, ProtocolError, RunSpec, ServeConfig, Server};
 use mcr_store::ResultStore;
-use mcr_telemetry::RingRecorder;
 use sim_json::Json;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -37,8 +36,8 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use trace_gen::all_workloads;
 
-/// Ring capacity for `--trace-out`: the trailing window of scheduler
-/// events kept for the dump.
+/// Per-channel command-trace capacity for `--trace-out`: the trailing
+/// window of issued commands kept for the dump.
 const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Default service address for `serve` and `submit`.
@@ -81,7 +80,7 @@ const LOCAL: Cmd = Cmd {
         ("--csv", "", "emit one CSV line instead of the report"),
         ("--json", "", "emit the sweep results as JSON"),
         ("--metrics", "", "append the MCR point's telemetry as JSON"),
-        ("--trace-out", "FILE", "re-run the MCR point with a ring recorder and\ndump the trailing scheduler events as JSONL"),
+        ("--trace-out", "FILE", "re-run the MCR point and dump its trailing DRAM\ncommands (ACT/RD/WR/PRE/REF/MRS) as JSONL"),
         ("--fault-rate", "F", "arm retention-fault injection at rate F (0..1)"),
         ("--fault-seed", "N", "fault-plan seed (default: --seed value)"),
         ("--chaos", "", "seeded randomized fault campaign across rates;\nprints the failing seed for replay on failure"),
@@ -364,42 +363,29 @@ fn run_sweep(sweep: &Sweep, cache_dir: Option<&str>) -> Result<SweepResults, Str
     Ok(sweep.run_with_store(&store))
 }
 
-/// Re-runs `cfg` with a [`RingRecorder`] installed and writes the trailing
-/// [`TRACE_CAPACITY`] scheduler events as JSON lines to `path`.
+/// Re-runs `cfg` with the channels' command trace armed and writes the
+/// last [`TRACE_CAPACITY`] commands of each channel to `path`, one JSON
+/// line per command, merged across channels by cycle.
 fn dump_trace(cfg: &SystemConfig, path: &str) -> Result<(), String> {
     let mut sys = System::try_build(cfg).map_err(|e| format!("invalid configuration: {e}"))?;
-    sys.set_trace_sink(Box::new(RingRecorder::new(TRACE_CAPACITY)));
-    // The event wheel jumps between interesting cycles, so one bounded
-    // run_until call replaces the old chunked-step polling loop.
-    let cap: u64 = 500_000_000;
-    if !sys.run_until(cap) {
+    sys.enable_command_trace(TRACE_CAPACITY);
+    if !sys.run_until(WEDGE_CAP) {
         return Err(format!("simulation wedged at cycle {}", sys.now()));
     }
-    let Some(sink) = sys.take_trace_sink() else {
-        return Err("trace sink disappeared mid-run".into());
-    };
-    let sink: &dyn std::any::Any = sink.as_ref();
-    let Some(ring) = sink.downcast_ref::<RingRecorder>() else {
-        return Err("trace sink is not the installed ring recorder".into());
-    };
+    let mut cmds: Vec<_> = sys.command_trace().collect();
+    cmds.sort_by_key(|(_, cmd)| cmd.cycle);
     let mut out = String::new();
-    for ev in ring.events() {
+    for (channel, cmd) in &cmds {
+        let a = cmd.addr;
+        let t_rfc = cmd.t_rfc.map_or("null".to_string(), |t| t.to_string());
         let _ = writeln!(
             out,
-            "{{\"cycle\": {}, \"kind\": \"{}\", \"a\": {}, \"b\": {}}}",
-            ev.cycle,
-            ev.kind.name(),
-            ev.a,
-            ev.b
+            "{{\"cycle\": {}, \"channel\": {channel}, \"cmd\": \"{}\", \"rank\": {}, \"bank\": {}, \"row\": {}, \"col\": {}, \"class\": {}, \"auto_pre\": {}, \"t_rfc\": {t_rfc}}}",
+            cmd.cycle, cmd.kind, a.rank, a.bank, a.row, a.col, cmd.class.0, cmd.auto_pre
         );
     }
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "trace: {} events written to {path} ({} recorded, {} dropped by the ring)",
-        ring.len(),
-        ring.total(),
-        ring.dropped()
-    );
+    eprintln!("trace: {} commands written to {path}", cmds.len());
     Ok(())
 }
 

@@ -181,3 +181,46 @@ fn help_exits_cleanly_for_every_entry_point() {
         }
     }
 }
+
+#[test]
+fn trace_out_writes_one_json_line_per_command() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join("cli_trace_out.jsonl");
+    let path = path.to_str().expect("utf-8 temp path");
+    // 8000 ops: a shorter libq run ends before any postponed refresh issues.
+    let args = ["--workload", "libq", "--mode", "4/4x/100", "--len", "8000"];
+    let o = run(&[&args[..], &["--trace-out", path]].concat());
+    assert_eq!(o.code, 0, "stderr: {}", o.stderr);
+    let text = std::fs::read_to_string(path).expect("trace file written");
+    let (mut kinds, mut last_cycle) = (Vec::new(), 0);
+    for line in text.lines() {
+        let j = sim_json::Json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        for key in ["cycle", "channel", "rank", "bank", "row", "col", "class"] {
+            assert!(
+                j.get(key).and_then(|v| v.as_u64()).is_some(),
+                "{key}: {line}"
+            );
+        }
+        let cycle = j.get("cycle").and_then(|v| v.as_u64()).unwrap_or(0);
+        assert!(cycle >= last_cycle, "oldest first: {line}");
+        last_cycle = cycle;
+        assert!(
+            j.get("auto_pre").and_then(|v| v.as_bool()).is_some(),
+            "{line}"
+        );
+        assert!(j.get("t_rfc").is_some(), "{line}");
+        kinds.push(j.get("cmd").and_then(|v| v.as_str()).map(str::to_owned));
+    }
+    for kind in ["ACT", "REF"] {
+        assert!(
+            kinds.iter().any(|k| k.as_deref() == Some(kind)),
+            "no {kind} line"
+        );
+    }
+    // A directory that does not exist: the dump fails with a typed error.
+    let bad = dir.join("no-such-dir").join("trace.jsonl");
+    let bad = bad.to_str().expect("utf-8 temp path");
+    let o = run(&[&args[..4], &["--len", "500", "--trace-out", bad]].concat());
+    assert_eq!(o.code, 1, "stderr: {}", o.stderr);
+    assert!(o.stderr.contains("error:"), "{}", o.stderr);
+}

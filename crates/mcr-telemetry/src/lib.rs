@@ -8,10 +8,7 @@
 //! * [`LatencyHistogram`] — a fixed-bucket (power-of-two) histogram
 //!   with exact `count`/`sum`/`min`/`max` and approximate percentiles,
 //!   mergeable across sweep workers (merge is associative and
-//!   commutative, so the fold order never changes the result);
-//! * [`TraceSink`] — a push-style event sink trait, with
-//!   [`RingRecorder`] as the bounded, drop-oldest reference
-//!   implementation (one pre-allocated ring, no allocation per event).
+//!   commutative, so the fold order never changes the result).
 //!
 //! Everything here is plain integer state: deterministic, `Clone`,
 //! `PartialEq`/`Eq`, and cheap enough to live inside the simulator's
@@ -20,9 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
-
-use std::any::Any;
-use std::collections::VecDeque;
 
 /// A saturating event counter.
 ///
@@ -269,146 +263,6 @@ impl LatencyHistogram {
     }
 }
 
-/// What a [`TraceEvent`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A row activation was issued.
-    Activate,
-    /// A column read was issued.
-    Read,
-    /// A column write was issued.
-    Write,
-    /// A precharge (explicit or auto) was issued.
-    Precharge,
-    /// A normal (full-tRFC) refresh was issued.
-    RefreshNormal,
-    /// A Fast-Refresh (reduced-tRFC) refresh was issued.
-    RefreshFast,
-    /// A rank entered power-down.
-    PowerDownEnter,
-    /// A rank exited power-down.
-    PowerDownExit,
-    /// An MRS mode change was observed.
-    ModeChange,
-    /// A periodic queue-depth sample (payload: read depth, write depth).
-    QueueSample,
-    /// A scheduler decision (payload encodes the decision class).
-    SchedulerDecision,
-}
-
-impl TraceEventKind {
-    /// Stable lowercase name used by trace dumps.
-    pub const fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::Activate => "act",
-            TraceEventKind::Read => "read",
-            TraceEventKind::Write => "write",
-            TraceEventKind::Precharge => "pre",
-            TraceEventKind::RefreshNormal => "ref",
-            TraceEventKind::RefreshFast => "ref_fast",
-            TraceEventKind::PowerDownEnter => "pd_enter",
-            TraceEventKind::PowerDownExit => "pd_exit",
-            TraceEventKind::ModeChange => "mode_change",
-            TraceEventKind::QueueSample => "queue",
-            TraceEventKind::SchedulerDecision => "sched",
-        }
-    }
-}
-
-/// One recorded event: a cycle stamp, a kind, and two small payload
-/// words whose meaning depends on the kind (typically rank/bank or
-/// queue depths). Fixed-size and `Copy` so a ring of them never
-/// allocates after construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Memory-clock cycle the event occurred at.
-    pub cycle: u64,
-    /// Event class.
-    pub kind: TraceEventKind,
-    /// First payload word (e.g. rank, or read-queue depth).
-    pub a: u64,
-    /// Second payload word (e.g. bank, or write-queue depth).
-    pub b: u64,
-}
-
-/// A push-style sink for [`TraceEvent`]s.
-///
-/// Implementations decide the retention policy; the simulator only
-/// pushes. A caller that installed a concrete sink gets it back by
-/// upcasting `&dyn TraceSink` to `&dyn Any` and downcasting.
-pub trait TraceSink: Any {
-    /// Accepts one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A bounded, pre-allocated, drop-oldest ring of trace events.
-///
-/// `record` is O(1) and allocation-free once constructed: when the
-/// ring is full the oldest event is dropped (and counted), so a long
-/// run keeps the *tail* of its command stream — the part you want when
-/// debugging how a run ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RingRecorder {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    total: Counter,
-    dropped: Counter,
-}
-
-impl RingRecorder {
-    /// A recorder holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingRecorder {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-            total: Counter::new(),
-            dropped: Counter::new(),
-        }
-    }
-
-    /// Maximum number of retained events.
-    pub const fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever pushed (including dropped ones).
-    pub fn total(&self) -> u64 {
-        self.total.get()
-    }
-
-    /// Events evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-}
-
-impl TraceSink for RingRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped.inc();
-        }
-        self.events.push_back(event);
-        self.total.inc();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,33 +373,5 @@ mod tests {
             LatencyHistogram::from_raw_parts(*b, c, s, mn, mx),
             LatencyHistogram::new()
         );
-    }
-
-    #[test]
-    fn ring_recorder_drops_oldest() {
-        let mut r = RingRecorder::new(3);
-        for cycle in 0..5u64 {
-            r.record(TraceEvent {
-                cycle,
-                kind: TraceEventKind::Activate,
-                a: 0,
-                b: 0,
-            });
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.total(), 5);
-        assert_eq!(r.dropped(), 2);
-        let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3, 4], "keeps the tail");
-        let sink: &dyn TraceSink = &r;
-        let any: &dyn Any = sink;
-        assert!(any.downcast_ref::<RingRecorder>().is_some());
-    }
-
-    #[test]
-    fn event_kind_names_are_stable() {
-        assert_eq!(TraceEventKind::Activate.name(), "act");
-        assert_eq!(TraceEventKind::RefreshFast.name(), "ref_fast");
-        assert_eq!(TraceEventKind::QueueSample.name(), "queue");
     }
 }

@@ -13,8 +13,6 @@ use dram_device::{
     RetentionConfig, RowTimingClass, TimingError, TimingSet, Violation,
 };
 use mcr_faults::FaultPlan;
-use mcr_telemetry::TraceSink;
-use mcr_telemetry::{TraceEvent, TraceEventKind};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -182,8 +180,6 @@ pub struct MemoryController {
     activity: bool,
     /// Scheduler-decision counters and queue histograms.
     telemetry: CtlTelemetry,
-    /// Optional per-command event sink (`None` = disabled).
-    trace: Option<Box<dyn TraceSink>>,
     /// Installed fault plan (`None` = no fault injection); feeds the
     /// refresh scheduler's drop/late fault stream.
     fault_plan: Option<FaultPlan>,
@@ -275,7 +271,6 @@ impl MemoryController {
             last_tick: None,
             activity: true,
             telemetry: CtlTelemetry::default(),
-            trace: None,
             fault_plan: None,
             guardband: None,
             guardband_events: Vec::new(),
@@ -339,23 +334,6 @@ impl MemoryController {
     /// The controller's telemetry.
     pub fn telemetry(&self) -> &CtlTelemetry {
         &self.telemetry
-    }
-
-    /// Installs a per-command trace sink (replacing any previous one).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
-    }
-
-    /// Removes and returns the installed trace sink.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
-    }
-
-    /// Feeds one event to the installed trace sink, if any.
-    fn trace_event(&mut self, kind: TraceEventKind, cycle: Cycle, a: u64, b: u64) {
-        if let Some(sink) = &mut self.trace {
-            sink.record(TraceEvent { cycle, kind, a, b });
-        }
     }
 
     /// The controller's configuration.
@@ -468,7 +446,6 @@ impl MemoryController {
         for ch in &mut self.channels {
             ch.chan.note_mode_change(now);
         }
-        self.trace_event(TraceEventKind::ModeChange, now, 0, 0);
     }
 
     /// Number of queued reads in channel `ch`.
@@ -1041,14 +1018,11 @@ impl MemoryController {
         };
         let Ok(data_end) = result else { return false };
         self.activity = true;
-        let kind = if drain {
+        if drain {
             self.telemetry.sched_cas_write.inc();
-            TraceEventKind::Write
         } else {
             self.telemetry.sched_cas_read.inc();
-            TraceEventKind::Read
-        };
-        self.trace_event(kind, now, req.dram.rank as u64, req.dram.bank as u64);
+        }
         match req.service_class() {
             crate::request::ServiceClass::RowHit => self.stats.row_hits += 1,
             crate::request::ServiceClass::RowMiss => self.stats.row_misses += 1,
@@ -1112,12 +1086,6 @@ impl MemoryController {
         self.policy.on_activate(&dram);
         self.activity = true;
         self.telemetry.sched_activates.inc();
-        self.trace_event(
-            TraceEventKind::Activate,
-            now,
-            dram.rank as u64,
-            dram.bank as u64,
-        );
         let q = if drain {
             &mut self.channels[ci].write_q
         } else {
@@ -1135,12 +1103,6 @@ impl MemoryController {
         }
         self.activity = true;
         self.telemetry.sched_precharges.inc();
-        self.trace_event(
-            TraceEventKind::Precharge,
-            now,
-            dram.rank as u64,
-            dram.bank as u64,
-        );
         let q = if drain {
             &mut self.channels[ci].write_q
         } else {
@@ -1169,12 +1131,6 @@ impl MemoryController {
             self.activity = true;
             if consumed {
                 self.telemetry.sched_refreshes.inc();
-                let kind = if t_rfc.is_some() {
-                    TraceEventKind::RefreshFast
-                } else {
-                    TraceEventKind::RefreshNormal
-                };
-                self.trace_event(kind, now, rank as u64, 0);
             }
             consumed
         } else {
@@ -1191,7 +1147,6 @@ impl MemoryController {
             {
                 self.activity = true;
                 self.telemetry.sched_precharges.inc();
-                self.trace_event(TraceEventKind::Precharge, now, rank as u64, bank as u64);
                 return true;
             }
         }

@@ -3,9 +3,10 @@
 //! [`CtlTelemetry`] aggregates what the scheduler *decided* — one
 //! counter per decision class, queue-depth histograms sampled once per
 //! tick per channel, and the end-to-end read queue latency (enqueue to
-//! last data beat). An optional [`mcr_telemetry::TraceSink`]
-//! additionally receives one event per issued command for offline
-//! inspection (`mcr_sim --trace-out`).
+//! last data beat). The commands themselves, with row, timing class
+//! and refresh tRFC, are recorded by the channels' bounded command
+//! trace ([`crate::MemoryController::enable_command_trace`]), which
+//! `mcr_sim --trace-out` dumps.
 
 use mcr_telemetry::{Counter, LatencyHistogram};
 

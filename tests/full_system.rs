@@ -1,7 +1,8 @@
 //! End-to-end integration tests spanning cpu-model, mem-controller,
 //! dram-device, trace-gen, dram-power and the MCR layer.
 
-use mcr_dram::{McrMode, Mechanisms, System, SystemConfig};
+use dram_device::CommandKind;
+use mcr_dram::{McrMode, Mechanisms, System, SystemConfig, WEDGE_CAP};
 use trace_gen::{multi_programmed_mixes, multi_threaded_group, single_core_workloads};
 
 const LEN: usize = 4_000;
@@ -134,6 +135,62 @@ fn read_count_matches_trace_reads() {
         "reads_done {}",
         r.reads_done
     );
+}
+
+#[test]
+fn command_trace_matches_scheduler_decisions() {
+    // The channels' command trace is the only record of issued commands,
+    // so it must agree with the controller's decision counters: a command
+    // path that stops feeding the trace shows up as a count mismatch.
+    // Both runs last long enough for postponed refresh slots to issue.
+    let mix = &multi_programmed_mixes(2015)[0];
+    let cases = [
+        (
+            "libq",
+            SystemConfig::single_core("libq", 8_000).with_mode(McrMode::headline()),
+        ),
+        (
+            mix.name,
+            SystemConfig::multi_core_mix(mix, 3_000).with_mode(McrMode::headline()),
+        ),
+    ];
+    for (name, cfg) in cases {
+        // At most PRE + ACT + CAS per request, plus refreshes: never wraps.
+        let cap = 4 * cfg.trace_len * cfg.workloads.len() + 65_536;
+        let mut sys = System::build(&cfg);
+        sys.enable_command_trace(cap);
+        assert!(sys.run_until(WEDGE_CAP), "{name}: wedged");
+        let mut counts = [0u64; 5];
+        let (mut fast_refs, mut fast_acts) = (0, 0);
+        for (_, cmd) in sys.command_trace() {
+            let slot = match cmd.kind {
+                CommandKind::Activate => 0,
+                CommandKind::Read => 1,
+                CommandKind::Write => 2,
+                CommandKind::Precharge => 3,
+                CommandKind::Refresh => 4,
+                CommandKind::ModeChange => continue,
+            };
+            counts[slot] += 1;
+            fast_refs += u64::from(cmd.kind == CommandKind::Refresh && cmd.t_rfc.is_some());
+            fast_acts += u64::from(cmd.kind == CommandKind::Activate && cmd.class.0 > 0);
+        }
+        // No channel holds more than the whole trace.
+        assert!(sys.command_trace().count() < cap, "{name}: ring wrapped");
+        let t = sys.telemetry_snapshot();
+        let c = &t.controller;
+        let decided = [
+            c.sched_activates.get(),
+            c.sched_cas_read.get(),
+            c.sched_cas_write.get(),
+            c.sched_precharges.get(),
+            c.sched_refreshes.get(),
+        ];
+        assert_eq!(counts, decided, "{name}: ACT/RD/WR/PRE/REF");
+        assert!(counts[4] > 0, "{name}: no refresh in the trace");
+        assert_eq!(fast_refs, t.refreshes_fast, "{name}: Fast-Refresh REFs");
+        assert!(fast_acts > 0, "{name}: no ACT carried an MCR class");
+    }
 }
 
 #[test]
