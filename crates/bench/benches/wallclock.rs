@@ -2,7 +2,7 @@
 //! `BENCH_wallclock.json` at the repo root. Three sections:
 //!
 //! - `core.*` (DESIGN.md §5h): event wheel vs the dense reference drive
-//!   on four cases, with the two `RunReport`s asserted bit-identical.
+//!   on five cases, with the two `RunReport`s asserted bit-identical.
 //! - `sweep.*` (DESIGN.md §5j): a fig-11 grid cold (empty `mcr-store`
 //!   directory) vs warm (a fresh store on the populated directory, every
 //!   point a validated disk hit), warm results asserted identical.
@@ -115,6 +115,13 @@ fn core(metrics: &mut Metrics) {
     // Loaded control: about a wash, never a loss that trips the gate.
     let loaded = SystemConfig::single_core("libq", CORE_LEN).with_mode(McrMode::headline());
     core_case(metrics, "loaded_libq_headline", &loaded);
+    // Quad-core loaded control: the benchmark's `mix_quad` cores (mix01),
+    // a quarter of the single-core length each. Deep write queues and
+    // four cores per memory cycle leave the wheel the fewest skips.
+    let mix01 = ["comm3", "leslie", "fluid", "mummer"]
+        .map(|name| trace_gen::workload(name).expect("library workload"));
+    let quad = SystemConfig::multi_core(mix01, CORE_LEN / 4).with_mode(McrMode::headline());
+    core_case(metrics, "loaded_mix_quad", &quad);
 }
 
 fn sweep(metrics: &mut Metrics) {

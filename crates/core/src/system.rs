@@ -19,9 +19,9 @@ use dram_device::{
 use dram_power::{edp, EnergyBreakdown, PowerParams};
 use mcr_faults::FaultPlan;
 use mem_controller::{
-    AddressMapper, BitReversal, ControllerConfig, ControllerStats, DegradeLevel, DevicePolicy,
-    GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave, PermutationInterleave,
-    RowPolicy, SchedulerKind,
+    AddressMapper, BitReversal, Completion, ControllerConfig, ControllerStats, DegradeLevel,
+    DevicePolicy, GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave,
+    PermutationInterleave, RowPolicy, SchedulerKind,
 };
 use trace_gen::{hot_rows, workload, TraceGenerator, WorkloadProfile, ROW_BYTES};
 
@@ -696,8 +696,8 @@ pub struct ReliabilityReport {
 /// carries zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunExecStats {
-    /// Memory cycles executed densely: controller tick plus the cores'
-    /// CPU subcycles.
+    /// Memory cycles executed densely: the cores' CPU subcycles, with a
+    /// controller tick when the cycle is the controller's wake.
     pub dense_cycles: u64,
     /// Cycles skipped while the controller stayed frozen and every live
     /// core proved it sat them out (stalled, or computing through a trace
@@ -709,6 +709,10 @@ pub struct RunExecStats {
     /// Controller ticks executed inside overlapped compute spans, with no
     /// core stepped alongside.
     pub controller_alone_ticks: u64,
+    /// Controller ticks in all: the dense cycles that were the
+    /// controller's wake, plus `controller_alone_ticks`. The dense drive
+    /// ticks every cycle.
+    pub controller_ticks: u64,
 }
 
 /// End-of-run metrics.
@@ -806,15 +810,16 @@ impl RunReport {
 ///
 /// # Event-wheel core
 ///
-/// Internally the simulator is an event wheel (DESIGN.md §5h): after a
-/// cycle where the controller reported no observable work, and while
-/// every live core is stalled or computing through a vouched trace gap,
-/// the wheel jumps `mem_now` directly to the earliest timing edge any
-/// component exposes (next command-legal cycle, refresh deadline,
-/// completion delivery, power-down expiry, guardband re-arm, core
-/// retire, gap end). While every live core computes through a trace gap,
-/// the controller runs those cycles alone and the cores catch up in one
-/// batch each. Skipped cycles are bulk-accounted so reports and
+/// Internally the simulator is an event wheel (DESIGN.md §5h). The
+/// controller ticks only at its wake, the next cycle at which
+/// [`MemoryController::next_tick`] says it can change state; every other
+/// cycle replays its per-cycle bookkeeping in closed form. While every
+/// live core is stalled or computing through a vouched trace gap, the
+/// wheel jumps `mem_now` directly to the earliest of that wake and the
+/// cores' own edges (core retire, gap end). While every live core
+/// computes through a trace gap, the controller runs those cycles alone
+/// and the cores catch up in one batch each. Skipped cycles are
+/// bulk-accounted so reports and
 /// telemetry stay *bit-identical* to cycle-by-cycle execution; the
 /// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
 /// [`System::set_skip_ahead`] can force the dense drive for debugging.
@@ -834,6 +839,14 @@ pub struct System {
     /// execution (the reference drive the equivalence suite compares
     /// against).
     skip_ahead: bool,
+    /// The next cycle the controller must tick
+    /// ([`MemoryController::next_tick`]), re-armed after every tick and
+    /// every cycle with an enqueue; `None` until the next enqueue. Every
+    /// drive path ticks only here and replays the cycles before it with
+    /// `note_skipped_cycles`.
+    wake: Option<Cycle>,
+    /// Completions of the current tick, one buffer for the whole run.
+    completions: Vec<Completion>,
     /// Refresh-starvation budget the protocol auditor gets whenever it is
     /// armed ([`System::set_audit_enabled`]).
     audit_refresh_budget: Cycle,
@@ -1042,6 +1055,8 @@ impl System {
             per_core_reads: vec![(0, 0); n_cores],
             batched: vec![false; n_cores],
             skip_ahead: true,
+            wake: Some(0),
+            completions: Vec::new(),
             audit_refresh_budget,
             exec: RunExecStats::default(),
         })
@@ -1063,14 +1078,24 @@ impl System {
     /// debugging; the wheel is on by default.
     pub fn set_skip_ahead(&mut self, enabled: bool) {
         self.skip_ahead = enabled;
+        // The dense drive does not keep the wake up to date.
+        self.wake = Some(self.mem_now);
     }
 
-    /// Simulates exactly one memory cycle (controller tick, completion
-    /// dispatch, guardband MRS application, four CPU subcycles) and
-    /// advances `mem_now`.
+    /// Simulates exactly one memory cycle (the controller's tick when the
+    /// cycle is its wake, else its closed-form replay; then four CPU
+    /// subcycles) and advances `mem_now`. An enqueue re-arms the wake.
     fn advance_cycle(&mut self) {
-        self.tick_controller();
+        let tick = !self.skip_ahead || self.wake.is_some_and(|w| w <= self.mem_now);
+        if tick {
+            self.tick_controller();
+        } else {
+            self.controller.note_skipped_cycles(1);
+        }
         self.cycle_cores();
+        if self.skip_ahead && (tick || self.controller.had_activity()) {
+            self.wake = self.controller.next_tick(self.mem_now);
+        }
         self.mem_now += 1;
         self.exec.dense_cycles += 1;
     }
@@ -1079,7 +1104,10 @@ impl System {
     /// completed read handed to its core, then the guardband's MRS moves
     /// (later ACTIVATEs read the policy they set).
     fn tick_controller(&mut self) {
-        for c in self.controller.tick(self.mem_now) {
+        self.exec.controller_ticks += 1;
+        let mut done = std::mem::take(&mut self.completions);
+        self.controller.tick_into(self.mem_now, &mut done);
+        for c in done.drain(..) {
             // Overlapped compute spans rely on this: data arrives on the
             // cycle of the tick that delivers it.
             debug_assert_eq!(c.ready_at, self.mem_now, "late completion");
@@ -1091,6 +1119,7 @@ impl System {
             slot.1 += 1;
             self.cores[c.core_id as usize].complete_read(c.token, c.ready_at * CPU_PER_MEM_CYCLE);
         }
+        self.completions = done;
         self.apply_guardband_transitions();
     }
 
@@ -1133,12 +1162,11 @@ impl System {
         }
     }
 
-    /// Freezes a quiet controller until its next edge while every live
-    /// core proves it sits the span out, bulk-accounting the skipped
-    /// cycles so the result is bit-identical to stepping through them.
-    /// Runs after a dense cycle whose tick had no activity, when no
-    /// overlapped span applies. A live core may give either of two
-    /// proofs, and the longer one bounds the span:
+    /// Freezes the controller until its wake while every live core proves
+    /// it sits the span out, bulk-accounting the skipped cycles so the
+    /// result is bit-identical to stepping through them. Runs after a
+    /// dense cycle when no overlapped span applies. A live core may give
+    /// either of two proofs, and the longer one bounds the span:
     ///
     /// * a trace gap that [`Core::compute_quiet_cycles`] vouches for: the
     ///   core cannot touch the memory system, so it executes the span in
@@ -1152,12 +1180,14 @@ impl System {
     ///   state even when refused.
     ///
     /// A core with neither proof, or no edge at all (the wedge cap then
-    /// flags a true deadlock), means no jump. The span also ends at every
-    /// controller edge, read completions included, so no `complete_read`
-    /// lands inside it.
+    /// flags a true deadlock), means no jump. The span also ends at the
+    /// controller's wake, which precedes every read completion, so no
+    /// `complete_read` lands inside it.
     fn skip_frozen_span(&mut self, until: Cycle) {
-        // Edges are computed relative to the cycle just executed.
-        let mut edge = self.controller.next_event(self.mem_now - 1);
+        let mut edge = self.wake;
+        if edge.is_some_and(|w| w <= self.mem_now) {
+            return;
+        }
         let mut fold = |end: Cycle| edge = Some(edge.map_or(end, |e| e.min(end)));
         for core in self.cores.iter().filter(|c| !c.done()) {
             let gap_end = self.mem_now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
@@ -1199,8 +1229,8 @@ impl System {
     /// core is fetching through a trace gap that
     /// [`Core::compute_quiet_cycles`] vouches for past the next memory
     /// cycle, no core can reach the sink or its trace before the shortest
-    /// vouched span ends. The controller then runs those cycles alone:
-    /// a tick where it works, a jump to its next edge after a quiet tick.
+    /// vouched span ends. The controller then runs those cycles alone,
+    /// ticking at each wake and jumping to the next.
     /// Each read it completes is handed to its core early, stamped with
     /// the cycle its data arrives, which is the tick's own cycle (the
     /// wheel never skips a completion edge) and so no earlier than the
@@ -1210,7 +1240,6 @@ impl System {
     /// they are all still vouched for. Returns `false`, having done
     /// nothing, when no span applies.
     fn overlap_compute_span(&mut self, until: Cycle) -> bool {
-        let mut quiet = !self.controller.had_activity();
         let mut spanned = false;
         loop {
             let mut span_cpu = None;
@@ -1232,19 +1261,14 @@ impl System {
                 return spanned;
             }
             while self.mem_now < end {
-                if quiet {
-                    // Edges are relative to the cycle just ticked; a quiet
-                    // controller's edges stay put across skipped cycles.
-                    let edge = self.controller.next_event(self.mem_now - 1);
-                    let target = edge.map_or(end, |e| e.min(end));
-                    self.controller.note_skipped_cycles(target - self.mem_now);
-                    self.mem_now = target;
-                    if target == end {
-                        break;
-                    }
+                let target = self.wake.map_or(end, |w| w.clamp(self.mem_now, end));
+                self.controller.note_skipped_cycles(target - self.mem_now);
+                self.mem_now = target;
+                if target == end {
+                    break;
                 }
                 self.tick_controller();
-                quiet = !self.controller.had_activity();
+                self.wake = self.controller.next_tick(self.mem_now);
                 self.mem_now += 1;
                 self.exec.controller_alone_ticks += 1;
             }
@@ -1272,11 +1296,7 @@ impl System {
             self.advance_cycle();
             // Never skip once the run is finished: `now` must land on the
             // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead
-                && !self.done()
-                && !self.overlap_compute_span(target)
-                && !self.controller.had_activity()
-            {
+            if self.skip_ahead && !self.done() && !self.overlap_compute_span(target) {
                 self.skip_frozen_span(target);
             }
         }

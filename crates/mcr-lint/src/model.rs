@@ -14,10 +14,11 @@
 //!    ([`mcr_model::SeededBug`]) and demand the sweep catch each with a
 //!    minimized counterexample of at most six commands. A seeded bug
 //!    the sweep misses means the checker lost its teeth.
-//! 3. **Certify** — differentially validate every event-wheel quiet
-//!    span ([`mcr_model::certify()`]): a dense twin micro-steps each span
-//!    the wheel claims quiet; observable work before the claimed edge
-//!    is a wake-soundness violation attributed to its edge source.
+//! 3. **Certify** — differentially validate every event-wheel span
+//!    ([`mcr_model::certify()`]), after quiet and after active cycles: a
+//!    dense twin ticks every cycle the wheel skips; observable work
+//!    before the claimed wake is a wake-soundness violation attributed
+//!    to its edge source.
 //! 4. **Replay** — re-run every shipped script under
 //!    `tests/counterexamples/`; a script that stops reproducing its
 //!    violation class is stale and fails the gate.
@@ -180,12 +181,14 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     for f in &cert.findings {
         diags.push(finding_diag("certify", f));
     }
-    if cert.findings.is_empty() && (cert.quiet_states == 0 || cert.spans == 0) {
+    if cert.findings.is_empty()
+        && (cert.quiet_states == 0 || cert.active_states == 0 || cert.active_spans == 0)
+    {
         diags.push(Diagnostic::error(
             "model/certify-coverage",
             "model:certify",
-            "certification ran but observed no quiet states/spans; the scenario \
-             matrix no longer exercises the event wheel",
+            "certification ran but observed no quiet or post-activity states/spans; \
+             the scenario matrix no longer exercises the event wheel",
             CITATION,
         ));
     }
@@ -225,7 +228,9 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
         ("budget_ms", budget_ms as f64, "ms"),
         ("certify.scenarios", cert.scenarios as f64, "count"),
         ("certify.quiet_states", cert.quiet_states as f64, "count"),
+        ("certify.active_states", cert.active_states as f64, "count"),
         ("certify.spans", cert.spans as f64, "count"),
+        ("certify.active_spans", cert.active_spans as f64, "count"),
         (
             "certify.skipped_cycles",
             cert.skipped_cycles as f64,

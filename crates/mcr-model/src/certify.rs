@@ -1,22 +1,27 @@
 //! Event-wheel wake-soundness certifier.
 //!
-//! The event-wheel run loop (core crate) only ticks the controller at
-//! cycles where something can happen: after a quiet tick it asks
-//! [`MemoryController::next_event`] for the earliest future edge and
-//! jumps straight to it. That is only sound if no edge source ever
-//! *overshoots* — claims a wake-up later than the first cycle at which
-//! the controller would actually do observable work.
+//! The event-wheel run loop (core crate) ticks the controller only at its
+//! wake: after every tick, and after every cycle with an admitted
+//! enqueue, it asks [`MemoryController::next_tick`] for the next cycle
+//! that can change the controller's state, and replays the cycles before
+//! it with [`MemoryController::note_skipped_cycles`]. That is only sound
+//! if no edge source ever *overshoots* — claims a wake-up later than the
+//! first cycle at which the controller would actually do observable
+//! work, after a quiet cycle or an active one.
 //!
 //! This module proves it differentially: twin controllers are driven
 //! through a deterministic scenario matrix (MCR modes × power-down
 //! management, plus a closed-page run and a late-refresh-fault run;
 //! seeded request schedules with bursts, write-drain crossings, and idle
 //! gaps). The *wheel* twin follows the skip discipline; the *dense* twin
-//! is ticked on every single cycle of every claimed-quiet span. Any completion or activity the dense twin shows
-//! strictly before the claimed edge is a wake-soundness violation,
-//! attributed to the [`EdgeSource`] that produced the too-late edge.
-//! Every distinct quiet-state fingerprint encountered is counted, so the
-//! report states exactly how many reachable quiet states were certified.
+//! is ticked on every cycle, and every cycle the wheel skips must be
+//! quiet on it. Any completion or activity the dense twin shows strictly
+//! before the claimed wake is a wake-soundness violation, attributed to
+//! the [`EdgeSource`] that produced the too-late edge. At the end of each
+//! scenario both twins' statistics and telemetry must agree. Every
+//! distinct wake-state fingerprint encountered is counted, after quiet
+//! and after active cycles apart, so the report states exactly how many
+//! reachable states were certified.
 
 use crate::Finding;
 use circuit_model::{CircuitParams, LeakageModel};
@@ -33,10 +38,16 @@ use std::collections::{HashMap, HashSet};
 pub struct CertifyReport {
     /// Scenarios driven (mode × power-down combinations).
     pub scenarios: usize,
-    /// Distinct quiet-state fingerprints certified.
+    /// Distinct wake-state fingerprints certified after a quiet cycle.
     pub quiet_states: usize,
-    /// Quiet spans validated by dense micro-stepping.
+    /// Distinct wake-state fingerprints certified after an active cycle
+    /// (a tick that did work, or an admitted enqueue).
+    pub active_states: usize,
+    /// Wheel spans of at least one skipped cycle, each validated by dense
+    /// micro-stepping.
     pub spans: u64,
+    /// The spans among `spans` that follow an active cycle.
+    pub active_spans: u64,
     /// Total cycles the wheel skipped across all certified spans.
     pub skipped_cycles: Cycle,
     /// Spans per claiming edge source (coverage evidence).
@@ -197,16 +208,20 @@ fn source_idx(edge: Option<EdgeInfo>) -> u8 {
         Some(EdgeSource::QueueActivate) => 7,
         Some(EdgeSource::PowerdownDue) => 8,
         Some(EdgeSource::PowerdownRetry) => 9,
+        Some(EdgeSource::Bookkeeping) => 10,
+        Some(EdgeSource::BusyQueue) => 11,
     }
 }
 
-/// Quiet-state fingerprint: scenario identity plus everything observable
-/// that shapes the next edge.
-type QuietFp = (usize, usize, usize, bool, usize, u8);
+/// Wake-state fingerprint: scenario identity, whether the cycle that
+/// claimed the wake was active, plus everything observable that shapes
+/// the next edge.
+type WakeFp = (usize, bool, usize, usize, bool, usize, u8);
 
-fn fingerprint(scn: usize, ctl: &MemoryController, edge: Option<EdgeInfo>) -> QuietFp {
+fn fingerprint(scn: usize, ctl: &MemoryController, edge: Option<EdgeInfo>) -> WakeFp {
     (
         scn,
+        ctl.had_activity(),
         ctl.read_queue_len(0),
         ctl.write_queue_len(0),
         ctl.is_draining(0),
@@ -220,9 +235,10 @@ fn fingerprint(scn: usize, ctl: &MemoryController, edge: Option<EdgeInfo>) -> Qu
 /// larger value than the unit tests).
 pub fn certify(bursts: usize) -> CertifyReport {
     let mut findings = Vec::new();
-    let mut fingerprints: HashSet<QuietFp> = HashSet::new();
+    let mut fingerprints: HashSet<WakeFp> = HashSet::new();
     let mut edge_spans: HashMap<String, u64> = HashMap::new();
     let mut spans: u64 = 0;
+    let mut active_spans: u64 = 0;
     let mut skipped_cycles: Cycle = 0;
 
     for (scn_idx, sc) in SCENARIOS.iter().enumerate() {
@@ -240,9 +256,14 @@ pub fn certify(bursts: usize) -> CertifyReport {
         let hard_end = events.last().map_or(0, |e| e.at) + 30_000;
         let mut i = 0;
         let mut now: Cycle = 0;
+        // The wheel twin ticks only at its wake, as `System` does; the
+        // first cycle always ticks.
+        let mut wake: Option<Cycle> = Some(0);
+        let mut claimed: Option<EdgeInfo> = None;
         let mut guard: u64 = 0;
         let scenario_budget = 40_000_000;
-        loop {
+        let mut finished = false;
+        'run: loop {
             guard += 1;
             if guard > scenario_budget {
                 findings.push(Finding::error(
@@ -254,113 +275,106 @@ pub fn certify(bursts: usize) -> CertifyReport {
                 ));
                 break;
             }
-            let wc = wheel.tick(now);
             let dc = dense.tick(now);
-            if wc != dc {
-                findings.push(Finding::error(
-                    "model/twin-divergence",
-                    format!(
-                        "scenario {}: completions diverged @{now} (wheel {:?}, dense {:?})",
-                        sc.name, wc, dc
-                    ),
-                ));
-                break;
+            let ticked = wake.is_some_and(|w| w <= now);
+            if ticked {
+                let wc = wheel.tick(now);
+                if wc != dc {
+                    findings.push(Finding::error(
+                        "model/twin-divergence",
+                        format!(
+                            "scenario {}: completions diverged @{now} (wheel {:?}, dense {:?})",
+                            sc.name, wc, dc
+                        ),
+                    ));
+                    break;
+                }
+            } else {
+                wheel.note_skipped_cycles(1);
+                skipped_cycles += 1;
+                if !dc.is_empty() || dense.had_activity() {
+                    findings.push(overshoot(sc.name, now, dc.len(), wake, claimed));
+                    break;
+                }
             }
             // Arrivals land *after* the tick, mirroring the run loop where
             // cores enqueue in the CPU subcycles that follow the
             // controller tick — both twins then stamp the same
-            // `enqueued_at`.
-            let mut enqueued = false;
+            // `enqueued_at`, ticked cycle or not.
             while i < events.len() && events[i].at <= now {
                 let ev = &events[i];
-                if ev.write {
-                    let a = wheel.enqueue_write(0, PhysAddr(ev.addr));
-                    let b = dense.enqueue_write(0, PhysAddr(ev.addr));
-                    if a != b {
-                        findings.push(Finding::error(
-                            "model/twin-divergence",
-                            format!("scenario {}: write admission diverged @{now}", sc.name),
-                        ));
-                    }
+                let agree = if ev.write {
+                    wheel.enqueue_write(0, PhysAddr(ev.addr))
+                        == dense.enqueue_write(0, PhysAddr(ev.addr))
                 } else {
-                    let a = wheel.enqueue_read(0, PhysAddr(ev.addr));
-                    let b = dense.enqueue_read(0, PhysAddr(ev.addr));
-                    if a != b {
-                        findings.push(Finding::error(
-                            "model/twin-divergence",
-                            format!("scenario {}: read admission diverged @{now}", sc.name),
-                        ));
-                    }
+                    wheel.enqueue_read(0, PhysAddr(ev.addr))
+                        == dense.enqueue_read(0, PhysAddr(ev.addr))
+                };
+                if !agree {
+                    findings.push(Finding::error(
+                        "model/twin-divergence",
+                        format!("scenario {}: admission diverged @{now}", sc.name),
+                    ));
                 }
                 i += 1;
-                enqueued = true;
             }
             if now >= hard_end {
+                finished = true;
                 break;
             }
-            if wheel.had_activity() || enqueued {
-                now += 1;
-                continue;
-            }
-            // Quiet tick: the wheel claims nothing observable happens
-            // before its earliest edge. Certify the claim.
-            let edge = wheel.next_event_detail(now);
-            fingerprints.insert(fingerprint(scn_idx, &wheel, edge));
-            if let Some(e) = edge {
-                if e.cycle <= now {
+            // A tick or an admitted enqueue re-arms the wake; the claim
+            // is that nothing observable happens before it.
+            if ticked || wheel.had_activity() {
+                let edge = wheel.next_tick_detail(now);
+                if let Some(e) = edge.filter(|e| e.cycle <= now) {
                     findings.push(Finding::error(
                         "model/edge-contract",
                         format!(
-                            "scenario {}: next_event({now}) returned non-future edge {} ({:?})",
+                            "scenario {}: next_tick({now}) returned non-future edge {} ({:?})",
                             sc.name, e.cycle, e.source
                         ),
                     ));
                     break;
                 }
-            }
-            let next_enqueue = events.get(i).map(|e| e.at);
-            let mut target = hard_end.max(now + 1);
-            let mut claimed: Option<EdgeInfo> = None;
-            if let Some(e) = edge {
-                if e.cycle < target {
-                    target = e.cycle;
-                    claimed = Some(e);
+                fingerprints.insert(fingerprint(scn_idx, &wheel, edge));
+                let end = edge.map_or(hard_end, |e| e.cycle.min(hard_end));
+                if end > now + 1 {
+                    spans += 1;
+                    active_spans += u64::from(wheel.had_activity());
+                    *edge_spans.entry(source_name(edge)).or_insert(0) += 1;
                 }
+                wake = edge.map(|e| e.cycle);
+                claimed = edge;
             }
-            if let Some(at) = next_enqueue {
-                if at < target {
-                    target = at;
-                    claimed = None;
-                }
-            }
-            let mut overshoot = None;
+            // The dense twin checks every cycle the wheel skips, up to the
+            // wake or the next arrival (which may re-arm it).
+            let next_arrival = events.get(i).map_or(hard_end, |e| e.at);
+            let target = wake
+                .unwrap_or(hard_end)
+                .min(next_arrival)
+                .min(hard_end)
+                .max(now + 1);
             for c in (now + 1)..target {
                 let comps = dense.tick(c);
                 if !comps.is_empty() || dense.had_activity() {
-                    overshoot = Some((c, comps.len()));
-                    break;
+                    findings.push(overshoot(sc.name, c, comps.len(), wake, claimed));
+                    break 'run;
                 }
             }
-            if let Some((c, comps)) = overshoot {
-                findings.push(Finding::error(
-                    "model/wake-overshoot",
-                    format!(
-                        "scenario {}: dense twin did observable work @{c} \
-                         ({comps} completion(s)) inside a span the wheel claimed \
-                         quiet until {target} (claimed edge: {})",
-                        sc.name,
-                        source_name(claimed),
-                    ),
-                ));
-                break;
-            }
-            if claimed.is_some() || target > now + 1 {
-                spans += 1;
-                skipped_cycles += target - now - 1;
-                *edge_spans.entry(source_name(claimed)).or_insert(0) += 1;
-            }
             wheel.note_skipped_cycles(target - now - 1);
+            skipped_cycles += target - now - 1;
             now = target;
+        }
+        // The closed-form replay must leave the wheel's statistics and
+        // telemetry where the dense twin's ticks left them.
+        if finished && (wheel.stats() != dense.stats() || wheel.telemetry() != dense.telemetry()) {
+            findings.push(Finding::error(
+                "model/twin-divergence",
+                format!(
+                    "scenario {}: statistics or telemetry diverged by the end @{now}",
+                    sc.name
+                ),
+            ));
         }
         // In audit-armed builds both twins must also be violation-free.
         if wheel.audit_enabled() && (wheel.audit_total() != 0 || dense.audit_total() != 0) {
@@ -378,14 +392,38 @@ pub fn certify(bursts: usize) -> CertifyReport {
 
     let mut edge_spans: Vec<(String, u64)> = edge_spans.into_iter().collect();
     edge_spans.sort();
+    let active_states = fingerprints.iter().filter(|fp| fp.1).count();
     CertifyReport {
         scenarios: SCENARIOS.len(),
-        quiet_states: fingerprints.len(),
+        quiet_states: fingerprints.len() - active_states,
+        active_states,
         spans,
+        active_spans,
         skipped_cycles,
         edge_spans,
         findings,
     }
+}
+
+/// The finding for observable work the dense twin did at `at`, inside a
+/// span the wheel claimed quiet until `wake`.
+fn overshoot(
+    scenario: &str,
+    at: Cycle,
+    completions: usize,
+    wake: Option<Cycle>,
+    claimed: Option<EdgeInfo>,
+) -> Finding {
+    let until = wake.map_or("the next enqueue".to_string(), |w| w.to_string());
+    Finding::error(
+        "model/wake-overshoot",
+        format!(
+            "scenario {scenario}: dense twin did observable work @{at} \
+             ({completions} completion(s)) inside a span the wheel claimed \
+             quiet until {until} (claimed edge: {})",
+            source_name(claimed),
+        ),
+    )
 }
 
 #[cfg(test)]
@@ -406,11 +444,17 @@ mod tests {
         );
         assert_eq!(report.scenarios, 10);
         assert!(
-            report.quiet_states > 10,
-            "{} quiet states",
-            report.quiet_states
+            report.quiet_states > 10 && report.active_states > 10,
+            "{} quiet and {} active states",
+            report.quiet_states,
+            report.active_states
         );
-        assert!(report.spans > 50, "{} spans", report.spans);
+        assert!(
+            report.spans > 50 && report.active_spans > 50,
+            "{} spans, {} after active cycles",
+            report.spans,
+            report.active_spans
+        );
         assert!(report.skipped_cycles > 1_000);
     }
 

@@ -734,6 +734,7 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
             results.points.len()
         ));
     };
+    let run_from_store = run.cache_hit;
     let (base, run) = (&base.report, &run.report);
     if p.on("--json") {
         print!("{}", results.to_json());
@@ -774,6 +775,15 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
         run.controller.refresh.skipped,
         spec.mode.usable_capacity() * 100.0
     );
+    if run_from_store {
+        println!("exec: MCR point read from the result store, not simulated");
+    } else {
+        let e = &run.exec;
+        println!(
+            "exec: {} dense, {} skipped, {} overlapped cycles | {} controller ticks",
+            e.dense_cycles, e.quiet_skipped_cycles, e.overlapped_span_cycles, e.controller_ticks
+        );
+    }
     if let Some(c) = &run.cache {
         println!(
             "row cache: {} hits, {} misses, {} promotions, {} evictions",

@@ -7,6 +7,7 @@ use std::process::Command;
 
 struct Outcome {
     code: i32,
+    stdout: String,
     stderr: String,
 }
 
@@ -17,6 +18,7 @@ fn run(args: &[&str]) -> Outcome {
         .expect("binary runs");
     Outcome {
         code: out.status.code().expect("exit code, not a signal"),
+        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
         stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
     }
 }
@@ -223,4 +225,28 @@ fn trace_out_writes_one_json_line_per_command() {
     let o = run(&[&args[..4], &["--len", "500", "--trace-out", bad]].concat());
     assert_eq!(o.code, 1, "stderr: {}", o.stderr);
     assert!(o.stderr.contains("error:"), "{}", o.stderr);
+}
+
+#[test]
+fn report_prints_one_exec_line() {
+    let o = run(&["--workload", "libq", "--mode", "4/4x/100", "--len", "1000"]);
+    assert_eq!(o.code, 0, "stderr: {}", o.stderr);
+    let lines: Vec<&str> = o
+        .stdout
+        .lines()
+        .filter(|l| l.starts_with("exec:"))
+        .collect();
+    let [line] = lines[..] else {
+        panic!("one exec line expected: {}", o.stdout)
+    };
+    // "exec: D dense, S skipped, O overlapped cycles | T controller ticks"
+    let n: Vec<u64> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [dense, skipped, overlapped, ticks] = n[..] else {
+        panic!("four counts expected: {line}")
+    };
+    assert!(dense > 0 && dense + skipped + overlapped > ticks, "{line}");
+    assert!(ticks > 0 && ticks <= dense + overlapped, "{line}");
 }

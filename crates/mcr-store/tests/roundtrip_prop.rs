@@ -175,6 +175,7 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
             quiet_skipped_cycles: ru(rng),
             overlapped_span_cycles: ru(rng),
             controller_alone_ticks: ru(rng),
+            controller_ticks: ru(rng),
         },
     }
 }

@@ -100,11 +100,12 @@ pub struct Completion {
     pub latency: Cycle,
 }
 
-/// The edge computation that produced a [`MemoryController::next_event`]
-/// wake-up cycle. Each variant names one term of the fold in
-/// [`MemoryController::next_event_detail`]; the `mcr-model` certifier uses
-/// it to attribute a wake-soundness violation to the source that
-/// under-estimated (overshot) the earliest observable state change.
+/// The edge computation that produced a [`MemoryController::next_tick`]
+/// (or [`MemoryController::next_event`]) wake-up cycle. Each variant names
+/// one term of the fold in [`MemoryController::next_tick_detail`]; the
+/// `mcr-model` certifier uses it to attribute a wake-soundness violation
+/// to the source that under-estimated (overshot) the earliest observable
+/// state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeSource {
     /// Guardband monitor re-arm poll deadline.
@@ -128,7 +129,22 @@ pub enum EdgeSource {
     PowerdownDue,
     /// A pending power-down entry retrying after refresh/precharges.
     PowerdownRetry,
+    /// Bookkeeping an active cycle left for the next tick: a write-drain
+    /// flip, or a rank's power-down idle-since or exit transition.
+    Bookkeeping,
+    /// A channel holding more than four queued requests after an active
+    /// cycle: the next cycle ticks without a scan (more work is
+    /// likely legal at once).
+    BusyQueue,
 }
+
+/// Queued requests in one channel beyond which
+/// [`MemoryController::next_tick`] answers the next cycle after an active
+/// one without scanning for edges (DESIGN.md §5h): a threshold of one
+/// left a third of single-core libq's ticks quiet, and none at all made
+/// the four-core mix slower by scanning deep queues in which some
+/// command was legal at once.
+const BUSY_QUEUE: usize = 4;
 
 /// One wake-up edge: the cycle and the computation that claimed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,6 +172,61 @@ struct ChannelCtl {
     rank_queued: Vec<u32>,
 }
 
+/// Set of ranks (ids are `u8`, so four words cover every geometry): the
+/// urgent-refresh ranks `schedule` keeps requests off.
+#[derive(Debug, Clone, Copy, Default)]
+struct RankMask([u64; 4]);
+
+impl RankMask {
+    fn insert(&mut self, rank: u8) {
+        self.0[usize::from(rank / 64)] |= 1 << (rank % 64);
+    }
+
+    fn contains(self, rank: u8) -> bool {
+        self.0[usize::from(rank / 64)] & (1 << (rank % 64)) != 0
+    }
+}
+
+/// The running minimum of the edge fold: the earliest edge strictly
+/// after `now`, the first source in scan order on ties.
+struct EdgeFold {
+    now: Cycle,
+    edge: Option<EdgeInfo>,
+}
+
+impl EdgeFold {
+    /// Folds in edge `cycle`; true once the fold is settled.
+    fn note(&mut self, cycle: Cycle, source: EdgeSource) -> bool {
+        if cycle > self.now && self.edge.is_none_or(|e| cycle < e.cycle) {
+            self.edge = Some(EdgeInfo { cycle, source });
+        }
+        self.settled()
+    }
+
+    /// True once the edge is `now + 1`, which no later term can beat.
+    fn settled(&self) -> bool {
+        self.edge.is_some_and(|e| e.cycle == self.now + 1)
+    }
+}
+
+impl ChannelCtl {
+    /// True when `rank` has queued requests or a refresh backlog (keeps it
+    /// out of power-down).
+    fn rank_has_work(&self, rank: u8) -> bool {
+        self.rank_queued[rank as usize] > 0 || self.refresh.backlog(rank) > 0
+    }
+
+    /// True when the write queue has crossed the watermark that flips
+    /// drain mode (`low` while draining, `high` otherwise).
+    fn drain_flip_pending(&self, low: usize, high: usize) -> bool {
+        if self.draining {
+            self.write_q.len() <= low
+        } else {
+            self.write_q.len() >= high
+        }
+    }
+}
+
 /// The memory controller: one instance drives every channel of the system.
 ///
 /// Drive it by calling [`MemoryController::tick`] once per memory cycle;
@@ -169,14 +240,16 @@ pub struct MemoryController {
     policy: Box<dyn DevicePolicy>,
     next_token: u64,
     stats: ControllerStats,
+    /// The last cycle ticked or replayed by
+    /// [`MemoryController::note_skipped_cycles`]; enqueues stamp the next.
     last_tick: Option<Cycle>,
     /// Whether the current memory cycle (since the last [`MemoryController::tick`]
-    /// entry) did or queued any observable work. Cleared at the top of
-    /// every tick; set by command issue, refresh-slot arrival, completion
-    /// delivery, power-down transitions, drain-mode flips, guardband
-    /// moves, and request enqueues. Event-wheel drivers read it through
-    /// [`MemoryController::had_activity`] to decide whether the cycle was
-    /// quiet (skippable).
+    /// entry or skipped-cycle replay) did or queued any observable work.
+    /// Cleared at the top of every tick and by every replay; set by
+    /// command issue, refresh-slot arrival, completion delivery,
+    /// power-down transitions, drain-mode flips, guardband moves, and
+    /// request enqueues. [`MemoryController::next_tick`] reads it to pick
+    /// its rule.
     activity: bool,
     /// Scheduler-decision counters and queue histograms.
     telemetry: CtlTelemetry,
@@ -465,12 +538,14 @@ impl MemoryController {
             .all(|c| c.read_q.is_empty() && c.write_q.is_empty() && c.completions.is_empty())
     }
 
-    /// True when the current memory cycle — the span since the last
-    /// [`MemoryController::tick`] entry, including enqueues made after it —
-    /// did or queued observable work. A `false` answer guarantees the
-    /// controller's externally visible state is frozen until one of the
-    /// edges reported by [`MemoryController::next_event`], so an
-    /// event-wheel driver may skip ahead.
+    /// True when the current memory cycle did or queued observable work:
+    /// the span since the last [`MemoryController::tick`] entry (or the
+    /// last [`MemoryController::note_skipped_cycles`]), including enqueues
+    /// made after it. A `false` answer guarantees the controller's
+    /// externally visible state is frozen until the edge
+    /// [`MemoryController::next_event`] reports. Either way,
+    /// [`MemoryController::next_tick`] names the next cycle that can
+    /// change it, which is what an event-wheel driver follows.
     pub fn had_activity(&self) -> bool {
         self.activity
     }
@@ -492,7 +567,8 @@ impl MemoryController {
     /// A rank with a refresh backlog adds its oldest slot's `not_before`
     /// release, and then:
     ///
-    /// * with every bank closed, the cycle a REFRESH becomes legal;
+    /// * with every bank closed, the cycle a REFRESH becomes legal (no
+    ///   earlier than that release);
     /// * when urgent, one quiesce edge per open bank (the cycle its
     ///   precharge becomes legal), since the scheduler closes those banks
     ///   itself;
@@ -501,51 +577,134 @@ impl MemoryController {
     ///   command the controller issues (PRE, RDA/WRA or a power-down
     ///   precharge), each of which marks the cycle active. Urgency changes
     ///   only when a slot comes due, which the deadline edge covers.
+    ///
+    /// The contract covers only a quiet cycle (`had_activity()` false).
+    /// After an active one, an edge already at or before `now` (a command
+    /// that lost the channel's one-command slot, a second guardband re-arm
+    /// step already due) is dropped, and the bookkeeping an active cycle
+    /// leaves for the next tick (a write-drain flip, a power-down
+    /// idle-since or exit transition) has no edge at all; use
+    /// [`MemoryController::next_tick`] there.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.next_event_detail(now).map(|e| e.cycle)
+        self.edges(now, false).map(|e| e.cycle)
     }
 
-    /// Like [`MemoryController::next_event`], but also reports *which*
-    /// edge source claimed the earliest wake-up (ties keep the first
-    /// source in scan order). This is the introspection surface the
-    /// `mcr-model` wake-soundness certifier uses to attribute an overshoot
-    /// to the edge computation that produced it.
-    pub fn next_event_detail(&self, now: Cycle) -> Option<EdgeInfo> {
-        let mut edge: Option<EdgeInfo> = None;
-        let mut note = |c: Cycle, source: EdgeSource| {
-            if c > now && edge.is_none_or(|e| c < e.cycle) {
-                edge = Some(EdgeInfo { cycle: c, source });
-            }
+    /// The next cycle at which the controller must tick, asked once cycle
+    /// `now` is over: after its tick (or the
+    /// [`MemoryController::note_skipped_cycles`] that covered it) and
+    /// every enqueue made in it. Every cycle before the answer can be
+    /// replayed with `note_skipped_cycles`; `None` means nothing happens
+    /// until the next enqueue.
+    ///
+    /// * After a quiet cycle, this is [`MemoryController::next_event`].
+    /// * After an active one (a command, completion, refresh slot,
+    ///   guardband move or enqueue) it is `now + 1` when a write-drain
+    ///   flip or a power-down idle-since or exit transition is pending,
+    ///   since the next tick does that bookkeeping whatever the device
+    ///   timing says ([`EdgeSource::Bookkeeping`]).
+    /// * It is also `now + 1`, without a scan, when a channel holds more
+    ///   than four queued requests ([`EdgeSource::BusyQueue`]):
+    ///   more work is then usually legal at once, and the scan would cost
+    ///   about as much as the tick it might save.
+    /// * Otherwise it is `next_event`'s fold with every legality edge
+    ///   (queued CAS, PRE and ACT, refresh quiesce, the all-idle REFRESH,
+    ///   power-down retry, guardband re-arm) clamped to at least
+    ///   `now + 1`: such an edge may already be due, because its command
+    ///   lost the channel's one-command slot or its step came due again
+    ///   right after the last one. Refresh deadlines, `not_before`
+    ///   releases and completion times stay unclamped: once cycle `now`
+    ///   is over, each one that still matters lies after it.
+    pub fn next_tick(&self, now: Cycle) -> Option<Cycle> {
+        self.next_tick_detail(now).map(|e| e.cycle)
+    }
+
+    /// Like [`MemoryController::next_tick`], but also reports which edge
+    /// source claimed the wake (ties keep the first source in scan
+    /// order). This is the introspection surface the
+    /// `mcr-model` wake-soundness certifier uses to attribute an
+    /// overshoot to the edge computation that produced it.
+    pub fn next_tick_detail(&self, now: Cycle) -> Option<EdgeInfo> {
+        if !self.activity {
+            return self.edges(now, false);
+        }
+        let next = |source| {
+            Some(EdgeInfo {
+                cycle: now + 1,
+                source,
+            })
         };
-        if let Some(g) = &self.guardband {
-            if let Some(c) = g.next_rearm_cycle() {
-                note(c, EdgeSource::GuardbandRearm);
+        let low = self.config.wq_low_watermark;
+        let high = self.config.wq_high_watermark;
+        let powerdown = self.config.powerdown_idle_threshold.is_some();
+        let pending = self.channels.iter().any(|ch| {
+            ch.drain_flip_pending(low, high)
+                || powerdown
+                    && (0..self.geometry.ranks).any(|rank| {
+                        let has_work = ch.rank_has_work(rank);
+                        if ch.chan.rank_powered_down(rank) {
+                            has_work
+                        } else {
+                            has_work == ch.rank_idle_since[rank as usize].is_some()
+                        }
+                    })
+        });
+        if pending {
+            return next(EdgeSource::Bookkeeping);
+        }
+        if self
+            .channels
+            .iter()
+            .any(|ch| ch.read_q.len() + ch.write_q.len() > BUSY_QUEUE)
+        {
+            return next(EdgeSource::BusyQueue);
+        }
+        self.edges(now, true)
+    }
+
+    /// The edge fold behind [`MemoryController::next_event`] (`active`
+    /// false) and [`MemoryController::next_tick`] (`active` true, which
+    /// clamps every legality edge to at least `now + 1`). It stops at the
+    /// first edge at `now + 1`, which no later term can beat.
+    fn edges(&self, now: Cycle, active: bool) -> Option<EdgeInfo> {
+        let mut fold = EdgeFold { now, edge: None };
+        let legal = |c: Cycle| if active { c.max(now + 1) } else { c };
+        if let Some(c) = self.guardband.as_ref().and_then(|g| g.next_rearm_cycle()) {
+            if fold.note(legal(c), EdgeSource::GuardbandRearm) {
+                return fold.edge;
             }
         }
         for ch in &self.channels {
             if let Some(&Reverse((ready, ..))) = ch.completions.peek() {
-                note(ready, EdgeSource::Completion);
+                if fold.note(ready, EdgeSource::Completion) {
+                    return fold.edge;
+                }
             }
             if self.config.refresh_enabled {
                 for rank in 0..self.geometry.ranks {
-                    note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
+                    fold.note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
                     let Some(p) = ch.refresh.peek(rank) else {
                         continue;
                     };
-                    note(p.not_before, EdgeSource::RefreshRelease);
+                    fold.note(p.not_before, EdgeSource::RefreshRelease);
                     let r = ch.chan.rank(rank);
                     if r.all_idle() {
-                        note(ch.chan.next_refresh_cycle(rank), EdgeSource::RefreshRelease);
+                        fold.note(
+                            legal(ch.chan.next_refresh_cycle(rank).max(p.not_before)),
+                            EdgeSource::RefreshRelease,
+                        );
                     } else if ch.refresh.urgent(rank) {
                         // An urgent rank quiesces by precharging its open
                         // banks before the REFRESH can issue; each of
                         // those precharges is an edge of its own.
                         for bank in r.open_bank_ids() {
-                            note(
-                                ch.chan.next_precharge_cycle(rank, bank),
+                            fold.note(
+                                legal(ch.chan.next_precharge_cycle(rank, bank)),
                                 EdgeSource::RefreshQuiesce,
                             );
                         }
+                    }
+                    if fold.settled() {
+                        return fold.edge;
                     }
                 }
             }
@@ -557,48 +716,54 @@ impl MemoryController {
             let is_read = !drain;
             for r in q {
                 let (rank, bank, row) = (r.dram.rank, r.dram.bank, r.dram.row);
-                match ch.chan.open_row(rank, bank) {
-                    Some(open) if open == row => note(
+                let (c, source) = match ch.chan.open_row(rank, bank) {
+                    Some(open) if open == row => (
                         ch.chan
                             .next_cas_cycle(rank, bank, is_read)
                             .max(ch.chan.next_bus_cas_cycle(rank, is_read)),
                         EdgeSource::QueueCas,
                     ),
-                    Some(_) => note(
+                    Some(_) => (
                         ch.chan.next_precharge_cycle(rank, bank),
                         EdgeSource::QueuePrecharge,
                     ),
-                    None => note(
+                    None => (
                         ch.chan.next_activate_cycle(rank, bank),
                         EdgeSource::QueueActivate,
                     ),
+                };
+                if fold.note(legal(c), source) {
+                    return fold.edge;
                 }
             }
             if let Some(threshold) = self.config.powerdown_idle_threshold {
                 for rank in 0..self.geometry.ranks {
                     if let Some(since) = ch.rank_idle_since[rank as usize] {
                         let due = since.saturating_add(threshold as Cycle);
-                        note(due, EdgeSource::PowerdownDue);
+                        fold.note(due, EdgeSource::PowerdownDue);
                         if due <= now {
                             // Entry is pending: it retries as soon as the
                             // rank finishes refreshing, and open banks
                             // still need power-down precharges.
-                            note(
-                                ch.chan.rank(rank).refresh_busy_until(),
+                            fold.note(
+                                legal(ch.chan.rank(rank).refresh_busy_until()),
                                 EdgeSource::PowerdownRetry,
                             );
                             for bank in ch.chan.rank(rank).open_bank_ids() {
-                                note(
-                                    ch.chan.next_precharge_cycle(rank, bank),
+                                fold.note(
+                                    legal(ch.chan.next_precharge_cycle(rank, bank)),
                                     EdgeSource::PowerdownRetry,
                                 );
                             }
+                        }
+                        if fold.settled() {
+                            return fold.edge;
                         }
                     }
                 }
             }
         }
-        edge
+        fold.edge
     }
 
     /// Pending refresh backlog (postponed slots) of `rank` on channel
@@ -612,16 +777,22 @@ impl MemoryController {
         self.channels[ch].draining
     }
 
-    /// Replays the per-cycle bookkeeping of `skipped` quiet cycles in one
-    /// step, exactly as that many [`MemoryController::tick`] calls would
-    /// have recorded it on a frozen controller: write-drain residency and
-    /// the per-channel queue-depth telemetry samples. Only valid for a
-    /// span with no activity and no crossed [`MemoryController::next_event`]
-    /// edge (the event-wheel driver guarantees both).
+    /// Replays `skipped` cycles without a tick in one step, exactly as
+    /// that many [`MemoryController::tick`] calls would have left a frozen
+    /// controller: write-drain residency, the per-channel queue-depth
+    /// telemetry samples, and the clock. The last skipped cycle becomes
+    /// the last tick, so an enqueue made after it stamps `enqueued_at`
+    /// as it would after a tick, and the activity flag is cleared, so
+    /// [`MemoryController::had_activity`] then reports only such
+    /// enqueues. Only valid for a span that ends before the
+    /// [`MemoryController::next_tick`] edge asked at its start (the
+    /// event-wheel driver guarantees it).
     pub fn note_skipped_cycles(&mut self, skipped: Cycle) {
         if skipped == 0 {
             return;
         }
+        self.last_tick = Some(self.last_tick.map_or(skipped - 1, |t| t + skipped));
+        self.activity = false;
         let draining = self.channels.iter().filter(|c| c.draining).count() as Cycle;
         self.stats.drain_cycles += draining * skipped;
         for ch in &self.channels {
@@ -707,6 +878,18 @@ impl MemoryController {
     ///
     /// Panics (debug builds) if `now` does not advance monotonically.
     pub fn tick(&mut self, now: Cycle) -> Vec<Completion> {
+        let mut done = Vec::new();
+        self.tick_into(now, &mut done);
+        done
+    }
+
+    /// [`MemoryController::tick`] that appends the completed reads to
+    /// `done`, so a driver can reuse one buffer for every tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `now` does not advance monotonically.
+    pub fn tick_into(&mut self, now: Cycle, done: &mut Vec<Completion>) {
         debug_assert!(
             self.last_tick.is_none_or(|t| now > t),
             "tick must advance: {:?} -> {now}",
@@ -719,7 +902,6 @@ impl MemoryController {
                 self.push_guardband_event(now, t);
             }
         }
-        let mut done = Vec::new();
         for ci in 0..self.channels.len() {
             let ch = &self.channels[ci];
             self.telemetry
@@ -760,7 +942,6 @@ impl MemoryController {
                 });
             }
         }
-        done
     }
 
     /// Power-down management: wake ranks that have work, put long-idle
@@ -771,7 +952,7 @@ impl MemoryController {
         };
         for rank in 0..self.geometry.ranks {
             let ch = &self.channels[ci];
-            let has_work = ch.rank_queued[rank as usize] > 0 || ch.refresh.backlog(rank) > 0;
+            let has_work = ch.rank_has_work(rank);
             let powered_down = ch.chan.rank_powered_down(rank);
             if powered_down {
                 if has_work {
@@ -810,15 +991,8 @@ impl MemoryController {
 
     fn update_drain_mode(&mut self, ci: usize) {
         let ch = &mut self.channels[ci];
-        let was_draining = ch.draining;
-        if ch.draining {
-            if ch.write_q.len() <= self.config.wq_low_watermark {
-                ch.draining = false;
-            }
-        } else if ch.write_q.len() >= self.config.wq_high_watermark {
-            ch.draining = true;
-        }
-        if ch.draining != was_draining {
+        if ch.drain_flip_pending(self.config.wq_low_watermark, self.config.wq_high_watermark) {
+            ch.draining = !ch.draining;
             self.activity = true;
         }
         if ch.draining {
@@ -830,15 +1004,15 @@ impl MemoryController {
     fn schedule(&mut self, ci: usize, now: Cycle) {
         // 1. Urgent refresh takes absolute priority for its rank.
         let ranks = self.geometry.ranks;
-        let mut urgent = Vec::new();
-        for rank in 0..ranks {
-            if self.config.refresh_enabled && self.channels[ci].refresh.urgent(rank) {
-                urgent.push(rank);
-            }
-        }
-        for &rank in &urgent {
-            if self.try_refresh(ci, rank, now) || self.try_idle_rank(ci, rank, now) {
-                return;
+        let mut urgent = RankMask::default();
+        if self.config.refresh_enabled {
+            for rank in 0..ranks {
+                if self.channels[ci].refresh.urgent(rank) {
+                    urgent.insert(rank);
+                    if self.try_refresh(ci, rank, now) || self.try_idle_rank(ci, rank, now) {
+                        return;
+                    }
+                }
             }
         }
 
@@ -848,8 +1022,8 @@ impl MemoryController {
             ch.draining || (ch.read_q.is_empty() && !ch.write_q.is_empty())
         };
         let issued = match self.config.scheduler {
-            SchedulerKind::FrFcfs => self.schedule_fr_fcfs(ci, now, drain, &urgent),
-            SchedulerKind::Fcfs => self.schedule_fcfs(ci, now, drain, &urgent),
+            SchedulerKind::FrFcfs => self.schedule_fr_fcfs(ci, now, drain, urgent),
+            SchedulerKind::Fcfs => self.schedule_fcfs(ci, now, drain, urgent),
         };
         if issued {
             return;
@@ -885,7 +1059,7 @@ impl MemoryController {
     }
 
     /// FR-FCFS: oldest issuable row hit, else oldest ACT, else oldest PRE.
-    fn schedule_fr_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: &[u8]) -> bool {
+    fn schedule_fr_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: RankMask) -> bool {
         let is_read = !drain;
         // Pass 1: row hits.
         let hit = self.find_request(ci, drain, urgent, |ch, r| {
@@ -927,7 +1101,7 @@ impl MemoryController {
     }
 
     /// FCFS: work only on the oldest request.
-    fn schedule_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: &[u8]) -> bool {
+    fn schedule_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: RankMask) -> bool {
         let oldest = self.find_request(ci, drain, urgent, |_, _| true);
         let Some(idx) = oldest else { return false };
         let (rank, bank, row) = {
@@ -970,14 +1144,14 @@ impl MemoryController {
         &self,
         ci: usize,
         drain: bool,
-        urgent: &[u8],
+        urgent: RankMask,
         pred: impl Fn(&Channel, &Request) -> bool,
     ) -> Option<usize> {
         let ch = &self.channels[ci];
         self.queue(ci, drain)
             .iter()
             .enumerate()
-            .find(|(_, r)| !urgent.contains(&r.dram.rank) && pred(&ch.chan, r))
+            .find(|(_, r)| !urgent.contains(r.dram.rank) && pred(&ch.chan, r))
             .map(|(i, _)| i)
     }
 
@@ -1571,7 +1745,7 @@ mod tests {
             } else {
                 (at + 6_240, EdgeSource::RefreshDue)
             };
-            let got = ctl.next_event_detail(at + 1).map(|e| (e.cycle, e.source));
+            let got = ctl.edges(at + 1, false).map(|e| (e.cycle, e.source));
             assert_eq!(got, Some(want), "urgent {urgent}");
         }
     }
@@ -1626,6 +1800,124 @@ mod tests {
             assert!(s.reads_done > 1_000 && s.writes_done > 1_000, "{s:?}");
             assert!(s.row_hits > 0 && s.row_conflicts > 0, "{s:?}");
         }
+    }
+
+    /// The wake after the tick of `now`, as (cycle, source).
+    fn wake(ctl: &MemoryController, now: Cycle) -> Option<(Cycle, EdgeSource)> {
+        ctl.next_tick_detail(now).map(|e| (e.cycle, e.source))
+    }
+
+    #[test]
+    fn next_tick_wakes_for_a_command_that_lost_the_slot() {
+        // Rank 0's first refresh slot comes due at 6,240 with every bank
+        // closed, so its REFRESH is legal at once; a read to rank 1 takes
+        // the channel's one command slot with its ACTIVATE. The REFRESH
+        // edge is then already due: `next_event` drops it and would sleep
+        // until the read's CAS, `next_tick` wakes the next cycle.
+        let g = Geometry::single_core_4gb();
+        let mut ctl = MemoryController::new(
+            g,
+            TimingSet::default(),
+            ControllerConfig::msc_default(),
+            Box::new(PageInterleave::new(g)),
+            Box::new(BaselinePolicy),
+        );
+        run(&mut ctl, 0, 6_240);
+        let read = PageInterleave::new(g).encode(&dram_device::DramAddress {
+            channel: 0,
+            rank: 1,
+            bank: 0,
+            row: 1,
+            col: 0,
+        });
+        ctl.enqueue_read(0, read).unwrap();
+        ctl.tick(6_240);
+        assert_eq!(ctl.refresh_backlog(0, 0), 1);
+        assert!(ctl.had_activity());
+        assert_eq!(wake(&ctl, 6_240), Some((6_241, EdgeSource::RefreshRelease)));
+        assert!(ctl.next_event(6_240).is_some_and(|c| c > 6_241));
+        ctl.tick(6_241);
+        assert_eq!(ctl.stats().refresh.normal, 1, "REFRESH issued at 6,241");
+    }
+
+    #[test]
+    fn next_tick_wakes_for_a_pending_drain_flip() {
+        let mut ctl = controller(false);
+        ctl.tick(0);
+        // The enqueue that reaches the high watermark flips drain mode on
+        // at the next tick.
+        for i in 0..24 {
+            assert!(ctl.enqueue_write(0, PhysAddr(i * 4096)));
+        }
+        assert_eq!(wake(&ctl, 0), Some((1, EdgeSource::Bookkeeping)));
+        ctl.tick(1);
+        assert!(ctl.is_draining(0));
+        // The write CAS that reaches the low watermark flips it off.
+        let mut now = 1;
+        while ctl.write_queue_len(0) > 8 {
+            now += 1;
+            ctl.tick(now);
+        }
+        assert!(ctl.is_draining(0));
+        assert_eq!(wake(&ctl, now), Some((now + 1, EdgeSource::Bookkeeping)));
+        ctl.tick(now + 1);
+        assert!(!ctl.is_draining(0));
+    }
+
+    #[test]
+    fn next_tick_wakes_when_a_rank_goes_idle() {
+        let g = Geometry::tiny();
+        let mut cfg = ControllerConfig::msc_default();
+        cfg.refresh_enabled = false;
+        cfg.powerdown_idle_threshold = Some(30);
+        let mut ctl = MemoryController::new(
+            g,
+            TimingSet::default(),
+            cfg,
+            Box::new(PageInterleave::new(g)),
+            Box::new(BaselinePolicy),
+        );
+        ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        let mut now = 0;
+        ctl.tick(now);
+        while ctl.read_queue_len(0) > 0 {
+            now += 1;
+            ctl.tick(now);
+        }
+        // The rank's last queued request issued its CAS at `now`: the
+        // next tick stamps the rank idle, whatever the device timing says.
+        assert_eq!(ctl.channels[0].rank_idle_since[0], None);
+        assert_eq!(wake(&ctl, now), Some((now + 1, EdgeSource::Bookkeeping)));
+        ctl.tick(now + 1);
+        assert_eq!(ctl.channels[0].rank_idle_since[0], Some(now + 1));
+    }
+
+    #[test]
+    fn next_tick_wakes_for_a_second_rearm_step() {
+        let mut ctl = controller(false);
+        ctl.set_guardband(GuardbandConfig {
+            window: 1_000,
+            threshold: 1,
+            hysteresis: 100,
+            backoff_base: 10,
+            backoff_cap: 2,
+        });
+        // Two violations step the ladder down twice; both re-arm steps
+        // come due together, 100 + 10 * 2 cycles after the last one.
+        let g = ctl.guardband.as_mut().unwrap();
+        assert!(g.note_violation(5).is_some() && g.note_violation(5).is_some());
+        run(&mut ctl, 0, 125);
+        assert!(ctl.drain_guardband_transitions().is_empty());
+        ctl.tick(125);
+        assert_eq!(wake(&ctl, 125), Some((126, EdgeSource::GuardbandRearm)));
+        assert_eq!(ctl.next_event(125), None);
+        ctl.tick(126);
+        let steps: Vec<Cycle> = ctl
+            .drain_guardband_transitions()
+            .iter()
+            .map(|&(at, _)| at)
+            .collect();
+        assert_eq!(steps, vec![125, 126]);
     }
 
     #[test]

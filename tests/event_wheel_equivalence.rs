@@ -41,6 +41,10 @@ fn assert_identical(label: &str, cfg: &SystemConfig) -> RunReport {
         "{label}: dense exec"
     );
     assert_eq!(e.controller_alone_ticks, 0, "{label}: dense exec");
+    assert_eq!(
+        e.controller_ticks, dense.total_mem_cycles,
+        "{label}: dense exec"
+    );
     let e = wheel.exec;
     assert_eq!(
         e.dense_cycles + e.quiet_skipped_cycles + e.overlapped_span_cycles,
@@ -49,6 +53,10 @@ fn assert_identical(label: &str, cfg: &SystemConfig) -> RunReport {
     );
     assert!(
         e.controller_alone_ticks <= e.overlapped_span_cycles,
+        "{label}: wheel exec {e:?}"
+    );
+    assert!(
+        e.controller_ticks <= e.dense_cycles + e.controller_alone_ticks,
         "{label}: wheel exec {e:?}"
     );
     wheel
