@@ -3,7 +3,7 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test benchmark-test golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
+.PHONY: check build doc loc test benchmark-test benchmark-gate golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
@@ -13,9 +13,10 @@ OFFLINE ?= --offline
 # audit of the release build (the online auditor is armed by default only
 # in debug builds), then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
-# cross-backend compare smoke, and the wall-clock gate (event wheel,
-# persistent store, per-backend throughput).
-check: build clippy doc fmt-check test benchmark-test golden lint model audit chaos serve-smoke compare bench-wallclock
+# cross-backend compare smoke, the benchmark's digest gate at full trace
+# length, and the wall-clock gate (event wheel, persistent store,
+# per-backend throughput).
+check: build clippy doc fmt-check test benchmark-test benchmark-gate golden lint model audit chaos serve-smoke compare bench-wallclock
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -34,6 +35,13 @@ loc:
 # compiles it, so run its tests here.
 benchmark-test:
 	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml -q
+
+# The benchmark at full trace length for half a second per workload: its
+# seed-2015 reports must match the pinned digests and the dense drive's
+# reports. Exits 1 on any mismatch (benchmark-test cuts traces 100-fold,
+# so only this target checks the pinned digests).
+benchmark-gate:
+	$(CARGO) run --release $(OFFLINE) -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5
 
 # Golden-report snapshots (tests/goldens/): byte-exact scalar outcomes of
 # the Table-3 modes. Runs as part of `make test` too; this target gives

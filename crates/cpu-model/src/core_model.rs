@@ -270,7 +270,10 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     ///
     /// Once the ROB is full behind a head not due before `start + n`,
     /// every remaining cycle retires nothing and fetch only records a rob
-    /// stall, so those cycles are accounted in one step.
+    /// stall, so those cycles are accounted in one step. This is the
+    /// end-of-window form of [`Core::advance_compute`]'s blocked rule:
+    /// drivers step one memory cycle at a time, and a window whose head
+    /// falls due inside it just runs its cycles.
     pub fn step(&mut self, start: u64, n: u64, mem: &mut impl RequestSink) {
         let end = start + n;
         for now in start..end {
@@ -283,6 +286,18 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             }
             self.cycle(now, mem);
         }
+    }
+
+    /// The blocked-ROB rule of `advance_compute`: while the ROB is full
+    /// behind a head due at `t > now` (or pending), every cycle before `t`
+    /// retires nothing and fetch only records a rob stall. Accounts the
+    /// cycles up to `min(t, end)` in one step and returns their number (0
+    /// when the ROB is not so blocked at `now`).
+    fn skip_blocked(&mut self, now: u64, end: u64) -> u64 {
+        let head = self.head_complete_at().filter(|_| self.rob_full());
+        let k = head.map_or(0, |t| t.min(end).saturating_sub(now));
+        self.stats.rob_stall_cycles += k;
+        k
     }
 
     fn retire(&mut self, now: u64) {
@@ -473,8 +488,9 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// records the read sooner.
     ///
     /// Two regimes dominate a long gap and are replayed in closed form
-    /// rather than cycle by cycle: a full ROB whose head cannot retire
-    /// inside the span (every cycle is a pure rob-stall no-op), and
+    /// rather than cycle by cycle: a full ROB whose head is not yet due
+    /// (every cycle up to the head's due cycle, or to the span's end, is
+    /// a pure rob-stall no-op), and
     /// steady churn (a full ROB retiring `retire_width` due entries and
     /// refilling exactly that many each cycle). Everything else — fill
     /// transients, partially due heads — falls back to the real
@@ -493,32 +509,27 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         let end = start_cpu + cpu_cycles;
         let mut now = start_cpu;
         while now < end {
-            if self.rob_full() {
-                // Blocked: the head (often a read still waiting on DRAM)
-                // cannot retire before the span ends, so every remaining
-                // cycle only records a rob stall.
-                if self.head_complete_at().is_some_and(|t| t >= end) {
-                    self.stats.rob_stall_cycles += end - now;
-                    return;
-                }
-                let k = self.churn_cycles(now).min(end - now);
+            let mut k = self.skip_blocked(now, end);
+            if k == 0 && self.rob_full() {
+                k = self.churn_cycles(now, end - now);
                 if k > 0 {
                     self.churn(now, k);
-                    now += k;
-                    continue;
                 }
             }
-            self.cycle(now, &mut NoMem);
-            now += 1;
+            if k == 0 {
+                self.cycle(now, &mut NoMem);
+                k = 1;
+            }
+            now += k;
         }
     }
 
-    /// Number of upcoming cycles (starting at `now`, ROB currently full)
-    /// over which retire is guaranteed to pop exactly `retire_width` due
-    /// entries per cycle — the steady-churn invariant [`Core::churn`]
-    /// replays in closed form. Returns 0 when the invariant cannot be
-    /// proven (e.g. a pending read sits near the head).
-    fn churn_cycles(&self, now: u64) -> u64 {
+    /// Number of upcoming cycles, at most `limit` (starting at `now`, ROB
+    /// currently full), over which retire is guaranteed to pop exactly
+    /// `retire_width` due entries per cycle — the steady-churn invariant
+    /// [`Core::churn`] replays in closed form. Returns 0 when the
+    /// invariant cannot be proven (e.g. a pending read sits near the head).
+    fn churn_cycles(&self, now: u64, limit: u64) -> u64 {
         let rw = u64::from(self.params.retire_width);
         let fw = u64::from(self.params.fetch_width);
         // Churn holds the ROB full only when fetch can refill every freed
@@ -536,13 +547,17 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             // The entry at index j is popped in the cycle now + j/rw; a
             // later completion time (or a pending read) ends the churn.
             // Within a run that bound only grows, so its first entry
-            // decides.
+            // decides, and a run first popped at `now + limit` or later
+            // cannot shorten the span.
+            if j / rw >= limit {
+                return limit;
+            }
             if run.complete_at > now + j / rw {
                 return j / rw;
             }
             j += u64::from(run.count);
         }
-        u64::MAX
+        limit
     }
 
     /// Replays `k` steady-churn cycles starting at `now` in one step:
@@ -823,7 +838,10 @@ mod tests {
     /// completion cycle, same issue stream. The trace crosses every
     /// regime — fill transients, steady churn, a pending read blocking
     /// the ROB inside a gap (the read latency of 400 far exceeds the ROB
-    /// drain time), and short gaps the batch cannot vouch for.
+    /// drain time), and short gaps the batch cannot vouch for. Like
+    /// `System::overlap_compute_span`, the batched run hands each read
+    /// over before the span that holds its ready cycle, so a full ROB
+    /// also waits inside spans on a head stamped as due mid-span.
     #[test]
     fn advance_compute_matches_per_cycle_execution() {
         let trace = vec![
@@ -833,18 +851,20 @@ mod tests {
             TraceRecord::new(2_000, ReqKind::Read, PhysAddr(192)),
             TraceRecord::new(900, ReqKind::Write, PhysAddr(256)),
         ];
-        let run = |batch: bool| -> CoreStats {
+        let run = |batch: bool| -> (CoreStats, usize) {
             let mut core = Core::new(0, CoreParams::msc_default(), trace.clone().into_iter());
             let mut mem = InstantMemory::new(400);
             let mut now = 0u64;
+            let mut early = 0;
             while !core.done() {
                 assert!(now < 100_000, "did not finish");
                 mem.deliver(now, &mut core);
-                let safe = core.compute_quiet_cycles();
-                // A span must end before the next completion delivery.
-                let fence = mem.next_ready_at().map_or(u64::MAX, |r| r - now);
-                let span = safe.min(fence);
+                let span = core.compute_quiet_cycles();
                 if batch && span > 1 {
+                    // `deliver` also sets the clock that stamps new reads;
+                    // none issue inside the span, and the next call resets it.
+                    early += usize::from(mem.next_ready_at().is_some_and(|r| r < now + span));
+                    mem.deliver(now + span - 1, &mut core);
                     core.advance_compute(now, span);
                     now += span;
                 } else {
@@ -852,8 +872,74 @@ mod tests {
                     now += 1;
                 }
             }
-            core.stats().clone()
+            (core.stats().clone(), early)
         };
-        assert_eq!(run(true), run(false));
+        let ((batched, early), (cycled, _)) = (run(true), run(false));
+        assert_eq!(batched, cycled);
+        assert!(early > 0, "no span held a read's ready cycle");
+    }
+
+    type VecCore = Core<std::vec::IntoIter<TraceRecord>>;
+
+    /// Cycle at which [`blocked_behind_read`] hands its core over.
+    const BLOCKED_AT: u64 = 100;
+
+    /// A core whose ROB is full behind its first read (token 0, issued at
+    /// cycle 0) at cycle [`BLOCKED_AT`], fetching through a long gap, with
+    /// the read stamped as due at `ready_at`. Its pipeline is too deep for
+    /// the churn form to apply (`rob_size < retire_width × (depth + 1)`),
+    /// so batched and per-cycle execution must leave the same ROB runs.
+    fn blocked_behind_read(ready_at: u64) -> (VecCore, GatedWrites) {
+        let trace = vec![
+            TraceRecord::new(0, ReqKind::Read, PhysAddr(0)),
+            TraceRecord::new(5_000, ReqKind::Write, PhysAddr(64)),
+        ];
+        let params = CoreParams {
+            pipeline_depth: 64,
+            ..CoreParams::msc_default()
+        };
+        let mut core = Core::new(0, params, trace.into_iter());
+        let mut mem = GatedWrites::default();
+        for now in 0..BLOCKED_AT {
+            core.cycle(now, &mut mem);
+        }
+        assert!(core.rob_full() && core.head_complete_at() == Some(PENDING));
+        core.complete_read(0, ready_at);
+        (core, mem)
+    }
+
+    /// `batch` leaves a [`blocked_behind_read`] core with the same stats
+    /// and ROB runs as `n` per-cycle calls.
+    fn assert_matches_cycles(
+        ready_at: u64,
+        n: u64,
+        batch: impl FnOnce(&mut VecCore, &mut GatedWrites),
+    ) {
+        let (mut batched, mut mem) = blocked_behind_read(ready_at);
+        batch(&mut batched, &mut mem);
+        let (mut cycled, mut mem) = blocked_behind_read(ready_at);
+        for now in BLOCKED_AT..BLOCKED_AT + n {
+            cycled.cycle(now, &mut mem);
+        }
+        assert_eq!(batched.stats(), cycled.stats(), "head due at {ready_at}");
+        assert_eq!(runs(&batched), runs(&cycled), "head due at {ready_at}");
+    }
+
+    /// A full ROB behind a head stamped as due inside the span: over a
+    /// long span `advance_compute` stalls in one step up to that cycle,
+    /// then retires and refills exactly as per-cycle execution does, and
+    /// so does `step` over a memory cycle's window.
+    #[test]
+    fn a_head_due_mid_span_matches_per_cycle_execution() {
+        let (at, span) = (BLOCKED_AT, 400);
+        for ready_at in [at + 1, at + 60, at + span - 1] {
+            assert_matches_cycles(ready_at, span, |core, _| {
+                assert!(core.compute_quiet_cycles() >= span);
+                core.advance_compute(at, span);
+            });
+        }
+        for ready_at in at + 1..at + 4 {
+            assert_matches_cycles(ready_at, 4, |core, mem| core.step(at, 4, mem));
+        }
     }
 }

@@ -392,18 +392,27 @@ fn drive_on_time(trace: &[TraceRecord], seed: u64) -> Vec<Snapshot> {
     log
 }
 
+/// What the early driver did: its `advance_compute` calls, and those of
+/// them that started with the ROB full behind a head due inside the span
+/// (the blocked closed form, then the head's retirement, in one call).
+#[derive(Default)]
+struct SpanCounts {
+    spans: usize,
+    due_inside: usize,
+}
+
 /// The early driver: each read is handed over at a random cycle between
 /// its issue and its data, and where [`Core::compute_quiet_cycles`]
 /// vouches for a span, a random prefix of it runs as one
 /// `advance_compute` with every read due inside it handed over first.
-/// Returns `(cycle count, snapshot)` after every call, and the number of
-/// `advance_compute` calls.
-fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, usize) {
+/// Returns `(cycle count, snapshot)` after every call, and its span
+/// counts.
+fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, SpanCounts) {
     let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
     let mut sink = TimedSink::new(seed);
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xea21);
     let mut log = Vec::new();
-    let mut spans = 0;
+    let mut counts = SpanCounts::default();
     while !core.done() {
         let now = sink.now;
         assert!(now < 4_000_000, "core wedged");
@@ -412,9 +421,16 @@ fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, usize
         if safe > 0 && rng.gen_bool(0.7) {
             let n = rng.gen_range(1..safe + 1);
             sink.deliver(&mut core, |ready, _| ready < now + n);
+            // Mid-gap, only a full ROB stalls the core.
+            if let CoreWait::Stalled {
+                retire_at: Some(t), ..
+            } = core.wait_hint()
+            {
+                counts.due_inside += usize::from(t > now && t < now + n);
+            }
             core.advance_compute(now, n);
             sink.now += n;
-            spans += 1;
+            counts.spans += 1;
         } else {
             core.cycle(now, &mut sink);
             sink.now += 1;
@@ -424,7 +440,7 @@ fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, usize
             (core.stats().clone(), core.wait_hint(), core.rob_occupancy()),
         ));
     }
-    (log, spans)
+    (log, counts)
 }
 
 /// `hint` as seen from cycle `at`: a retire cycle already reached reads
@@ -453,7 +469,7 @@ fn seen_at(hint: CoreWait, at: u64) -> CoreWait {
 #[test]
 fn early_completions_match_on_time_ones() {
     let mut rng = SmallRng::seed_from_u64(0xea71);
-    let (mut spans, mut known_early) = (0usize, 0usize);
+    let (mut spans, mut due_inside, mut known_early) = (0usize, 0usize, 0usize);
     for case in 0..200 {
         let n = rng.gen_range(1..60usize);
         let trace: Vec<TraceRecord> = (0..n)
@@ -472,8 +488,9 @@ fn early_completions_match_on_time_ones() {
             .collect();
         let seed = rng.gen_range(0..u64::MAX);
         let on_time = drive_on_time(&trace, seed);
-        let (early, case_spans) = drive_early(&trace, seed);
-        spans += case_spans;
+        let (early, counts) = drive_early(&trace, seed);
+        spans += counts.spans;
+        due_inside += counts.due_inside;
         for (at, (stats, hint, occupancy)) in &early {
             let (ref_stats, ref_hint, ref_occupancy) = &on_time[*at as usize];
             // The read-latency histogram records a read when it is handed
@@ -506,10 +523,10 @@ fn early_completions_match_on_time_ones() {
         assert_eq!(*finished, on_time.len() as u64 - 1, "case {case}");
         assert_eq!(stats, ref_stats, "case {case}: final stats differ");
     }
-    // Both the batched path and an early-stamped head must be exercised,
-    // or the test proves little.
+    // The batched path, a span that waits on a head due inside it and an
+    // early-stamped head must all be exercised, or the test proves little.
     assert!(
-        spans > 1_000 && known_early > 100,
-        "{spans} spans, {known_early} early heads"
+        spans > 1_000 && due_inside > 50 && known_early > 100,
+        "{spans} spans ({due_inside} with a head due inside), {known_early} early heads"
     );
 }
