@@ -39,9 +39,11 @@ benchmark-test:
 # The benchmark at full trace length for half a second per workload: its
 # seed-2015 reports must match the pinned digests and the dense drive's
 # reports. Exits 1 on any mismatch (benchmark-test cuts traces 100-fold,
-# so only this target checks the pinned digests).
+# so only this target checks the pinned digests). A second seed, which
+# has no pinned digest, repeats the wheel-vs-dense check on other traces.
 benchmark-gate:
 	$(CARGO) run --release $(OFFLINE) -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5
+	$(CARGO) run --release $(OFFLINE) -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5 --seed 7
 
 # Golden-report snapshots (tests/goldens/): byte-exact scalar outcomes of
 # the Table-3 modes. Runs as part of `make test` too; this target gives

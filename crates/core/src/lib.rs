@@ -108,4 +108,6 @@ pub use telemetry::{BankCommandCounts, Telemetry};
 // this crate: the seeded plan and the guardband vocabulary it trips.
 pub use mcr_faults::FaultPlan;
 pub use mem_controller::{DegradeLevel, GuardbandConfig, GuardbandTransition};
+// Names the slots of `RunExecStats::wakes`.
+pub use mem_controller::EdgeSource;
 pub use timing::{DeviceClass, McrTimingTable, ModeTiming};

@@ -20,8 +20,8 @@ use dram_power::{edp, EnergyBreakdown, PowerParams};
 use mcr_faults::FaultPlan;
 use mem_controller::{
     AddressMapper, BitReversal, Completion, ControllerConfig, ControllerStats, DegradeLevel,
-    DevicePolicy, GuardbandConfig, GuardbandTransition, MemoryController, PageInterleave,
-    PermutationInterleave, RowPolicy, SchedulerKind,
+    DevicePolicy, EdgeSource, GuardbandConfig, GuardbandTransition, MemoryController,
+    PageInterleave, PermutationInterleave, RowPolicy, SchedulerKind,
 };
 use trace_gen::{hot_rows, workload, TraceGenerator, WorkloadProfile, ROW_BYTES};
 
@@ -713,6 +713,12 @@ pub struct RunExecStats {
     /// controller's wake, plus `controller_alone_ticks`. The dense drive
     /// ticks every cycle.
     pub controller_ticks: u64,
+    /// Wakes armed, by the edge source that claimed each one, indexed by
+    /// `source as usize` ([`EdgeSource::ALL`] names the slots): one per
+    /// [`MemoryController::next_tick`] answer the wheel re-arms from. An
+    /// enqueue may re-arm before the armed wake ticks. The dense drive
+    /// arms none.
+    pub wakes: [u64; EdgeSource::COUNT],
 }
 
 /// End-of-run metrics.
@@ -1094,23 +1100,34 @@ impl System {
         }
         self.cycle_cores();
         if self.skip_ahead && (tick || self.controller.had_activity()) {
-            self.wake = self.controller.next_tick(self.mem_now);
+            self.rearm_wake();
         }
         self.mem_now += 1;
         self.exec.dense_cycles += 1;
     }
 
+    /// Re-arms the wake once cycle `mem_now` is over, counting the edge
+    /// source that claimed it.
+    fn rearm_wake(&mut self) {
+        let edge = self.controller.next_tick_detail(self.mem_now);
+        if let Some(e) = edge {
+            self.exec.wakes[e.source as usize] += 1;
+        }
+        self.wake = edge.map(|e| e.cycle);
+    }
+
     /// The controller's half of memory cycle `mem_now`: one tick, each
-    /// completed read handed to its core, then the guardband's MRS moves
-    /// (later ACTIVATEs read the policy they set).
+    /// read it completes handed to its core, then the guardband's MRS
+    /// moves (later ACTIVATEs read the policy they set). A read served by
+    /// DRAM completes at the tick that issues its CAS, stamped with its
+    /// later data arrival: the core holds the stamp and retires the read
+    /// no earlier, exactly as if it had been handed over on that cycle.
     fn tick_controller(&mut self) {
         self.exec.controller_ticks += 1;
         let mut done = std::mem::take(&mut self.completions);
         self.controller.tick_into(self.mem_now, &mut done);
         for c in done.drain(..) {
-            // Overlapped compute spans rely on this: data arrives on the
-            // cycle of the tick that delivers it.
-            debug_assert_eq!(c.ready_at, self.mem_now, "late completion");
+            debug_assert!(c.ready_at >= self.mem_now, "late completion");
             if c.core_id == COPY_CORE {
                 continue; // cache-copy traffic; nobody waits on it
             }
@@ -1173,22 +1190,30 @@ impl System {
     ///   one [`Core::advance_compute`] (the real fetch/retire logic, so ROB
     ///   churn and stall counters replay bit-identically);
     /// * a [`CoreWait::Stalled`] fetch stage, up to the memory cycle its
-    ///   ROB head retires in (which executes densely), with no bound while
-    ///   the head waits on DRAM; a completion is a controller edge. A
-    ///   queue retry while a row cache is armed is no proof: the retried
-    ///   enqueue routes through the cache and mutates its LRU/promotion
-    ///   state even when refused.
+    ///   ROB head retires in (which executes densely): a read the
+    ///   controller has completed carries its data-arrival stamp. While
+    ///   the head waits on a read whose CAS has not issued there is no
+    ///   bound; that CAS is a controller edge. A queue retry while a row
+    ///   cache is armed is no proof: the retried enqueue routes through
+    ///   the cache and mutates its LRU/promotion state even when refused.
     ///
     /// A core with neither proof, or no edge at all (the wedge cap then
     /// flags a true deadlock), means no jump. The span also ends at the
-    /// controller's wake, which precedes every read completion, so no
-    /// `complete_read` lands inside it.
+    /// controller's wake, where every `complete_read` lands, so none lands
+    /// inside it. With every core done, the run ends when the controller
+    /// turns idle, so the span also ends at the last data arrival still in
+    /// flight (row-cache copy reads that no core waits on).
     fn skip_frozen_span(&mut self, until: Cycle) {
         let mut edge = self.wake;
         if edge.is_some_and(|w| w <= self.mem_now) {
             return;
         }
         let mut fold = |end: Cycle| edge = Some(edge.map_or(end, |e| e.min(end)));
+        if self.cores.iter().all(|c| c.done()) {
+            if let Some(t) = self.controller.data_in_flight_until() {
+                fold(t);
+            }
+        }
         for core in self.cores.iter().filter(|c| !c.done()) {
             let gap_end = self.mem_now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
             let retire_at = match core.wait_hint() {
@@ -1232,10 +1257,10 @@ impl System {
     /// vouched span ends. The controller then runs those cycles alone,
     /// ticking at each wake and jumping to the next.
     /// Each read it completes is handed to its core early, stamped with
-    /// the cycle its data arrives, which is the tick's own cycle (the
-    /// wheel never skips a completion edge) and so no earlier than the
-    /// core's view of it in the dense drive; until that cycle, a stamped
-    /// read and a pending one behave alike. The cores then catch up with
+    /// the cycle its data arrives, which is no earlier than the tick that
+    /// completes it and may lie beyond the span's end; until that cycle, a
+    /// stamped read and a pending one behave alike, so such a read just
+    /// stays pending for the span. The cores then catch up with
     /// one [`Core::advance_compute`] each, and another span follows while
     /// they are all still vouched for. Returns `false`, having done
     /// nothing, when no span applies.
@@ -1268,7 +1293,7 @@ impl System {
                     break;
                 }
                 self.tick_controller();
-                self.wake = self.controller.next_tick(self.mem_now);
+                self.rearm_wake();
                 self.mem_now += 1;
                 self.exec.controller_alone_ticks += 1;
             }
@@ -1593,6 +1618,30 @@ mod tests {
         assert!(r.avg_read_latency > 0.0);
         assert!(r.energy.total_pj() > 0.0);
         assert!(r.instructions >= 2_000);
+    }
+
+    #[test]
+    fn a_run_ends_when_copy_data_nobody_waits_on_arrives() {
+        // Once every core is done, a row-cache copy read can be the last
+        // work left. It completes at its CAS, so its data arrival is no
+        // wake; the run must still end on the dense drive's cycle, right
+        // after that arrival, not at the next refresh deadline.
+        let end_cycle = |skip_ahead: bool| {
+            let mut sys = System::build(&SystemConfig::single_core("black", 200));
+            sys.set_skip_ahead(skip_ahead);
+            assert!(sys.run_until(WEDGE_CAP));
+            let start = sys.mem_now;
+            assert!(sys
+                .controller
+                .enqueue_read(COPY_CORE, PhysAddr(0))
+                .is_some());
+            sys.wake = Some(start);
+            assert!(sys.run_until(WEDGE_CAP));
+            (start, sys.mem_now)
+        };
+        let (start, end) = end_cycle(false);
+        assert!(end > start + 15, "ACT, CAS and burst: {start} -> {end}");
+        assert_eq!(end_cycle(true), (start, end));
     }
 
     #[test]

@@ -17,19 +17,17 @@
 //! is ticked on every cycle, and every cycle the wheel skips must be
 //! quiet on it. Any completion or activity the dense twin shows strictly
 //! before the claimed wake is a wake-soundness violation, attributed to
-//! the [`EdgeSource`] that produced the too-late edge. At the end of each
-//! scenario both twins' statistics and telemetry must agree. Every
-//! distinct wake-state fingerprint encountered is counted, after quiet
-//! and after active cycles apart, so the report states exactly how many
-//! reachable states were certified.
+//! the [`mem_controller::EdgeSource`] that produced the too-late edge. At
+//! the end of each scenario both twins' statistics and telemetry must
+//! agree. Every distinct wake-state fingerprint encountered is counted,
+//! after quiet and after active cycles apart, so the report states
+//! exactly how many reachable states were certified.
 
 use crate::Finding;
 use circuit_model::{CircuitParams, LeakageModel};
 use dram_device::{Cycle, DeviceError, Geometry, PhysAddr, RetentionConfig, TimingSet, T_CK_NS};
 use mcr_dram::{FaultPlan, McrMode, McrPolicy, Mechanisms};
-use mem_controller::{
-    ControllerConfig, EdgeInfo, EdgeSource, MemoryController, PageInterleave, RowPolicy,
-};
+use mem_controller::{ControllerConfig, EdgeInfo, MemoryController, PageInterleave, RowPolicy};
 use sim_rng::SmallRng;
 use std::collections::{HashMap, HashSet};
 
@@ -196,21 +194,7 @@ fn source_name(edge: Option<EdgeInfo>) -> String {
 }
 
 fn source_idx(edge: Option<EdgeInfo>) -> u8 {
-    match edge.map(|e| e.source) {
-        None => 255,
-        Some(EdgeSource::GuardbandRearm) => 0,
-        Some(EdgeSource::Completion) => 1,
-        Some(EdgeSource::RefreshDue) => 2,
-        Some(EdgeSource::RefreshRelease) => 3,
-        Some(EdgeSource::RefreshQuiesce) => 4,
-        Some(EdgeSource::QueueCas) => 5,
-        Some(EdgeSource::QueuePrecharge) => 6,
-        Some(EdgeSource::QueueActivate) => 7,
-        Some(EdgeSource::PowerdownDue) => 8,
-        Some(EdgeSource::PowerdownRetry) => 9,
-        Some(EdgeSource::Bookkeeping) => 10,
-        Some(EdgeSource::BusyQueue) => 11,
-    }
+    edge.map_or(u8::MAX, |e| e.source as u8)
 }
 
 /// Wake-state fingerprint: scenario identity, whether the cycle that

@@ -779,9 +779,19 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
         println!("exec: MCR point read from the result store, not simulated");
     } else {
         let e = &run.exec;
+        let wakes: Vec<String> = mcr_dram::EdgeSource::ALL
+            .iter()
+            .zip(e.wakes)
+            .filter(|&(_, n)| n > 0)
+            .map(|(source, n)| format!("{source:?} {n}"))
+            .collect();
         println!(
-            "exec: {} dense, {} skipped, {} overlapped cycles | {} controller ticks",
-            e.dense_cycles, e.quiet_skipped_cycles, e.overlapped_span_cycles, e.controller_ticks
+            "exec: {} dense, {} skipped, {} overlapped cycles | {} controller ticks | wakes: {}",
+            e.dense_cycles,
+            e.quiet_skipped_cycles,
+            e.overlapped_span_cycles,
+            e.controller_ticks,
+            wakes.join(", ")
         );
     }
     if let Some(c) = &run.cache {

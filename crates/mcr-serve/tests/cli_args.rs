@@ -239,8 +239,10 @@ fn report_prints_one_exec_line() {
     let [line] = lines[..] else {
         panic!("one exec line expected: {}", o.stdout)
     };
-    // "exec: D dense, S skipped, O overlapped cycles | T controller ticks"
-    let n: Vec<u64> = line
+    // "exec: D dense, S skipped, O overlapped cycles | T controller ticks
+    // | wakes: QueueCas W, RefreshDue W, ..."
+    let (cycles, wakes) = line.split_once(" | wakes: ").expect("wake counts");
+    let n: Vec<u64> = cycles
         .split(|c: char| !c.is_ascii_digit())
         .filter_map(|w| w.parse().ok())
         .collect();
@@ -249,4 +251,17 @@ fn report_prints_one_exec_line() {
     };
     assert!(dense > 0 && dense + skipped + overlapped > ticks, "{line}");
     assert!(ticks > 0 && ticks <= dense + overlapped, "{line}");
+    // Every tick after the first ticks at a wake one re-arm named, and
+    // only nonzero sources are printed, each once.
+    let mut sources = Vec::new();
+    let mut armed = 0;
+    for entry in wakes.split(", ") {
+        let (source, n) = entry.rsplit_once(' ').expect("source and count");
+        let n: u64 = n.parse().expect("wake count");
+        assert!(n > 0 && !sources.contains(&source), "{line}");
+        sources.push(source);
+        armed += n;
+    }
+    assert!(sources.contains(&"QueueCas"), "{line}");
+    assert!(armed >= ticks - 1, "{line}");
 }

@@ -176,6 +176,7 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
             overlapped_span_cycles: ru(rng),
             controller_alone_ticks: ru(rng),
             controller_ticks: ru(rng),
+            wakes: std::array::from_fn(|_| ru(rng)),
         },
     }
 }

@@ -13,8 +13,6 @@ use dram_device::{
     RetentionConfig, RowTimingClass, TimingError, TimingSet, Violation,
 };
 use mcr_faults::FaultPlan;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Scheduling policy for picking among queued requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,14 +85,18 @@ impl Default for ControllerConfig {
     }
 }
 
-/// A finished read, handed back to the driving core model.
+/// A read whose data arrival cycle is fixed, handed back to the driving
+/// core model by the tick that fixes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Token returned by [`MemoryController::enqueue_read`].
     pub token: u64,
     /// Core that issued the read.
     pub core_id: u32,
-    /// Memory cycle at which the last data beat arrived.
+    /// Memory cycle at which the last data beat arrives. For a read served
+    /// by DRAM this is the CAS's data end, which lies after the tick that
+    /// issued the CAS and handed the completion out; for a store-to-load
+    /// forwarded read it is the cycle of the tick that hands it out.
     pub ready_at: Cycle,
     /// Queueing + service latency in memory cycles.
     pub latency: Cycle,
@@ -110,7 +112,9 @@ pub struct Completion {
 pub enum EdgeSource {
     /// Guardband monitor re-arm poll deadline.
     GuardbandRearm,
-    /// Earliest in-flight read completion delivery.
+    /// Delivery of the store-to-load forwarded reads enqueued since the
+    /// last tick. A read served by DRAM is handed out by the tick that
+    /// issues its CAS, so its data arrival is no edge.
     Completion,
     /// A rank's next refresh-slot deadline (tREFI cadence).
     RefreshDue,
@@ -138,6 +142,28 @@ pub enum EdgeSource {
     BusyQueue,
 }
 
+impl EdgeSource {
+    /// The number of sources: the length of a per-source count array
+    /// indexed by `source as usize`.
+    pub const COUNT: usize = 12;
+
+    /// Every source, in declaration (and so index) order.
+    pub const ALL: [EdgeSource; Self::COUNT] = [
+        EdgeSource::GuardbandRearm,
+        EdgeSource::Completion,
+        EdgeSource::RefreshDue,
+        EdgeSource::RefreshRelease,
+        EdgeSource::RefreshQuiesce,
+        EdgeSource::QueueCas,
+        EdgeSource::QueuePrecharge,
+        EdgeSource::QueueActivate,
+        EdgeSource::PowerdownDue,
+        EdgeSource::PowerdownRetry,
+        EdgeSource::Bookkeeping,
+        EdgeSource::BusyQueue,
+    ];
+}
+
 /// Queued requests in one channel beyond which
 /// [`MemoryController::next_tick`] answers the next cycle after an active
 /// one without scanning for edges (DESIGN.md §5h): a threshold of one
@@ -162,8 +188,6 @@ struct ChannelCtl {
     write_q: Vec<Request>,
     refresh: RefreshScheduler,
     draining: bool,
-    /// (ready_at, token, core, enqueued_at) min-heap.
-    completions: BinaryHeap<Reverse<(Cycle, u64, u32, Cycle)>>,
     /// Per-rank cycle since which the rank has been continuously idle
     /// (for power-down entry decisions).
     rank_idle_since: Vec<Option<Cycle>>,
@@ -243,10 +267,15 @@ pub struct MemoryController {
     /// The last cycle ticked or replayed by
     /// [`MemoryController::note_skipped_cycles`]; enqueues stamp the next.
     last_tick: Option<Cycle>,
+    /// Store-to-load forwarded reads as (token, core, due cycle), enqueued
+    /// since the last tick and delivered by the next one.
+    forwarded: Vec<(u64, u32, Cycle)>,
+    /// The latest data arrival of any read whose CAS has issued.
+    data_until: Option<Cycle>,
     /// Whether the current memory cycle (since the last [`MemoryController::tick`]
     /// entry or skipped-cycle replay) did or queued any observable work.
     /// Cleared at the top of every tick and by every replay; set by
-    /// command issue, refresh-slot arrival, completion delivery,
+    /// command issue, refresh-slot arrival, forwarded-read delivery,
     /// power-down transitions, drain-mode flips, guardband moves, and
     /// request enqueues. [`MemoryController::next_tick`] reads it to pick
     /// its rule.
@@ -328,7 +357,6 @@ impl MemoryController {
                     config.wiring,
                 ),
                 draining: false,
-                completions: BinaryHeap::new(),
                 rank_idle_since: vec![None; geometry.ranks as usize],
                 rank_queued: vec![0; geometry.ranks as usize],
             });
@@ -342,6 +370,8 @@ impl MemoryController {
             next_token: 0,
             stats: ControllerStats::default(),
             last_tick: None,
+            forwarded: Vec::new(),
+            data_until: None,
             activity: true,
             telemetry: CtlTelemetry::default(),
             fault_plan: None,
@@ -531,11 +561,28 @@ impl MemoryController {
         self.channels[ch].write_q.len()
     }
 
-    /// True when every queue is empty and no completion is in flight.
+    /// True when every queue is empty, no forwarded read awaits delivery,
+    /// and a tick or [`MemoryController::note_skipped_cycles`] has covered
+    /// the data arrival of every read whose CAS issued
+    /// ([`MemoryController::data_in_flight_until`] is `None`).
     pub fn idle(&self) -> bool {
-        self.channels
-            .iter()
-            .all(|c| c.read_q.is_empty() && c.write_q.is_empty() && c.completions.is_empty())
+        self.forwarded.is_empty()
+            && self.data_in_flight_until().is_none()
+            && self
+                .channels
+                .iter()
+                .all(|c| c.read_q.is_empty() && c.write_q.is_empty())
+    }
+
+    /// The cycle the last data of an issued read arrives on, while no tick
+    /// or [`MemoryController::note_skipped_cycles`] has covered it yet. It
+    /// is no edge of [`MemoryController::next_tick`]: the tick that issued
+    /// the CAS already handed the read out. A driver whose cores are all
+    /// done runs until then, since the run ends once the controller is
+    /// [`MemoryController::idle`].
+    pub fn data_in_flight_until(&self) -> Option<Cycle> {
+        self.data_until
+            .filter(|&t| self.last_tick.is_none_or(|last| t > last))
     }
 
     /// True when the current memory cycle did or queued observable work:
@@ -552,7 +599,7 @@ impl MemoryController {
 
     /// Earliest cycle strictly after `now` at which a quiet controller can
     /// next do work: command legality for every queued request (including
-    /// the shared data bus), completion delivery, refresh-slot deadlines
+    /// the shared data bus), forwarded-read delivery, refresh-slot deadlines
     /// and backlog release, power-down thresholds and pending entries, and
     /// guardband re-arms. Returns `None` when no such edge exists (e.g. a
     /// fully idle controller).
@@ -612,8 +659,8 @@ impl MemoryController {
     ///   `now + 1`: such an edge may already be due, because its command
     ///   lost the channel's one-command slot or its step came due again
     ///   right after the last one. Refresh deadlines, `not_before`
-    ///   releases and completion times stay unclamped: once cycle `now`
-    ///   is over, each one that still matters lies after it.
+    ///   releases and forwarded-read delivery stay unclamped: once cycle
+    ///   `now` is over, each one that still matters lies after it.
     pub fn next_tick(&self, now: Cycle) -> Option<Cycle> {
         self.next_tick_detail(now).map(|e| e.cycle)
     }
@@ -673,12 +720,12 @@ impl MemoryController {
                 return fold.edge;
             }
         }
-        for ch in &self.channels {
-            if let Some(&Reverse((ready, ..))) = ch.completions.peek() {
-                if fold.note(ready, EdgeSource::Completion) {
-                    return fold.edge;
-                }
+        if let Some(&(.., due)) = self.forwarded.first() {
+            if fold.note(due, EdgeSource::Completion) {
+                return fold.edge;
             }
+        }
+        for ch in &self.channels {
             if self.config.refresh_enabled {
                 for rank in 0..self.geometry.ranks {
                     fold.note(ch.refresh.next_due(rank), EdgeSource::RefreshDue);
@@ -823,7 +870,7 @@ impl MemoryController {
         let now = self.last_tick.map_or(0, |c| c + 1);
         // Store-to-load forwarding from the write queue.
         if ch.write_q.iter().any(|w| w.phys == phys) {
-            ch.completions.push(Reverse((now, token, core_id, now)));
+            self.forwarded.push((token, core_id, now));
             return Some(token);
         }
         ch.rank_queued[dram.rank as usize] += 1;
@@ -871,8 +918,12 @@ impl MemoryController {
     }
 
     /// Advances one memory cycle: updates refresh deadlines, issues at most
-    /// one command per channel, and returns the reads whose data arrived at
-    /// or before `now`.
+    /// one command per channel, and returns the reads it completes: each
+    /// read whose CAS issued at `now`, stamped with the later cycle its
+    /// data arrives on, and each store-to-load forwarded read enqueued
+    /// since the last tick, stamped `now`. A read is returned exactly once;
+    /// [`ControllerStats::reads_done`] and the latency counters count it
+    /// here.
     ///
     /// # Panics
     ///
@@ -921,27 +972,34 @@ impl MemoryController {
             }
             self.manage_power_down(ci, now);
             self.update_drain_mode(ci);
-            self.schedule(ci, now);
-            // Pop due completions.
-            let ch = &mut self.channels[ci];
-            while let Some(&Reverse((ready, token, core, enq))) = ch.completions.peek() {
-                if ready > now {
-                    break;
-                }
-                ch.completions.pop();
-                self.activity = true;
-                let latency = ready - enq;
-                self.stats.reads_done += 1;
-                self.stats.read_latency_sum += latency;
-                self.telemetry.read_latency.record(latency);
-                done.push(Completion {
-                    token,
-                    core_id: core,
-                    ready_at: ready,
-                    latency,
-                });
-            }
+            self.schedule(ci, now, done);
         }
+        for (token, core_id, due) in std::mem::take(&mut self.forwarded) {
+            debug_assert!(due <= now, "forwarded read due at {due} ticked at {now}");
+            self.activity = true;
+            self.complete(done, token, core_id, due, due);
+        }
+    }
+
+    /// Counts a read whose data arrives at `ready_at` and hands it out.
+    fn complete(
+        &mut self,
+        done: &mut Vec<Completion>,
+        token: u64,
+        core_id: u32,
+        ready_at: Cycle,
+        enqueued_at: Cycle,
+    ) {
+        let latency = ready_at - enqueued_at;
+        self.stats.reads_done += 1;
+        self.stats.read_latency_sum += latency;
+        self.telemetry.read_latency.record(latency);
+        done.push(Completion {
+            token,
+            core_id,
+            ready_at,
+            latency,
+        });
     }
 
     /// Power-down management: wake ranks that have work, put long-idle
@@ -1000,8 +1058,9 @@ impl MemoryController {
         }
     }
 
-    /// Issues at most one command on channel `ci` at cycle `now`.
-    fn schedule(&mut self, ci: usize, now: Cycle) {
+    /// Issues at most one command on channel `ci` at cycle `now`; a read
+    /// CAS appends its completion to `done`.
+    fn schedule(&mut self, ci: usize, now: Cycle, done: &mut Vec<Completion>) {
         // 1. Urgent refresh takes absolute priority for its rank.
         let ranks = self.geometry.ranks;
         let mut urgent = RankMask::default();
@@ -1022,8 +1081,8 @@ impl MemoryController {
             ch.draining || (ch.read_q.is_empty() && !ch.write_q.is_empty())
         };
         let issued = match self.config.scheduler {
-            SchedulerKind::FrFcfs => self.schedule_fr_fcfs(ci, now, drain, urgent),
-            SchedulerKind::Fcfs => self.schedule_fcfs(ci, now, drain, urgent),
+            SchedulerKind::FrFcfs => self.schedule_fr_fcfs(ci, now, drain, urgent, done),
+            SchedulerKind::Fcfs => self.schedule_fcfs(ci, now, drain, urgent, done),
         };
         if issued {
             return;
@@ -1059,7 +1118,14 @@ impl MemoryController {
     }
 
     /// FR-FCFS: oldest issuable row hit, else oldest ACT, else oldest PRE.
-    fn schedule_fr_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: RankMask) -> bool {
+    fn schedule_fr_fcfs(
+        &mut self,
+        ci: usize,
+        now: Cycle,
+        drain: bool,
+        urgent: RankMask,
+        done: &mut Vec<Completion>,
+    ) -> bool {
         let is_read = !drain;
         // Pass 1: row hits.
         let hit = self.find_request(ci, drain, urgent, |ch, r| {
@@ -1067,7 +1133,7 @@ impl MemoryController {
                 && ch.next_cas_cycle(r.dram.rank, r.dram.bank, is_read) <= now
         });
         if let Some(idx) = hit {
-            return self.issue_cas(ci, idx, drain, now);
+            return self.issue_cas(ci, idx, drain, now, done);
         }
         // Pass 2: closed banks -> ACTIVATE.
         let act = self.find_request(ci, drain, urgent, |ch, r| {
@@ -1101,7 +1167,14 @@ impl MemoryController {
     }
 
     /// FCFS: work only on the oldest request.
-    fn schedule_fcfs(&mut self, ci: usize, now: Cycle, drain: bool, urgent: RankMask) -> bool {
+    fn schedule_fcfs(
+        &mut self,
+        ci: usize,
+        now: Cycle,
+        drain: bool,
+        urgent: RankMask,
+        done: &mut Vec<Completion>,
+    ) -> bool {
         let oldest = self.find_request(ci, drain, urgent, |_, _| true);
         let Some(idx) = oldest else { return false };
         let (rank, bank, row) = {
@@ -1113,7 +1186,7 @@ impl MemoryController {
         match ch.open_row(rank, bank) {
             Some(open) if open == row => {
                 if ch.next_cas_cycle(rank, bank, is_read) <= now {
-                    return self.issue_cas(ci, idx, drain, now);
+                    return self.issue_cas(ci, idx, drain, now, done);
                 }
             }
             Some(_) => {
@@ -1155,7 +1228,16 @@ impl MemoryController {
             .map(|(i, _)| i)
     }
 
-    fn issue_cas(&mut self, ci: usize, idx: usize, drain: bool, now: Cycle) -> bool {
+    /// Issues the CAS of queue entry `idx`. A read completes here: its
+    /// data arrival is fixed by the CAS, so its completion goes to `done`.
+    fn issue_cas(
+        &mut self,
+        ci: usize,
+        idx: usize,
+        drain: bool,
+        now: Cycle,
+        done: &mut Vec<Completion>,
+    ) -> bool {
         let req = if drain {
             self.channels[ci].write_q[idx].clone()
         } else {
@@ -1209,8 +1291,8 @@ impl MemoryController {
             self.stats.writes_done += 1;
         } else {
             let r = ch.read_q.remove(idx);
-            ch.completions
-                .push(Reverse((data_end, r.token, r.core_id, r.enqueued_at)));
+            self.data_until = self.data_until.max(Some(data_end));
+            self.complete(done, r.token, r.core_id, data_end, r.enqueued_at);
         }
         true
     }
@@ -1396,6 +1478,99 @@ mod tests {
         // ACT at 0, RD at tRCD=11, data at 11+CL+BL = 26.
         assert_eq!(done[0].ready_at, 26);
         assert_eq!(ctl.stats().row_misses, 1);
+    }
+
+    /// Ticks from `from` until a tick hands out a completion; returns
+    /// that tick's cycle and completions.
+    fn tick_until_completion(ctl: &mut MemoryController, from: Cycle) -> (Cycle, Vec<Completion>) {
+        (from..from + 1_000)
+            .find_map(|now| Some((now, ctl.tick(now))).filter(|(_, done)| !done.is_empty()))
+            .expect("a read completes")
+    }
+
+    #[test]
+    fn a_read_completes_at_the_tick_that_issues_its_cas() {
+        let mut ctl = controller(false);
+        ctl.enable_command_trace(8);
+        let token = ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        let (cas, done) = tick_until_completion(&mut ctl, 0);
+        // ACT at 0, RD at tRCD=11: the RD's tick hands the read out with
+        // its data arrival, 11+CL+BL = 26, and the latency from enqueue.
+        assert_eq!(cas, 11);
+        let read = ctl
+            .channels()
+            .next()
+            .unwrap()
+            .command_trace()
+            .nth(1)
+            .unwrap();
+        assert_eq!(
+            (read.kind, read.cycle),
+            (dram_device::CommandKind::Read, cas)
+        );
+        let want = Completion {
+            token,
+            core_id: 0,
+            ready_at: 26,
+            latency: 26,
+        };
+        assert_eq!(done, vec![want]);
+        let s = ctl.stats();
+        assert_eq!((s.reads_done, s.read_latency_sum), (1, 26));
+        // The data arrival is no edge: with nothing else pending the
+        // controller sleeps until the next enqueue.
+        assert_eq!(ctl.data_in_flight_until(), Some(26));
+        assert_eq!(ctl.next_tick(cas), None);
+        assert_eq!(ctl.next_event(cas), None);
+        assert!(run(&mut ctl, cas + 1, 100).is_empty(), "handed out once");
+    }
+
+    #[test]
+    fn idle_waits_for_the_last_data_arrival() {
+        // Covered by skipped-cycle replays...
+        let mut ctl = controller(false);
+        ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        let (cas, _) = tick_until_completion(&mut ctl, 0);
+        assert!(!ctl.idle(), "data in flight after the CAS tick");
+        ctl.note_skipped_cycles(26 - cas - 1);
+        assert!(!ctl.idle(), "replayed through cycle 25");
+        ctl.note_skipped_cycles(1);
+        assert!(ctl.idle(), "replayed through cycle 26");
+        assert_eq!(ctl.data_in_flight_until(), None);
+        // ...or by a tick.
+        let mut ctl = controller(false);
+        ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        tick_until_completion(&mut ctl, 0);
+        ctl.tick(25);
+        assert!(!ctl.idle(), "ticked through cycle 25");
+        ctl.tick(26);
+        assert!(ctl.idle(), "ticked through cycle 26");
+    }
+
+    #[test]
+    fn a_forwarded_read_completes_at_the_next_tick() {
+        let mut ctl = controller(false);
+        assert!(ctl.enqueue_write(0, PhysAddr(0)));
+        ctl.tick(0);
+        let token = ctl.enqueue_read(0, PhysAddr(0)).unwrap();
+        assert!(!ctl.idle());
+        assert_eq!(wake(&ctl, 0), Some((1, EdgeSource::Completion)));
+        let want = Completion {
+            token,
+            core_id: 0,
+            ready_at: 1,
+            latency: 0,
+        };
+        assert_eq!(ctl.tick(1), vec![want]);
+        assert!(ctl.tick(2).is_empty(), "handed out once");
+        assert_eq!(ctl.stats().reads_done, 1);
+    }
+
+    #[test]
+    fn every_edge_source_sits_at_its_index() {
+        for (i, &source) in EdgeSource::ALL.iter().enumerate() {
+            assert_eq!(source as usize, i, "{source:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,11 @@ use crate::refresh::RefreshStats;
 /// End-of-run statistics for one memory controller.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControllerStats {
-    /// Read requests completed.
+    /// Read requests completed. A read counts once the tick that issues
+    /// its CAS (or delivers it by store-to-load forwarding) hands it out,
+    /// even if its data is still in flight; once the controller is
+    /// [`crate::MemoryController::idle`], every counted read's data has
+    /// arrived.
     pub reads_done: u64,
     /// Write requests drained to DRAM.
     pub writes_done: u64,
