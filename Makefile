@@ -3,11 +3,12 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test benchmark-test benchmark-gate golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
+.PHONY: check build doc loc test test-release benchmark-test benchmark-gate golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
-# snapshots), the mcr-lint static
+# snapshots) and its wheel-vs-dense and golden tests again on a release
+# build, the mcr-lint static
 # passes (source lint + timing/mode-table/region checks), the exhaustive
 # protocol model check + wake-soundness certification, the command-stream
 # audit of the release build (the online auditor is armed by default only
@@ -16,7 +17,7 @@ OFFLINE ?= --offline
 # cross-backend compare smoke, the benchmark's digest gate at full trace
 # length, and the wall-clock gate (event wheel, persistent store,
 # per-backend throughput).
-check: build clippy doc fmt-check test benchmark-test benchmark-gate golden lint model audit chaos serve-smoke compare bench-wallclock
+check: build clippy doc fmt-check test test-release benchmark-test benchmark-gate golden lint model audit chaos serve-smoke compare bench-wallclock
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -61,6 +62,12 @@ clippy:
 
 test:
 	$(CARGO) test $(OFFLINE) --workspace -q
+
+# The wheel-vs-dense equivalence suite and the goldens on a release build:
+# the benchmark and every timed run drive release builds, where
+# `debug_assert!`s are compiled out and overflow wraps.
+test-release:
+	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --test event_wheel_equivalence --test golden_reports
 
 fmt-check:
 	$(CARGO) fmt --all --check

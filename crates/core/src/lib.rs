@@ -94,7 +94,7 @@ pub use mechanisms::Mechanisms;
 pub use mode::{McrMode, ModeError};
 pub use mode_change::{ModeChangePlan, OsVisibleMemory};
 pub use policy::McrPolicy;
-pub use report::{telemetry_to_csv, telemetry_to_json};
+pub use report::telemetry_to_json;
 pub use sweep::{
     CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep, SweepBuilder,
     SweepExecStats, SweepPoint, SweepResults,

@@ -1,6 +1,6 @@
-//! Machine-readable exports of a run's [`Telemetry`] section
-//! ([`telemetry_to_json`], [`telemetry_to_csv`]), and the CSV quoting
-//! the compare table shares.
+//! The machine-readable export of a run's [`Telemetry`] section
+//! ([`telemetry_to_json`]), and the CSV quoting the compare table
+//! shares.
 
 use crate::telemetry::Telemetry;
 use mcr_telemetry::LatencyHistogram;
@@ -131,67 +131,6 @@ pub fn telemetry_to_json(t: &Telemetry) -> String {
     out
 }
 
-fn hist_csv(out: &mut String, name: &str, h: &LatencyHistogram) {
-    let _ = writeln!(out, "{name}.count,{}", h.count());
-    let _ = writeln!(out, "{name}.sum,{}", h.sum());
-    let _ = writeln!(out, "{name}.min,{}", h.min().unwrap_or(0));
-    let _ = writeln!(out, "{name}.max,{}", h.max().unwrap_or(0));
-    let _ = writeln!(out, "{name}.p50,{}", h.p50().unwrap_or(0));
-    let _ = writeln!(out, "{name}.p95,{}", h.p95().unwrap_or(0));
-    let _ = writeln!(out, "{name}.p99,{}", h.p99().unwrap_or(0));
-}
-
-/// Renders a run's [`Telemetry`] section as flat `metric,value` CSV.
-///
-/// Histogram summary statistics use dotted names (`act_to_data.p95`);
-/// per-bank counters use `bank.<channel>.<rank>.<bank>.<counter>`. Empty
-/// histograms report 0 for min/max/percentiles.
-pub fn telemetry_to_csv(t: &Telemetry) -> String {
-    let mut out = String::from("metric,value\n");
-    let _ = writeln!(out, "refreshes_normal,{}", t.refreshes_normal);
-    let _ = writeln!(out, "refreshes_fast,{}", t.refreshes_fast);
-    let _ = writeln!(out, "powerdown_entries,{}", t.powerdown_entries);
-    let _ = writeln!(out, "mode_changes,{}", t.mode_changes);
-    let c = &t.controller;
-    let _ = writeln!(out, "sched.activates,{}", c.sched_activates.get());
-    let _ = writeln!(out, "sched.cas_read,{}", c.sched_cas_read.get());
-    let _ = writeln!(out, "sched.cas_write,{}", c.sched_cas_write.get());
-    let _ = writeln!(out, "sched.precharges,{}", c.sched_precharges.get());
-    let _ = writeln!(out, "sched.refreshes,{}", c.sched_refreshes.get());
-    let _ = writeln!(out, "retention.checks,{}", t.retention_checks);
-    let _ = writeln!(out, "retention.violations,{}", t.retention_violations);
-    let _ = writeln!(out, "retention.escapes,{}", t.retention_escapes);
-    let _ = writeln!(out, "retention.retries,{}", c.retention_retries.get());
-    let _ = writeln!(
-        out,
-        "retention.guardband_degrades,{}",
-        c.guardband_degrades.get()
-    );
-    let _ = writeln!(
-        out,
-        "retention.guardband_rearms,{}",
-        c.guardband_rearms.get()
-    );
-    hist_csv(&mut out, "act_to_data", &t.act_to_data);
-    hist_csv(&mut out, "read_latency", &c.read_latency);
-    hist_csv(&mut out, "read_queue_depth", &c.read_queue_depth);
-    hist_csv(&mut out, "write_queue_depth", &c.write_queue_depth);
-    hist_csv(&mut out, "core_read_latency", &t.core_read_latency);
-    hist_csv(
-        &mut out,
-        "retention_detect_latency",
-        &t.retention_detect_latency,
-    );
-    for b in &t.banks {
-        let key = format!("bank.{}.{}.{}", b.channel, b.rank, b.bank);
-        let _ = writeln!(out, "{key}.activates,{}", b.activates);
-        let _ = writeln!(out, "{key}.reads,{}", b.reads);
-        let _ = writeln!(out, "{key}.writes,{}", b.writes);
-        let _ = writeln!(out, "{key}.precharges,{}", b.precharges);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,11 +164,6 @@ mod tests {
         assert!(json.contains("\"refreshes_normal\": 7"));
         assert!(json.contains("\"count\": 2"));
         assert!(json.contains("\"bank\": 2"));
-        let csv = telemetry_to_csv(&t);
-        assert!(csv.starts_with("metric,value\n"));
-        assert!(csv.contains("refreshes_normal,7\n"));
-        assert!(csv.contains("act_to_data.count,2\n"));
-        assert!(csv.contains("bank.0.1.2.activates,3\n"));
     }
 
     #[test]

@@ -686,7 +686,7 @@ pub struct ReliabilityReport {
 }
 
 /// Where a run's simulated memory cycles went: executed one by one, or
-/// crossed by one of the event wheel's skips (DESIGN.md §5h).
+/// crossed by one of the event wheel's spans (DESIGN.md §5h).
 ///
 /// Carried on [`RunReport::exec`]. The counts describe the drive, not the
 /// simulated machine: the dense drive ([`System::set_skip_ahead`]) and
@@ -699,15 +699,15 @@ pub struct RunExecStats {
     /// Memory cycles executed densely: the cores' CPU subcycles, with a
     /// controller tick when the cycle is the controller's wake.
     pub dense_cycles: u64,
-    /// Cycles skipped while the controller stayed frozen and every live
-    /// core proved it sat them out (stalled, or computing through a trace
-    /// gap).
+    /// Cycles crossed by spans in which every live core proved it sat
+    /// them out (stalled, or computing through a trace gap) and the
+    /// controller did not tick.
     pub quiet_skipped_cycles: u64,
-    /// Cycles crossed by a compute span that overlapped a working
-    /// controller (its ticks are counted in `controller_alone_ticks`).
+    /// Cycles crossed by such spans in which the controller ticked alone
+    /// at least once (the ticks are counted in `controller_alone_ticks`).
     pub overlapped_span_cycles: u64,
-    /// Controller ticks executed inside overlapped compute spans, with no
-    /// core stepped alongside.
+    /// Controller ticks executed inside spans, with no core stepped
+    /// alongside.
     pub controller_alone_ticks: u64,
     /// Controller ticks in all: the dense cycles that were the
     /// controller's wake, plus `controller_alone_ticks`. The dense drive
@@ -821,16 +821,14 @@ impl RunReport {
 /// [`MemoryController::next_tick`] says it can change state; every other
 /// cycle replays its per-cycle bookkeeping in closed form. While every
 /// live core is stalled or computing through a vouched trace gap, the
-/// wheel jumps `mem_now` directly to the earliest of that wake and the
-/// cores' own edges (core retire, gap end). While every live core
-/// computes through a trace gap, the controller runs those cycles alone
-/// and the cores catch up in one batch each. Skipped cycles are
-/// bulk-accounted so reports and
+/// controller runs alone, ticking at each wake, up to the nearest of the
+/// cores' own edges (gap end, ROB head retire), and the cores catch up
+/// in one batch each. Skipped cycles are bulk-accounted so reports and
 /// telemetry stay *bit-identical* to cycle-by-cycle execution; the
 /// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
 /// [`System::set_skip_ahead`] can force the dense drive for debugging.
 pub struct System {
-    cores: Vec<Core<Box<dyn Iterator<Item = TraceRecord>>>>,
+    cores: Vec<Core<Trace>>,
     controller: MemoryController,
     mem_now: Cycle,
     active_regions: RegionMap,
@@ -929,6 +927,34 @@ impl RequestSink for CtlSink<'_> {
     }
 }
 
+/// A core's instruction trace.
+type Trace = Box<dyn Iterator<Item = TraceRecord>>;
+
+/// The proof that the live `core` stays off the memory system from memory
+/// cycle `now` until `Some((until, retry))` (`None`: no edge of its own),
+/// whichever is longer of: a trace gap [`Core::compute_quiet_cycles`]
+/// vouches for, up to its end; a [`CoreWait::Stalled`] fetch stage, up to
+/// the memory cycle its ROB head retires in, unbounded while the head
+/// waits on a read whose CAS has not issued (the tick that issues it
+/// stamps the read). `retry`: the fetch stage retries a refused request
+/// every cycle, which proves nothing past the controller's next tick, and
+/// nothing at all unless `retry_ok` (a retry reaches the sink within the
+/// cycle, and routes through an armed row cache even when refused).
+fn quiet_until(core: &Core<Trace>, now: Cycle, retry_ok: bool) -> Option<(Option<Cycle>, bool)> {
+    let gap_end = now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
+    match core.wait_hint() {
+        CoreWait::Stalled {
+            retire_at,
+            queue_retry,
+        } if retry_ok || !queue_retry => Some((
+            retire_at.map(|t| (t / CPU_PER_MEM_CYCLE).max(gap_end)),
+            queue_retry,
+        )),
+        _ if gap_end > now => Some((Some(gap_end), false)),
+        _ => None,
+    }
+}
+
 impl System {
     /// Builds cores, traces (with profile-based allocation applied),
     /// controller and device from a configuration — the infallible
@@ -1021,28 +1047,27 @@ impl System {
                 let base = config.core_base(i);
                 let seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9e37);
                 let gen = TraceGenerator::new(w, seed, base).take(config.trace_len);
-                let trace: Box<dyn Iterator<Item = TraceRecord>> =
-                    if config.alloc_ratio > 0.0 && !regions.is_off() {
-                        let top_n = (w.footprint_rows as f64 * config.alloc_ratio).round() as usize;
-                        let base_frame = base / ROW_BYTES;
-                        let hot: Vec<u64> = hot_rows(w, seed, PROFILE_SAMPLE, top_n)
-                            .into_iter()
-                            .map(|r| r + base_frame)
-                            .collect();
-                        let mapper = config.make_mapper();
-                        let remap = RowRemapper::profile_based_regions(
-                            &hot,
-                            &regions,
-                            mapper.as_ref(),
-                            &geometry,
-                        );
-                        Box::new(gen.map(move |mut r| {
-                            r.addr = remap.remap_phys(r.addr, mapper.as_ref());
-                            r
-                        }))
-                    } else {
-                        Box::new(gen)
-                    };
+                let trace: Trace = if config.alloc_ratio > 0.0 && !regions.is_off() {
+                    let top_n = (w.footprint_rows as f64 * config.alloc_ratio).round() as usize;
+                    let base_frame = base / ROW_BYTES;
+                    let hot: Vec<u64> = hot_rows(w, seed, PROFILE_SAMPLE, top_n)
+                        .into_iter()
+                        .map(|r| r + base_frame)
+                        .collect();
+                    let mapper = config.make_mapper();
+                    let remap = RowRemapper::profile_based_regions(
+                        &hot,
+                        &regions,
+                        mapper.as_ref(),
+                        &geometry,
+                    );
+                    Box::new(gen.map(move |mut r| {
+                        r.addr = remap.remap_phys(r.addr, mapper.as_ref());
+                        r
+                    }))
+                } else {
+                    Box::new(gen)
+                };
                 Core::new(i as u32, CoreParams::msc_default(), trace)
             })
             .collect();
@@ -1098,8 +1123,13 @@ impl System {
         } else {
             self.controller.note_skipped_cycles(1);
         }
+        self.finish_cycle(tick);
+    }
+
+    /// The cores' half of cycle `mem_now`, after a tick when `ticked`.
+    fn finish_cycle(&mut self, ticked: bool) {
         self.cycle_cores();
-        if self.skip_ahead && (tick || self.controller.had_activity()) {
+        if self.skip_ahead && (ticked || self.controller.had_activity()) {
             self.rearm_wake();
         }
         self.mem_now += 1;
@@ -1142,15 +1172,12 @@ impl System {
 
     /// Runs the CPU subcycles of the current memory cycle. A lone core
     /// takes them in one [`Core::step`]. Several cores must reach the
-    /// controller in subcycle-major order, so a core batches only when it
-    /// proves it cannot reach the sink this memory cycle: it is fetching
-    /// a gap that [`Core::compute_quiet_cycles`] vouches for past the
-    /// cycle's end, or it is parked without a queue retry behind a ROB
-    /// head that cannot retire before then. The rest interleave cycle by
-    /// cycle.
+    /// controller in subcycle-major order, so a core batches only when
+    /// [`quiet_until`] proves, without a queue retry, that it cannot reach
+    /// the sink this memory cycle. The rest interleave cycle by cycle.
     fn cycle_cores(&mut self) {
-        let cpu_now = self.mem_now * CPU_PER_MEM_CYCLE;
-        let end = cpu_now + CPU_PER_MEM_CYCLE;
+        let now = self.mem_now;
+        let cpu_now = now * CPU_PER_MEM_CYCLE;
         let mut sink = CtlSink {
             ctl: &mut self.controller,
             cache: self.cache.as_mut(),
@@ -1161,11 +1188,8 @@ impl System {
             return;
         }
         for (core, batched) in self.cores.iter_mut().zip(&mut self.batched) {
-            *batched = core.compute_quiet_cycles() >= CPU_PER_MEM_CYCLE
-                || matches!(core.wait_hint(), CoreWait::Stalled {
-                    retire_at,
-                    queue_retry: false,
-                } if retire_at.is_none_or(|t| t >= end));
+            *batched =
+                quiet_until(core, now, false).is_some_and(|(u, _)| u.is_none_or(|u| u > now));
             if *batched {
                 core.step(cpu_now, CPU_PER_MEM_CYCLE, &mut sink);
             }
@@ -1179,129 +1203,78 @@ impl System {
         }
     }
 
-    /// Freezes the controller until its wake while every live core proves
-    /// it sits the span out, bulk-accounting the skipped cycles so the
-    /// result is bit-identical to stepping through them. Runs after a
-    /// dense cycle when no overlapped span applies. A live core may give
-    /// either of two proofs, and the longer one bounds the span:
-    ///
-    /// * a trace gap that [`Core::compute_quiet_cycles`] vouches for: the
-    ///   core cannot touch the memory system, so it executes the span in
-    ///   one [`Core::advance_compute`] (the real fetch/retire logic, so ROB
-    ///   churn and stall counters replay bit-identically);
-    /// * a [`CoreWait::Stalled`] fetch stage, up to the memory cycle its
-    ///   ROB head retires in (which executes densely): a read the
-    ///   controller has completed carries its data-arrival stamp. While
-    ///   the head waits on a read whose CAS has not issued there is no
-    ///   bound; that CAS is a controller edge. A queue retry while a row
-    ///   cache is armed is no proof: the retried enqueue routes through
-    ///   the cache and mutates its LRU/promotion state even when refused.
-    ///
-    /// A core with neither proof, or no edge at all (the wedge cap then
-    /// flags a true deadlock), means no jump. The span also ends at the
-    /// controller's wake, where every `complete_read` lands, so none lands
-    /// inside it. With every core done, the run ends when the controller
-    /// turns idle, so the span also ends at the last data arrival still in
-    /// flight (row-cache copy reads that no core waits on).
-    fn skip_frozen_span(&mut self, until: Cycle) {
-        let mut edge = self.wake;
-        if edge.is_some_and(|w| w <= self.mem_now) {
-            return;
-        }
-        let mut fold = |end: Cycle| edge = Some(edge.map_or(end, |e| e.min(end)));
-        if self.cores.iter().all(|c| c.done()) {
-            if let Some(t) = self.controller.data_in_flight_until() {
-                fold(t);
-            }
-        }
+    /// Where a span from memory cycle `start` ends: at `until`, at each
+    /// live core's [`quiet_until`] edge, and at the wake while a core
+    /// retries or once all are done (then also at the last data arrival
+    /// in flight, which the run waits for). `None` when a core lacks proof.
+    fn span_end(&self, start: Cycle, until: Cycle) -> Option<Cycle> {
+        let (mut end, mut live, mut retry) = (until, false, false);
         for core in self.cores.iter().filter(|c| !c.done()) {
-            let gap_end = self.mem_now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
-            let retire_at = match core.wait_hint() {
-                CoreWait::Stalled {
-                    retire_at,
-                    queue_retry,
-                } if !(queue_retry && self.cache.is_some()) => retire_at,
-                _ if gap_end > self.mem_now => {
-                    fold(gap_end);
-                    continue;
-                }
-                _ => return,
-            };
-            if let Some(t) = retire_at {
-                fold((t / CPU_PER_MEM_CYCLE).max(gap_end));
-            }
+            let (edge, r) = quiet_until(core, start, self.cache.is_none())?;
+            (end, live, retry) = (edge.map_or(end, |e| end.min(e)), true, retry || r);
         }
-        let Some(edge) = edge else { return };
-        let target = edge.max(self.mem_now).min(until);
-        let skipped = target - self.mem_now;
-        if skipped == 0 {
-            return;
+        if retry || !live {
+            end = end.min(self.wake.unwrap_or(end));
         }
-        self.controller.note_skipped_cycles(skipped);
-        let start_cpu = self.mem_now * CPU_PER_MEM_CYCLE;
-        for core in &mut self.cores {
-            if core.compute_quiet_cycles() >= skipped * CPU_PER_MEM_CYCLE {
-                core.advance_compute(start_cpu, skipped * CPU_PER_MEM_CYCLE);
-            } else {
-                core.note_skipped_cycles(skipped * CPU_PER_MEM_CYCLE);
-            }
+        if !live {
+            end = end.min(self.controller.data_in_flight_until().unwrap_or(end));
         }
-        self.mem_now = target;
-        self.exec.quiet_skipped_cycles += skipped;
+        Some(end)
     }
 
-    /// The compute span that overlaps a busy controller. When every live
-    /// core is fetching through a trace gap that
-    /// [`Core::compute_quiet_cycles`] vouches for past the next memory
-    /// cycle, no core can reach the sink or its trace before the shortest
-    /// vouched span ends. The controller then runs those cycles alone,
-    /// ticking at each wake and jumping to the next.
-    /// Each read it completes is handed to its core early, stamped with
-    /// the cycle its data arrives, which is no earlier than the tick that
-    /// completes it and may lie beyond the span's end; until that cycle, a
-    /// stamped read and a pending one behave alike, so such a read just
-    /// stays pending for the span. The cores then catch up with
-    /// one [`Core::advance_compute`] each, and another span follows while
-    /// they are all still vouched for. Returns `false`, having done
-    /// nothing, when no span applies.
-    fn overlap_compute_span(&mut self, until: Cycle) -> bool {
-        let mut spanned = false;
-        loop {
-            let mut span_cpu = None;
-            for core in self.cores.iter().filter(|c| !c.done()) {
-                let safe = core.compute_quiet_cycles();
-                if safe < CPU_PER_MEM_CYCLE {
-                    return spanned;
-                }
-                span_cpu = Some(span_cpu.map_or(safe, |s: u64| s.min(safe)));
-            }
-            let Some(span_cpu) = span_cpu else {
-                return spanned;
-            };
+    /// Runs the controller alone up to [`System::span_end`] after a dense
+    /// cycle, bit-identically to stepping through the span: it ticks at
+    /// each wake as a dense cycle does and replays the cycles between with
+    /// `note_skipped_cycles`. A read a tick completes is handed to its
+    /// core stamped with its later data arrival, which it cannot retire
+    /// before, so only a stalled core waiting on it learns an edge; the
+    /// end is re-read after each tick. The cores then catch up in one
+    /// [`Core::advance_compute`] where a vouched gap covers the span, else
+    /// one [`Core::note_skipped_cycles`]. Spans chain while proofs hold.
+    fn skip_span(&mut self, until: Cycle) {
+        while let Some(mut end) = self
+            .span_end(self.mem_now, until)
+            .filter(|&e| e > self.mem_now)
+        {
             let start = self.mem_now;
-            let end = start
-                .saturating_add(span_cpu / CPU_PER_MEM_CYCLE)
-                .min(until);
-            if end <= start {
-                return spanned;
-            }
-            while self.mem_now < end {
+            let mut ticks = 0;
+            let ticked_at_end = loop {
                 let target = self.wake.map_or(end, |w| w.clamp(self.mem_now, end));
                 self.controller.note_skipped_cycles(target - self.mem_now);
                 self.mem_now = target;
                 if target == end {
-                    break;
+                    break false;
                 }
                 self.tick_controller();
+                // Only a store-to-load forwarded read is stamped with its
+                // tick's own cycle, and a stalled core it heads retires it
+                // in that cycle, whose cores' half must then run densely.
+                end = end.min(self.span_end(start, until).unwrap_or(self.mem_now));
+                if end == self.mem_now {
+                    break true;
+                }
                 self.rearm_wake();
                 self.mem_now += 1;
-                self.exec.controller_alone_ticks += 1;
-            }
+                ticks += 1;
+            };
+            let span = end - start;
             for core in self.cores.iter_mut().filter(|c| !c.done()) {
-                core.advance_compute(start * CPU_PER_MEM_CYCLE, (end - start) * CPU_PER_MEM_CYCLE);
+                if core.compute_quiet_cycles() >= span * CPU_PER_MEM_CYCLE {
+                    core.advance_compute(start * CPU_PER_MEM_CYCLE, span * CPU_PER_MEM_CYCLE);
+                } else {
+                    core.note_skipped_cycles(span * CPU_PER_MEM_CYCLE);
+                }
             }
-            self.exec.overlapped_span_cycles += end - start;
-            spanned = true;
+            if ticks == 0 {
+                self.exec.quiet_skipped_cycles += span;
+            } else {
+                self.exec.overlapped_span_cycles += span;
+                self.exec.controller_alone_ticks += ticks;
+            }
+            if ticked_at_end {
+                self.finish_cycle(true);
+                return;
+            }
         }
     }
 
@@ -1321,8 +1294,8 @@ impl System {
             self.advance_cycle();
             // Never skip once the run is finished: `now` must land on the
             // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead && !self.done() && !self.overlap_compute_span(target) {
-                self.skip_frozen_span(target);
+            if self.skip_ahead && !self.done() {
+                self.skip_span(target);
             }
         }
         self.done()
@@ -1424,7 +1397,8 @@ impl System {
     /// microseconds when the system idles). Chunked advancing
     /// does not perturb results: [`System::run_until`] lands on exact
     /// cycle boundaries, so any chunking produces the same [`RunReport`]
-    /// as [`System::run`] — `tests/sweep_determinism.rs` pins this.
+    /// as [`System::run`] — `chunked_runs_match_one_run` in
+    /// `tests/event_wheel_equivalence.rs` pins this.
     ///
     /// # Panics
     ///
@@ -1608,6 +1582,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_device::ReqKind;
 
     #[test]
     fn baseline_single_core_completes() {
@@ -1642,6 +1617,30 @@ mod tests {
         let (start, end) = end_cycle(false);
         assert!(end > start + 15, "ACT, CAS and burst: {start} -> {end}");
         assert_eq!(end_cycle(true), (start, end));
+    }
+
+    #[test]
+    fn a_forwarded_read_retires_on_the_cycle_of_its_tick() {
+        // Core 0 writes line 0 and, in the same subcycle, core 1 reads it
+        // with an empty ROB and no trace left: the read is forwarded, and
+        // the next tick stamps it with its own cycle, in which core 1
+        // retires it after the tick.
+        let run = |skip_ahead: bool| {
+            let black = *trace_gen::workload("black").expect("built-in workload");
+            let mut sys = System::build(&SystemConfig {
+                workloads: vec![black; 2],
+                ..SystemConfig::single_core("black", 1)
+            });
+            for (id, kind) in [(0, ReqKind::Write), (1, ReqKind::Read)] {
+                let trace = std::iter::once(TraceRecord::new(0, kind, PhysAddr(0)));
+                sys.cores[id] = Core::new(id as u32, CoreParams::msc_default(), Box::new(trace));
+            }
+            sys.set_skip_ahead(skip_ahead);
+            sys.run()
+        };
+        let wheel = run(true);
+        assert_eq!(wheel.per_core_cpu_cycles[1], CPU_PER_MEM_CYCLE);
+        assert_eq!(wheel, run(false));
     }
 
     #[test]

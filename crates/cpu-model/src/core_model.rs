@@ -55,19 +55,22 @@ pub trait RequestSink {
 /// What a core is waiting on, as seen by an event-wheel driver.
 ///
 /// Computed by [`Core::wait_hint`] after a cycle: a `Stalled` core is
-/// guaranteed to do no observable work (no fetch, no retire, no memory
-/// request) on any later cycle until either its `retire_at` edge arrives,
-/// a read completes ([`Core::complete_read`]), or — when `queue_retry` is
-/// set — the memory system frees queue space (which only happens on a
-/// cycle the controller itself reports as active).
+/// guaranteed to do no observable work (no fetch, no retire, no accepted
+/// memory request) on any later cycle before its `retire_at` edge, until
+/// a read completion stamps a pending head ([`Core::complete_read`]) or,
+/// when `queue_retry` is set, the memory system frees queue space (which
+/// only happens on a cycle the controller ticks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreWait {
     /// The core will fetch or retire next cycle; it must be ticked.
     Active,
-    /// The core is blocked and safe to skip.
+    /// The fetch stage is blocked, so the core only counts stalls up to
+    /// its `retire_at` edge.
     Stalled {
         /// CPU cycle at which the ROB head retires, if its completion
         /// time is already known (`None` while the head waits on DRAM).
+        /// It may already be due, in which case the head retires on the
+        /// next cycle: drivers bound their spans at it, never past it.
         retire_at: Option<u64>,
         /// The fetch stage is parked on a refused memory request and
         /// retries every cycle.
@@ -410,11 +413,13 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// What the core is waiting on after the cycle just simulated — the
     /// edge this core contributes to an event-wheel driver.
     ///
-    /// `Stalled` is only reported when the next [`Core::cycle`] call is
-    /// guaranteed to be a no-op apart from the stall counters that
-    /// [`Core::note_skipped_cycles`] replays: the ROB is full, or the
-    /// fetch stage is parked on a refused memory request, or the trace is
-    /// drained — and in every case the ROB head is not yet retirable.
+    /// `Stalled` is reported when fetch cannot proceed: the ROB is full,
+    /// or the fetch stage is parked on a refused memory request, or the
+    /// trace is drained. Every [`Core::cycle`] call before the ROB head's
+    /// `retire_at` is then a no-op apart from the stall counters that
+    /// [`Core::note_skipped_cycles`] replays, unless a completion stamps
+    /// a pending head or a retried request is accepted. The head may
+    /// already be due, so that no cycle can be skipped.
     pub fn wait_hint(&self) -> CoreWait {
         if self.done() {
             return CoreWait::Done;
@@ -604,9 +609,13 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
 
     /// Replays the stall accounting of `cpu_cycles` skipped quiet cycles,
     /// exactly as per-cycle [`Core::cycle`] calls would have recorded it.
-    /// Only valid for a span over which [`Core::wait_hint`] stayed
-    /// `Stalled` (the event-wheel driver guarantees this by bounding every
-    /// skip at the core's retire edge and at controller activity).
+    /// Only valid for a span that starts with [`Core::wait_hint`]
+    /// `Stalled`, ends no later than the head's `retire_at` (read again
+    /// after every completion handed over during the span, which may
+    /// stamp a pending head) and, with `queue_retry`, ends before the
+    /// memory system can accept the retried request. The event-wheel
+    /// driver ends such a span at the head's retire cycle, and at the
+    /// controller's next tick while the core retries.
     pub fn note_skipped_cycles(&mut self, cpu_cycles: u64) {
         if self.done() {
             return;
@@ -839,7 +848,7 @@ mod tests {
     /// regime — fill transients, steady churn, a pending read blocking
     /// the ROB inside a gap (the read latency of 400 far exceeds the ROB
     /// drain time), and short gaps the batch cannot vouch for. Like
-    /// `System::overlap_compute_span`, the batched run hands each read
+    /// `System::skip_span`, the batched run hands each read
     /// over before the span that holds its ready cycle, so a full ROB
     /// also waits inside spans on a head stamped as due mid-span.
     #[test]

@@ -345,7 +345,7 @@ impl TimedSink {
     fn deliver<T: Iterator<Item = TraceRecord>>(
         &mut self,
         core: &mut Core<T>,
-        due: impl Fn(u64, u64) -> bool,
+        mut due: impl FnMut(u64, u64) -> bool,
     ) {
         self.outstanding.retain(|&(token, ready, early)| {
             let hand_over = due(ready, early);
@@ -392,21 +392,26 @@ fn drive_on_time(trace: &[TraceRecord], seed: u64) -> Vec<Snapshot> {
     log
 }
 
-/// What the early driver did: its `advance_compute` calls, and those of
-/// them that started with the ROB full behind a head due inside the span
-/// (the blocked closed form, then the head's retirement, in one call).
+/// What the early driver did: its `advance_compute` calls, those of them
+/// that started with the ROB full behind a head due inside the span (the
+/// blocked closed form, then the head's retirement, in one call), and
+/// the cycles its parked spans started on.
 #[derive(Default)]
 struct SpanCounts {
     spans: usize,
     due_inside: usize,
+    parked: Vec<u64>,
 }
 
 /// The early driver: each read is handed over at a random cycle between
 /// its issue and its data, and where [`Core::compute_quiet_cycles`]
 /// vouches for a span, a random prefix of it runs as one
 /// `advance_compute` with every read due inside it handed over first.
-/// Returns `(cycle count, snapshot)` after every call, and its span
-/// counts.
+/// A core parked without a queue retry (`Stalled` with no vouched gap)
+/// gets random reads handed over early, then, if its ROB head's retire
+/// cycle is known, sits out a random span up to, not past, that cycle
+/// with one `note_skipped_cycles`, as the system's drive does. Returns
+/// `(cycle count, snapshot)` after every call, and its span counts.
 fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, SpanCounts) {
     let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
     let mut sink = TimedSink::new(seed);
@@ -431,6 +436,29 @@ fn drive_early(trace: &[TraceRecord], seed: u64) -> (Vec<(u64, Snapshot)>, SpanC
             core.advance_compute(now, n);
             sink.now += n;
             counts.spans += 1;
+        } else if let (
+            0,
+            CoreWait::Stalled {
+                queue_retry: false, ..
+            },
+        ) = (safe, core.wait_hint())
+        {
+            sink.deliver(&mut core, |_, _| rng.gen_bool(0.3));
+            match core.wait_hint() {
+                CoreWait::Stalled {
+                    retire_at: Some(t), ..
+                } if t > now => {
+                    let n = rng.gen_range(1..t - now + 1);
+                    sink.deliver(&mut core, |ready, _| ready < now + n);
+                    core.note_skipped_cycles(n);
+                    sink.now += n;
+                    counts.parked.push(now);
+                }
+                _ => {
+                    core.cycle(now, &mut sink);
+                    sink.now += 1;
+                }
+            }
         } else {
             core.cycle(now, &mut sink);
             sink.now += 1;
@@ -462,14 +490,17 @@ fn seen_at(hint: CoreWait, at: u64) -> CoreWait {
 /// A read handed over before the core reaches its data cycle changes
 /// nothing but what `wait_hint` knows and when its latency is recorded:
 /// same `CoreStats` at the end, the same ones but the latency histogram
-/// and the same ROB occupancy after every call, through `cycle` and through `advance_compute`, and
-/// the same wait hint except that a head the on-time core still sees as
-/// pending may already show its retire cycle. This is the contract that
-/// lets a driver deliver a span's completions before the span runs.
+/// and the same ROB occupancy after every call, through `cycle`,
+/// `advance_compute` and `note_skipped_cycles`, and the same wait hint
+/// except that a head the on-time core still sees as pending may already
+/// show its retire cycle. This is the contract that lets a driver deliver
+/// a span's completions before the span runs, and park a stalled core up
+/// to the retire cycle of a head it stamped early.
 #[test]
 fn early_completions_match_on_time_ones() {
     let mut rng = SmallRng::seed_from_u64(0xea71);
     let (mut spans, mut due_inside, mut known_early) = (0usize, 0usize, 0usize);
+    let (mut parked, mut parked_early) = (0usize, 0usize);
     for case in 0..200 {
         let n = rng.gen_range(1..60usize);
         let trace: Vec<TraceRecord> = (0..n)
@@ -491,6 +522,22 @@ fn early_completions_match_on_time_ones() {
         let (early, counts) = drive_early(&trace, seed);
         spans += counts.spans;
         due_inside += counts.due_inside;
+        // A parked span's head was stamped early when the on-time core
+        // still waits on it.
+        parked += counts.parked.len();
+        parked_early += counts
+            .parked
+            .iter()
+            .filter(|&&at| {
+                matches!(
+                    on_time[at as usize].1,
+                    CoreWait::Stalled {
+                        retire_at: None,
+                        ..
+                    }
+                )
+            })
+            .count();
         for (at, (stats, hint, occupancy)) in &early {
             let (ref_stats, ref_hint, ref_occupancy) = &on_time[*at as usize];
             // The read-latency histogram records a read when it is handed
@@ -523,10 +570,15 @@ fn early_completions_match_on_time_ones() {
         assert_eq!(*finished, on_time.len() as u64 - 1, "case {case}");
         assert_eq!(stats, ref_stats, "case {case}: final stats differ");
     }
-    // The batched path, a span that waits on a head due inside it and an
-    // early-stamped head must all be exercised, or the test proves little.
+    // The batched path, a span that waits on a head due inside it, an
+    // early-stamped head and a parked span behind one must all be
+    // exercised, or the test proves little.
     assert!(
         spans > 1_000 && due_inside > 50 && known_early > 100,
         "{spans} spans ({due_inside} with a head due inside), {known_early} early heads"
+    );
+    assert!(
+        parked_early > 50,
+        "{parked} parked spans, {parked_early} behind a head stamped early"
     );
 }

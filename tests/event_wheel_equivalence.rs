@@ -260,3 +260,50 @@ fn queue_full_row_cache_is_wheel_identical() {
         wheel.exec
     );
 }
+
+#[test]
+fn chunked_runs_match_one_run() {
+    // `run_until` lands on its target exactly, so every span clamps at a
+    // chunk's end and the next chunk starts with a dense cycle. Short,
+    // irregular chunks must still reach the cycle and report of one run.
+    let mixes = multi_programmed_mixes(2015);
+    let black = trace_gen::workload("black").expect("built-in workload");
+    let cases = [
+        (
+            "libq 4/4x",
+            SystemConfig::single_core("libq", LEN).with_mode(mode(4, 4)),
+        ),
+        (
+            mixes[0].name,
+            SystemConfig::multi_core(mixes[0].cores, 2_000).with_mode(McrMode::headline()),
+        ),
+        (
+            "quad black powerdown 16",
+            SystemConfig::multi_core([black; 4], 2_000)
+                .with_mode(McrMode::headline())
+                .with_powerdown(16),
+        ),
+    ];
+    for (label, cfg) in cases {
+        let whole = System::build(&cfg).run();
+        let mut sys = System::build(&cfg);
+        let mut chunks = [1, 3, 7, 64, 997].into_iter().cycle();
+        loop {
+            let target = sys.now() + chunks.next().expect("an endless cycle");
+            if sys.run_until(target) {
+                break;
+            }
+            assert_eq!(
+                sys.now(),
+                target,
+                "{label}: a chunk did not end on its target"
+            );
+        }
+        assert_eq!(sys.now(), whole.total_mem_cycles, "{label}: end cycle");
+        assert_eq!(
+            sys.report(),
+            whole,
+            "{label}: chunked and whole reports differ"
+        );
+    }
+}
