@@ -63,11 +63,13 @@ clippy:
 test:
 	$(CARGO) test $(OFFLINE) --workspace -q
 
-# The wheel-vs-dense equivalence suite and the goldens on a release build:
-# the benchmark and every timed run drive release builds, where
-# `debug_assert!`s are compiled out and overflow wraps.
+# The wheel-vs-dense equivalence suite, the goldens and the random-trace
+# net of the event loop on a release build: the benchmark and every timed
+# run drive release builds, where `debug_assert!`s are compiled out and
+# overflow wraps.
 test-release:
 	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --test event_wheel_equivalence --test golden_reports
+	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --lib random_traces_match_the_dense_drive
 
 fmt-check:
 	$(CARGO) fmt --all --check

@@ -12,7 +12,7 @@ use crate::mode::McrMode;
 use crate::policy::McrPolicy;
 use crate::telemetry::Telemetry;
 use circuit_model::{CircuitParams, LeakageModel, TimingSolver};
-use cpu_model::{Core, CoreParams, CoreWait, RequestSink, TraceRecord, CPU_PER_MEM_CYCLE};
+use cpu_model::{Core, CoreParams, RequestSink, TraceRecord, CPU_PER_MEM_CYCLE};
 use dram_device::{
     Command, Cycle, Geometry, PhysAddr, RefreshWiring, RetentionConfig, TimingSet, T_CK_NS,
 };
@@ -685,39 +685,33 @@ pub struct ReliabilityReport {
     pub retention_escapes: u64,
 }
 
-/// Where a run's simulated memory cycles went: executed one by one, or
-/// crossed by one of the event wheel's spans (DESIGN.md §5h).
+/// Where a run's simulated memory cycles went: with an ordered core
+/// cycle, or crossed by the cores running alone (DESIGN.md §5h).
 ///
 /// Carried on [`RunReport::exec`]. The counts describe the drive, not the
 /// simulated machine: the dense drive ([`System::set_skip_ahead`]) and
-/// the wheel reach the same report by different work. So, like
+/// the event loop reach the same report by different work. So, like
 /// [`crate::SweepExecStats`], they are left out of the report's equality
 /// and of its serialization, and a report read back from a result store
-/// carries zeros.
+/// carries zeros. The three cycle counts sum to `total_mem_cycles`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunExecStats {
-    /// Memory cycles executed densely: the cores' CPU subcycles, with a
-    /// controller tick when the cycle is the controller's wake.
+    /// Memory cycles in which some core ran a cycle that may call the
+    /// memory system, in order with the other cores' such cycles. The
+    /// dense drive counts every cycle here.
     pub dense_cycles: u64,
-    /// Cycles crossed by spans in which every live core proved it sat
-    /// them out (stalled, or computing through a trace gap) and the
-    /// controller did not tick.
+    /// The other cycles in which the controller did not tick: it replayed
+    /// them in closed form.
     pub quiet_skipped_cycles: u64,
-    /// Cycles crossed by such spans in which the controller ticked alone
-    /// at least once (the ticks are counted in `controller_alone_ticks`).
+    /// The other cycles in which the controller ticked.
     pub overlapped_span_cycles: u64,
-    /// Controller ticks executed inside spans, with no core stepped
-    /// alongside.
-    pub controller_alone_ticks: u64,
-    /// Controller ticks in all: the dense cycles that were the
-    /// controller's wake, plus `controller_alone_ticks`. The dense drive
-    /// ticks every cycle.
+    /// Controller ticks in all: at most one per dense or overlapped cycle.
+    /// The dense drive ticks every cycle.
     pub controller_ticks: u64,
     /// Wakes armed, by the edge source that claimed each one, indexed by
     /// `source as usize` ([`EdgeSource::ALL`] names the slots): one per
-    /// [`MemoryController::next_tick`] answer the wheel re-arms from. An
-    /// enqueue may re-arm before the armed wake ticks. The dense drive
-    /// arms none.
+    /// [`MemoryController::next_tick`] answer, asked once a cycle that
+    /// ticked or admitted an enqueue is over. The dense drive arms none.
     pub wakes: [u64; EdgeSource::COUNT],
 }
 
@@ -814,41 +808,34 @@ impl RunReport {
 /// incrementally with [`System::run_until`], which allows runtime
 /// MCR-mode changes via [`System::reconfigure`] between calls.
 ///
-/// # Event-wheel core
-///
-/// Internally the simulator is an event wheel (DESIGN.md §5h). The
-/// controller ticks only at its wake, the next cycle at which
-/// [`MemoryController::next_tick`] says it can change state; every other
-/// cycle replays its per-cycle bookkeeping in closed form. While every
-/// live core is stalled or computing through a vouched trace gap, the
-/// controller runs alone, ticking at each wake, up to the nearest of the
-/// cores' own edges (gap end, ROB head retire), and the cores catch up
-/// in one batch each. Skipped cycles are bulk-accounted so reports and
-/// telemetry stay *bit-identical* to cycle-by-cycle execution; the
-/// equivalence suite in `tests/event_wheel_equivalence.rs` pins this, and
-/// [`System::set_skip_ahead`] can force the dense drive for debugging.
+/// Internally it is one event loop (DESIGN.md §5h): each core runs alone
+/// ([`Core::run_to_call`]) up to the next CPU cycle in which it may call
+/// the memory system, those cycles run in the dense drive's
+/// `(cpu_cycle, core)` order, and the controller ticks only at its wake
+/// ([`MemoryController::next_tick`]). Reports stay *bit-identical* to the
+/// dense drive ([`System::set_skip_ahead`]), as
+/// `tests/event_wheel_equivalence.rs` checks.
 pub struct System {
     cores: Vec<Core<Trace>>,
     controller: MemoryController,
+    /// The first memory cycle the controller has neither ticked nor replayed.
     mem_now: Cycle,
     active_regions: RegionMap,
     cache: Option<RowCache>,
     mapper: Box<dyn AddressMapper>,
     /// Per-core (latency sum, completed reads) for fairness analysis.
     per_core_reads: Vec<(u64, u64)>,
-    /// Per-core scratch for [`System::cycle_cores`]: the core takes this
-    /// memory cycle in one batch.
-    batched: Vec<bool>,
-    /// Event-wheel chicken bit: `false` forces dense cycle-by-cycle
-    /// execution (the reference drive the equivalence suite compares
-    /// against).
+    /// Each core's place in the event loop.
+    lanes: Vec<Lane>,
+    /// `false` forces the dense reference drive.
     skip_ahead: bool,
-    /// The next cycle the controller must tick
-    /// ([`MemoryController::next_tick`]), re-armed after every tick and
-    /// every cycle with an enqueue; `None` until the next enqueue. Every
-    /// drive path ticks only here and replays the cycles before it with
-    /// `note_skipped_cycles`.
+    /// The next cycle the controller must tick; `None` until an enqueue.
     wake: Option<Cycle>,
+    /// Memory cycle `mem_now - 1` while cores may still call in it.
+    open: Option<OpenCycle>,
+    /// A tick at cycle `w` stamps a read's data no earlier than
+    /// `w + read_latency` (tCL + burst).
+    read_latency: Cycle,
     /// Completions of the current tick, one buffer for the whole run.
     completions: Vec<Completion>,
     /// Refresh-starvation budget the protocol auditor gets whenever it is
@@ -856,6 +843,23 @@ pub struct System {
     audit_refresh_budget: Cycle,
     /// Where simulated time went so far ([`RunReport::exec`]).
     exec: RunExecStats,
+}
+
+/// A core's place in the event loop.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// The next CPU cycle the core runs.
+    next: u64,
+    /// `controller_ticks` at its last ordered cycle: until the next tick,
+    /// a request refused in that cycle stays refused.
+    ticks: u64,
+}
+
+/// Whether the open memory cycle ticked, and whether a core called in it.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpenCycle {
+    ticked: bool,
+    called: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -871,10 +875,8 @@ impl std::fmt::Debug for System {
 const COPY_CORE: u32 = u32::MAX;
 
 /// How often [`System::run_budgeted`] re-checks its
-/// [`crate::sweep::RunBudget`], in memory cycles. Purely a budget-poll
-/// granularity: with the event wheel a poll window costs at most a
-/// handful of dense cycles, so the worst-case cancellation latency is
-/// far below a millisecond.
+/// [`crate::sweep::RunBudget`], in memory cycles: a poll boundary only
+/// stops the cores and brings the controller up to it.
 const BUDGET_POLL_CYCLES: Cycle = 100_000;
 
 /// Cycle bound past which an unbudgeted run is declared wedged. Generous:
@@ -930,31 +932,6 @@ impl RequestSink for CtlSink<'_> {
 /// A core's instruction trace.
 type Trace = Box<dyn Iterator<Item = TraceRecord>>;
 
-/// The proof that the live `core` stays off the memory system from memory
-/// cycle `now` until `Some((until, retry))` (`None`: no edge of its own),
-/// whichever is longer of: a trace gap [`Core::compute_quiet_cycles`]
-/// vouches for, up to its end; a [`CoreWait::Stalled`] fetch stage, up to
-/// the memory cycle its ROB head retires in, unbounded while the head
-/// waits on a read whose CAS has not issued (the tick that issues it
-/// stamps the read). `retry`: the fetch stage retries a refused request
-/// every cycle, which proves nothing past the controller's next tick, and
-/// nothing at all unless `retry_ok` (a retry reaches the sink within the
-/// cycle, and routes through an armed row cache even when refused).
-fn quiet_until(core: &Core<Trace>, now: Cycle, retry_ok: bool) -> Option<(Option<Cycle>, bool)> {
-    let gap_end = now + core.compute_quiet_cycles() / CPU_PER_MEM_CYCLE;
-    match core.wait_hint() {
-        CoreWait::Stalled {
-            retire_at,
-            queue_retry,
-        } if retry_ok || !queue_retry => Some((
-            retire_at.map(|t| (t / CPU_PER_MEM_CYCLE).max(gap_end)),
-            queue_retry,
-        )),
-        _ if gap_end > now => Some((Some(gap_end), false)),
-        _ => None,
-    }
-}
-
 impl System {
     /// Builds cores, traces (with profile-based allocation applied),
     /// controller and device from a configuration — the infallible
@@ -1002,6 +979,7 @@ impl System {
             ..ControllerConfig::msc_default()
         };
         let t_refi = timing.t_refi;
+        let read_latency = Cycle::from(timing.read_latency());
         let mut controller =
             MemoryController::try_new(geometry, timing, ctl_config, config.make_mapper(), policy)?;
         if let Some(plan) = config.fault_plan {
@@ -1084,9 +1062,11 @@ impl System {
             cache,
             mapper: config.make_mapper(),
             per_core_reads: vec![(0, 0); n_cores],
-            batched: vec![false; n_cores],
+            lanes: vec![Lane::default(); n_cores],
             skip_ahead: true,
             wake: Some(0),
+            open: None,
+            read_latency,
             completions: Vec::new(),
             audit_refresh_budget,
             exec: RunExecStats::default(),
@@ -1103,47 +1083,33 @@ impl System {
         self.mem_now
     }
 
-    /// Disables (or re-enables) the event wheel. With `false` the system
+    /// Disables (or re-enables) the event loop. With `false` the system
     /// executes every memory cycle densely — the reference drive that the
-    /// wheel must match bit-for-bit. Meant for equivalence testing and
-    /// debugging; the wheel is on by default.
+    /// loop must match bit-for-bit. Meant for equivalence testing and
+    /// debugging; the loop is on by default.
     pub fn set_skip_ahead(&mut self, enabled: bool) {
         self.skip_ahead = enabled;
         // The dense drive does not keep the wake up to date.
         self.wake = Some(self.mem_now);
     }
 
-    /// Simulates exactly one memory cycle (the controller's tick when the
-    /// cycle is its wake, else its closed-form replay; then four CPU
-    /// subcycles) and advances `mem_now`. An enqueue re-arms the wake.
-    fn advance_cycle(&mut self) {
-        let tick = !self.skip_ahead || self.wake.is_some_and(|w| w <= self.mem_now);
-        if tick {
-            self.tick_controller();
-        } else {
-            self.controller.note_skipped_cycles(1);
-        }
-        self.finish_cycle(tick);
-    }
-
-    /// The cores' half of cycle `mem_now`, after a tick when `ticked`.
-    fn finish_cycle(&mut self, ticked: bool) {
-        self.cycle_cores();
-        if self.skip_ahead && (ticked || self.controller.had_activity()) {
-            self.rearm_wake();
+    /// The dense drive's memory cycle `mem_now`: a controller tick, then
+    /// four CPU subcycles, each cycling every live core in core order.
+    fn dense_cycle(&mut self) {
+        self.tick_controller();
+        let cpu_now = self.mem_now * CPU_PER_MEM_CYCLE;
+        let mut sink = CtlSink {
+            ctl: &mut self.controller,
+            cache: self.cache.as_mut(),
+            mapper: self.mapper.as_ref(),
+        };
+        for now in cpu_now..cpu_now + CPU_PER_MEM_CYCLE {
+            for core in self.cores.iter_mut().filter(|c| !c.done()) {
+                core.cycle(now, &mut sink);
+            }
         }
         self.mem_now += 1;
         self.exec.dense_cycles += 1;
-    }
-
-    /// Re-arms the wake once cycle `mem_now` is over, counting the edge
-    /// source that claimed it.
-    fn rearm_wake(&mut self) {
-        let edge = self.controller.next_tick_detail(self.mem_now);
-        if let Some(e) = edge {
-            self.exec.wakes[e.source as usize] += 1;
-        }
-        self.wake = edge.map(|e| e.cycle);
     }
 
     /// The controller's half of memory cycle `mem_now`: one tick, each
@@ -1161,121 +1127,154 @@ impl System {
             if c.core_id == COPY_CORE {
                 continue; // cache-copy traffic; nobody waits on it
             }
-            let slot = &mut self.per_core_reads[c.core_id as usize];
+            let (core, ready_at) = (c.core_id as usize, c.ready_at * CPU_PER_MEM_CYCLE);
+            debug_assert!(
+                !self.skip_ahead || ready_at >= self.lanes[core].next,
+                "core {core} ran past the data cycle of a read"
+            );
+            let slot = &mut self.per_core_reads[core];
             slot.0 += c.latency;
             slot.1 += 1;
-            self.cores[c.core_id as usize].complete_read(c.token, c.ready_at * CPU_PER_MEM_CYCLE);
+            self.cores[core].complete_read(c.token, ready_at);
         }
         self.completions = done;
         self.apply_guardband_transitions();
     }
 
-    /// Runs the CPU subcycles of the current memory cycle. A lone core
-    /// takes them in one [`Core::step`]. Several cores must reach the
-    /// controller in subcycle-major order, so a core batches only when
-    /// [`quiet_until`] proves, without a queue retry, that it cannot reach
-    /// the sink this memory cycle. The rest interleave cycle by cycle.
-    fn cycle_cores(&mut self) {
-        let now = self.mem_now;
-        let cpu_now = now * CPU_PER_MEM_CYCLE;
-        let mut sink = CtlSink {
-            ctl: &mut self.controller,
-            cache: self.cache.as_mut(),
-            mapper: self.mapper.as_ref(),
-        };
-        if let [core] = self.cores.as_mut_slice() {
-            core.step(cpu_now, CPU_PER_MEM_CYCLE, &mut sink);
+    fn replay_to(&mut self, end: Cycle) {
+        self.controller.note_skipped_cycles(end - self.mem_now);
+        self.mem_now = end;
+    }
+
+    /// Ticks at the wake `w`; cycle `w` stays open, its wake spent.
+    fn tick_at(&mut self, w: Cycle) {
+        self.replay_to(w);
+        self.tick_controller();
+        self.mem_now = w + 1;
+        self.wake = None;
+        self.open = Some(OpenCycle {
+            ticked: true,
+            called: false,
+        });
+    }
+
+    /// Closes the open cycle, if any: counts it, and re-arms the wake when
+    /// it ticked or admitted an enqueue.
+    fn close(&mut self) {
+        let Some(open) = self.open.take() else {
             return;
+        };
+        if open.called {
+            self.exec.dense_cycles += 1;
+        } else if open.ticked {
+            self.exec.overlapped_span_cycles += 1;
         }
-        for (core, batched) in self.cores.iter_mut().zip(&mut self.batched) {
-            *batched =
-                quiet_until(core, now, false).is_some_and(|(u, _)| u.is_none_or(|u| u > now));
-            if *batched {
-                core.step(cpu_now, CPU_PER_MEM_CYCLE, &mut sink);
+        if open.ticked || self.controller.had_activity() {
+            let edge = self.controller.next_tick_detail(self.mem_now - 1);
+            if let Some(e) = edge {
+                self.exec.wakes[e.source as usize] += 1;
             }
-        }
-        for sub in 0..CPU_PER_MEM_CYCLE {
-            for (core, &batched) in self.cores.iter_mut().zip(&self.batched) {
-                if !batched && !core.done() {
-                    core.cycle(cpu_now + sub, &mut sink);
-                }
-            }
+            self.wake = edge.map(|e| e.cycle);
         }
     }
 
-    /// Where a span from memory cycle `start` ends: at `until`, at each
-    /// live core's [`quiet_until`] edge, and at the wake while a core
-    /// retries or once all are done (then also at the last data arrival
-    /// in flight, which the run waits for). `None` when a core lacks proof.
-    fn span_end(&self, start: Cycle, until: Cycle) -> Option<Cycle> {
-        let (mut end, mut live, mut retry) = (until, false, false);
-        for core in self.cores.iter().filter(|c| !c.done()) {
-            let (edge, r) = quiet_until(core, start, self.cache.is_none())?;
-            (end, live, retry) = (edge.map_or(end, |e| end.min(e)), true, retry || r);
+    /// Brings the controller to cycle `end`, ticking at each wake before it.
+    fn settle(&mut self, end: Cycle) {
+        loop {
+            self.close();
+            match self.wake {
+                Some(w) if w < end => self.tick_at(w),
+                _ => break,
+            }
         }
-        if retry || !live {
-            end = end.min(self.wake.unwrap_or(end));
-        }
-        if !live {
-            end = end.min(self.controller.data_in_flight_until().unwrap_or(end));
-        }
-        Some(end)
+        self.replay_to(end);
     }
 
-    /// Runs the controller alone up to [`System::span_end`] after a dense
-    /// cycle, bit-identically to stepping through the span: it ticks at
-    /// each wake as a dense cycle does and replays the cycles between with
-    /// `note_skipped_cycles`. A read a tick completes is handed to its
-    /// core stamped with its later data arrival, which it cannot retire
-    /// before, so only a stalled core waiting on it learns an edge; the
-    /// end is re-read after each tick. The cores then catch up in one
-    /// [`Core::advance_compute`] where a vouched gap covers the span, else
-    /// one [`Core::note_skipped_cycles`]. Spans chain while proofs hold.
-    fn skip_span(&mut self, until: Cycle) {
-        while let Some(mut end) = self
-            .span_end(self.mem_now, until)
-            .filter(|&e| e > self.mem_now)
+    /// Runs core `i` alone from CPU cycle `from` to its next possible call,
+    /// short of any cycle a tick still to come could stamp one of its reads
+    /// with. No tick comes before the wake, nor before the cycle after an
+    /// enqueue still to come: the open cycle's, or another core's.
+    fn run_alone(&mut self, i: usize, from: u64, target: Cycle) -> u64 {
+        let open = self.open.map(|_| self.mem_now);
+        let calls = (self.cores.iter().zip(&self.lanes).enumerate())
+            .filter(|&(j, (core, _))| j != i && !core.done())
+            .map(|(_, (_, lane))| lane.next / CPU_PER_MEM_CYCLE + 1);
+        let next_tick = self.wake.into_iter().chain(open).chain(calls).min();
+        let stamp = next_tick.map(|t| t + self.read_latency);
+        // A forwarded read is stamped with its tick's own cycle.
+        let forwarded = self.controller.forwarded_due(i as u32);
+        let limit = stamp.into_iter().chain(forwarded).fold(target, Cycle::min);
+        // Queues only grow between ticks, so a request refused since the
+        // last one stays refused until the next; with a row cache, every
+        // retry moves the cache and must run in order.
+        let refused = self.cache.is_none() && self.lanes[i].ticks == self.exec.controller_ticks;
+        let refused_until = next_tick.filter(|_| refused).unwrap_or(0);
+        self.cores[i].run_to_call(
+            from,
+            limit.saturating_mul(CPU_PER_MEM_CYCLE),
+            refused_until * CPU_PER_MEM_CYCLE,
+        )
+    }
+
+    /// The event loop up to `target`: the live core with the earliest next
+    /// cycle (the lowest id on ties) runs on, after the ticks up to it.
+    /// Once all are done, the run ends where the controller is idle, which
+    /// only a tick or the last data in flight landing can change.
+    fn drive(&mut self, target: Cycle) -> bool {
+        // Every live core stands at `mem_now`, and none is known refused.
+        let start = self.mem_now * CPU_PER_MEM_CYCLE;
+        self.lanes.fill(Lane {
+            next: start,
+            ticks: u64::MAX,
+        });
+        while let Some(i) = (0..self.cores.len())
+            .filter(|&i| !self.cores[i].done())
+            .min_by_key(|&i| self.lanes[i].next)
         {
-            let start = self.mem_now;
-            let mut ticks = 0;
-            let ticked_at_end = loop {
-                let target = self.wake.map_or(end, |w| w.clamp(self.mem_now, end));
-                self.controller.note_skipped_cycles(target - self.mem_now);
-                self.mem_now = target;
-                if target == end {
-                    break false;
-                }
-                self.tick_controller();
-                // Only a store-to-load forwarded read is stamped with its
-                // tick's own cycle, and a stalled core it heads retires it
-                // in that cycle, whose cores' half must then run densely.
-                end = end.min(self.span_end(start, until).unwrap_or(self.mem_now));
-                if end == self.mem_now {
-                    break true;
-                }
-                self.rearm_wake();
-                self.mem_now += 1;
-                ticks += 1;
-            };
-            let span = end - start;
-            for core in self.cores.iter_mut().filter(|c| !c.done()) {
-                if core.compute_quiet_cycles() >= span * CPU_PER_MEM_CYCLE {
-                    core.advance_compute(start * CPU_PER_MEM_CYCLE, span * CPU_PER_MEM_CYCLE);
-                } else {
-                    core.note_skipped_cycles(span * CPU_PER_MEM_CYCLE);
+            let p = self.lanes[i].next;
+            let m = p / CPU_PER_MEM_CYCLE;
+            if m >= target {
+                self.settle(target);
+                return false;
+            }
+            if m >= self.mem_now {
+                self.close();
+            }
+            // No core calls in a wake before `m`, so it closes at once.
+            while let Some(w) = self.wake.filter(|&w| w <= m) {
+                self.tick_at(w);
+                if w < m {
+                    self.close();
                 }
             }
-            if ticks == 0 {
-                self.exec.quiet_skipped_cycles += span;
-            } else {
-                self.exec.overlapped_span_cycles += span;
-                self.exec.controller_alone_ticks += ticks;
+            let mut next = self.run_alone(i, p, target);
+            if next == p {
+                if self.open.is_none() {
+                    self.replay_to(m + 1);
+                }
+                self.open.get_or_insert_with(OpenCycle::default).called = true;
+                let mut sink = CtlSink {
+                    ctl: &mut self.controller,
+                    cache: self.cache.as_mut(),
+                    mapper: self.mapper.as_ref(),
+                };
+                self.cores[i].cycle(p, &mut sink);
+                self.lanes[i].ticks = self.exec.controller_ticks;
+                next = self.run_alone(i, p + 1, target);
             }
-            if ticked_at_end {
-                self.finish_cycle(true);
-                return;
-            }
+            self.lanes[i].next = next;
         }
+        let done = self
+            .cores
+            .iter()
+            .map(|c| c.stats().done_cycle / CPU_PER_MEM_CYCLE);
+        self.settle(done.fold(self.mem_now, |t, d| t.max(d + 1)).min(target));
+        while !self.controller.idle() && self.mem_now < target {
+            let landed = self.controller.data_in_flight_until();
+            let next = self.wake.into_iter().chain(landed).min();
+            self.settle(next.map_or(target, |t| target.min(t + 1)));
+        }
+        self.controller.idle()
     }
 
     /// Advances the simulation to memory cycle `target` (exactly, unless
@@ -1284,19 +1283,13 @@ impl System {
     ///
     /// This is the one incremental drive: callers that previously looped
     /// `step(chunk)` land on the same cycle with a single call, and
-    /// [`System::reconfigure`] remains legal between calls (the first
-    /// cycle after any call boundary is always executed densely).
+    /// [`System::reconfigure`] remains legal between calls.
     pub fn run_until(&mut self, target: Cycle) -> bool {
-        while self.mem_now < target {
-            if self.done() {
-                return true;
-            }
-            self.advance_cycle();
-            // Never skip once the run is finished: `now` must land on the
-            // completion cycle, exactly where the dense drive stops.
-            if self.skip_ahead && !self.done() {
-                self.skip_span(target);
-            }
+        if self.skip_ahead && self.mem_now < target {
+            return self.drive(target);
+        }
+        while self.mem_now < target && !self.done() {
+            self.dense_cycle();
         }
         self.done()
     }
@@ -1392,10 +1385,8 @@ impl System {
     /// deadline-bound service wants (a half-run report would be neither
     /// reproducible nor comparable).
     ///
-    /// The budget is re-checked at wheel-friendly poll boundaries (every
-    /// 100k simulated cycles, which the event wheel crosses in
-    /// microseconds when the system idles). Chunked advancing
-    /// does not perturb results: [`System::run_until`] lands on exact
+    /// The budget is re-checked every 100k simulated cycles. Chunked
+    /// advancing does not perturb results: [`System::run_until`] lands on exact
     /// cycle boundaries, so any chunking produces the same [`RunReport`]
     /// as [`System::run`] — `chunked_runs_match_one_run` in
     /// `tests/event_wheel_equivalence.rs` pins this.
@@ -1574,7 +1565,12 @@ impl System {
             per_core_read_latency,
             telemetry,
             reliability,
-            exec: self.exec,
+            exec: RunExecStats {
+                quiet_skipped_cycles: mem_now
+                    - self.exec.dense_cycles
+                    - self.exec.overlapped_span_cycles,
+                ..self.exec
+            },
         }
     }
 }
@@ -1620,27 +1616,63 @@ mod tests {
     }
 
     #[test]
-    fn a_forwarded_read_retires_on_the_cycle_of_its_tick() {
-        // Core 0 writes line 0 and, in the same subcycle, core 1 reads it
-        // with an empty ROB and no trace left: the read is forwarded, and
-        // the next tick stamps it with its own cycle, in which core 1
-        // retires it after the tick.
-        let run = |skip_ahead: bool| {
+    fn random_traces_match_the_dense_drive() {
+        // Hand-made traces on 1-4 cores over one pool of 16 lines, so reads
+        // hit queued writes (forwarded) and writes merge. Gaps run 0-40:
+        // a core starting on two gap-0 records calls twice in CPU cycle 0.
+        // Lengths differ, so cores finish apart; power-down is at 16 idle
+        // cycles or off.
+        let run = |traces: &[Vec<TraceRecord>], powerdown: bool, skip_ahead: bool| {
             let black = *trace_gen::workload("black").expect("built-in workload");
-            let mut sys = System::build(&SystemConfig {
-                workloads: vec![black; 2],
+            let cfg = SystemConfig {
+                workloads: vec![black; traces.len()],
+                shared_address_space: true,
+                powerdown_idle_threshold: powerdown.then_some(16),
                 ..SystemConfig::single_core("black", 1)
-            });
-            for (id, kind) in [(0, ReqKind::Write), (1, ReqKind::Read)] {
-                let trace = std::iter::once(TraceRecord::new(0, kind, PhysAddr(0)));
-                sys.cores[id] = Core::new(id as u32, CoreParams::msc_default(), Box::new(trace));
+            };
+            let mut sys = System::build(&cfg);
+            for (id, trace) in traces.iter().enumerate() {
+                let trace = Box::new(trace.clone().into_iter());
+                sys.cores[id] = Core::new(id as u32, CoreParams::msc_default(), trace);
             }
             sys.set_skip_ahead(skip_ahead);
             sys.run()
         };
-        let wheel = run(true);
+        // Case 0: core 0 writes line 0 and, in the same subcycle, core 1
+        // reads it with no trace left. The read is forwarded, and core 1
+        // retires it in the cycle of the tick that stamps it, after the tick.
+        let rec = |gap, kind, line: u64| TraceRecord::new(gap, kind, PhysAddr(line * 4160));
+        let case0 = [
+            vec![rec(0, ReqKind::Write, 0)],
+            vec![rec(0, ReqKind::Read, 0)],
+        ];
+        let wheel = run(&case0, false, true);
         assert_eq!(wheel.per_core_cpu_cycles[1], CPU_PER_MEM_CYCLE);
-        assert_eq!(wheel, run(false));
+        assert_eq!(wheel, run(&case0, false, false));
+        let mut rng = sim_rng::SmallRng::seed_from_u64(0x5eed_2015);
+        let (mut forwarded, mut burst, mut slept) = (false, false, false);
+        for case in 1..60 {
+            let traces: Vec<Vec<TraceRecord>> = (0..rng.gen_range(1..5usize))
+                .map(|_| {
+                    (0..rng.gen_range(1..150usize))
+                        .map(|_| {
+                            let gap = rng.gen_range(0..41u32) * u32::from(rng.gen_bool(0.6));
+                            let kind = [ReqKind::Read, ReqKind::Write][rng.gen_range(0..2usize)];
+                            rec(gap, kind, rng.gen_range(0..16u64))
+                        })
+                        .collect()
+                })
+                .collect();
+            burst |= traces
+                .iter()
+                .any(|t| t.len() > 1 && t[0].gap == 0 && t[1].gap == 0);
+            let powerdown = rng.gen_bool(0.5);
+            let wheel = run(&traces, powerdown, true);
+            assert_eq!(wheel, run(&traces, powerdown, false), "case {case}");
+            forwarded |= wheel.telemetry.controller.read_latency.min() == Some(0);
+            slept |= wheel.telemetry.powerdown_entries > 0;
+        }
+        assert!(forwarded && burst && slept, "{forwarded} {burst} {slept}");
     }
 
     #[test]

@@ -52,7 +52,8 @@ pub trait RequestSink {
     fn try_write(&mut self, core_id: u32, addr: PhysAddr) -> bool;
 }
 
-/// What a core is waiting on, as seen by an event-wheel driver.
+/// What a core is waiting on, as seen by a caller that steps cores a
+/// memory cycle at a time and parks stalled ones (unlike [`Core::run_to_call`]).
 ///
 /// Computed by [`Core::wait_hint`] after a cycle: a `Stalled` core is
 /// guaranteed to do no observable work (no fetch, no retire, no accepted
@@ -267,39 +268,111 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         }
     }
 
-    /// Executes the `n` cycles starting at CPU cycle `start`, exactly as
-    /// `n` [`Core::cycle`] calls would, stopping early once the core is
-    /// done (a driver cycles live cores only).
+    /// Runs the core alone from CPU cycle `start`, exactly as per-cycle
+    /// [`Core::cycle`] calls would, and returns the cycle it stopped
+    /// before: `limit`, the first cycle that may call the [`RequestSink`]
+    /// (the fetch stage is at a memory operation, or the rest of its gap
+    /// may fit this cycle's fetch), or the cycle after it finished. A fetch
+    /// stage parked on a refused request retries alone, refused, before
+    /// `refused_until`, which the caller vouches for. Reads whose data
+    /// arrives before `limit` must be handed over first
+    /// ([`Core::advance_compute`] says why that is exact).
     ///
-    /// Once the ROB is full behind a head not due before `start + n`,
-    /// every remaining cycle retires nothing and fetch only records a rob
-    /// stall, so those cycles are accounted in one step. This is the
-    /// end-of-window form of [`Core::advance_compute`]'s blocked rule:
-    /// drivers step one memory cycle at a time, and a window whose head
-    /// falls due inside it just runs its cycles.
-    pub fn step(&mut self, start: u64, n: u64, mem: &mut impl RequestSink) {
-        let end = start + n;
-        for now in start..end {
-            if self.done() {
-                return;
+    /// A full ROB behind a head not yet due (rob stalls), a parked fetch
+    /// stage behind one (queue stalls) and steady churn through a gap run
+    /// in closed form; the rest runs per cycle against a sink that panics
+    /// on any call but a parked retry.
+    pub fn run_to_call(&mut self, start: u64, limit: u64, refused_until: u64) -> u64 {
+        /// The memory system out of reach: a parked retry is refused.
+        struct Offline {
+            parked: bool,
+        }
+        impl RequestSink for Offline {
+            fn try_read(&mut self, _core_id: u32, _addr: PhysAddr) -> Option<u64> {
+                assert!(self.parked, "a core running alone called the sink");
+                None
             }
-            if self.rob_full() && self.head_complete_at().is_some_and(|t| t >= end) {
-                self.stats.rob_stall_cycles += end - now;
-                return;
+            fn try_write(&mut self, _core_id: u32, _addr: PhysAddr) -> bool {
+                assert!(self.parked, "a core running alone called the sink");
+                false
             }
-            self.cycle(now, mem);
+        }
+        let mut now = start;
+        while now < limit && !self.done() {
+            let parked = self.queue_blocked && matches!(self.fetch, FetchState::MemOp { .. });
+            let refused_end = if parked { limit.min(refused_until) } else { 0 };
+            let mut k = self.skip_blocked(now, limit, refused_end);
+            if k == 0 && self.rob_full() {
+                // Churn consumes `retire_width` gap instructions a cycle and
+                // needs that many left at every cycle's start.
+                let gap = match self.fetch {
+                    FetchState::Gap { left, .. } => left / self.params.retire_width,
+                    _ => 0,
+                };
+                if gap > 0 {
+                    k = self.churn_cycles(now, (limit - now).min(u64::from(gap)));
+                    if k > 0 {
+                        self.churn(now, k);
+                    }
+                }
+            }
+            if k == 0 {
+                if (parked && now >= refused_until) || (!parked && self.may_call()) {
+                    return now;
+                }
+                self.cycle(now, &mut Offline { parked });
+                k = 1;
+            }
+            now += k;
+        }
+        now
+    }
+
+    /// Whether this cycle's fetch may reach a memory operation: the rest of
+    /// a gap must fit both the fetch width and the ROB room, which retire
+    /// widens by at most `retire_width`. Pulls the next record first.
+    fn may_call(&mut self) -> bool {
+        if let FetchState::NextRecord = self.fetch {
+            self.pull_record();
+        }
+        let room = self.params.rob_size - self.rob_len + self.params.retire_width as usize;
+        match self.fetch {
+            FetchState::MemOp { .. } => true,
+            FetchState::Gap { left, .. } => {
+                (left as usize) < room.min(self.params.fetch_width as usize)
+            }
+            FetchState::NextRecord | FetchState::Drained => false,
         }
     }
 
-    /// The blocked-ROB rule of `advance_compute`: while the ROB is full
-    /// behind a head due at `t > now` (or pending), every cycle before `t`
-    /// retires nothing and fetch only records a rob stall. Accounts the
-    /// cycles up to `min(t, end)` in one step and returns their number (0
-    /// when the ROB is not so blocked at `now`).
-    fn skip_blocked(&mut self, now: u64, end: u64) -> u64 {
-        let head = self.head_complete_at().filter(|_| self.rob_full());
-        let k = head.map_or(0, |t| t.min(end).saturating_sub(now));
-        self.stats.rob_stall_cycles += k;
+    /// Moves a fetch stage between records onto the next trace record.
+    fn pull_record(&mut self) {
+        self.fetch = match self.trace.next() {
+            None => FetchState::Drained,
+            Some(rec) if rec.gap > 0 => FetchState::Gap {
+                left: rec.gap,
+                kind: rec.kind,
+                addr: rec.addr,
+            },
+            Some(rec) => FetchState::MemOp {
+                kind: rec.kind,
+                addr: rec.addr,
+            },
+        };
+    }
+
+    /// Accounts in one step the cycles from `now` before the ROB head falls
+    /// due in which the core only stalls: up to `end` while the ROB is
+    /// full, up to `refused_end` while the fetch stage retries a refused
+    /// request. Returns their number.
+    fn skip_blocked(&mut self, now: u64, end: u64, refused_end: u64) -> u64 {
+        let due = self.head_complete_at().unwrap_or(u64::MAX);
+        let (end, stalls) = match self.rob_full() {
+            true => (end, &mut self.stats.rob_stall_cycles),
+            false => (refused_end, &mut self.stats.queue_stall_cycles),
+        };
+        let k = due.min(end).saturating_sub(now);
+        *stalls += k;
         k
     }
 
@@ -334,26 +407,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             }
             match self.fetch {
                 FetchState::Drained => return,
-                FetchState::NextRecord => match self.trace.next() {
-                    None => {
-                        self.fetch = FetchState::Drained;
-                        return;
-                    }
-                    Some(rec) => {
-                        self.fetch = if rec.gap > 0 {
-                            FetchState::Gap {
-                                left: rec.gap,
-                                kind: rec.kind,
-                                addr: rec.addr,
-                            }
-                        } else {
-                            FetchState::MemOp {
-                                kind: rec.kind,
-                                addr: rec.addr,
-                            }
-                        };
-                    }
-                },
+                FetchState::NextRecord => self.pull_record(),
                 FetchState::Gap { left, kind, addr } => {
                     // As many gap instructions as budget and ROB space
                     // allow, in one run; the loop then retries the ROB-full
@@ -411,7 +465,7 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     }
 
     /// What the core is waiting on after the cycle just simulated — the
-    /// edge this core contributes to an event-wheel driver.
+    /// edge this core contributes to a parking caller ([`CoreWait`]).
     ///
     /// `Stalled` is reported when fetch cannot proceed: the ROB is full,
     /// or the fetch stage is parked on a refused memory request, or the
@@ -449,10 +503,10 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// `left / fetch_width` cycles no matter how retire and ROB occupancy
     /// interleave (a full ROB only slows consumption down). Over such a
     /// span the core's evolution — fetch, retire, ROB-full churn, stall
-    /// accounting — is a pure function of its own state, so an
-    /// event-wheel driver may execute it in bulk with
-    /// [`Core::advance_compute`], delivering the span's read completions
-    /// before it runs (see there).
+    /// accounting — is a pure function of its own state, so a caller may
+    /// execute it in bulk with [`Core::advance_compute`], delivering the
+    /// span's read completions before it runs (see there).
+    /// [`Core::run_to_call`] needs no such proof: it checks each cycle.
     pub fn compute_quiet_cycles(&self) -> u64 {
         let FetchState::Gap { left, .. } = self.fetch else {
             return 0;
@@ -477,56 +531,24 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
         k
     }
 
-    /// Executes `cpu_cycles` consecutive cycles starting at CPU cycle
-    /// `start_cpu`, exactly as that many [`Core::cycle`] calls would —
-    /// same fetch/retire interleaving, same stall counters — but without
-    /// a memory system in reach.
+    /// Executes `cpu_cycles` consecutive cycles from CPU cycle `start_cpu`
+    /// over a span [`Core::compute_quiet_cycles`] vouched for: one
+    /// [`Core::run_to_call`] that cannot stop early.
     ///
-    /// Only valid for a span [`Core::compute_quiet_cycles`] vouched for,
-    /// so that the core cannot touch memory. A read whose data arrives
-    /// inside the span must be delivered ([`Core::complete_read`]) before
-    /// the call. Delivering `complete_read(token, t)` at any time before
-    /// the core reaches cycle `t` is exact: until `t` the stamped read
-    /// does not retire, just like a pending one, so the core evolves as
-    /// if it had been delivered at `t`. Only [`Core::wait_hint`] can tell,
-    /// by naming a head's retire cycle sooner, and the latency histogram
-    /// records the read sooner.
+    /// A read whose data arrives inside the span must be delivered
+    /// ([`Core::complete_read`]) before the call. Delivering
+    /// `complete_read(token, t)` at any time before the core reaches cycle
+    /// `t` is exact: until `t` the stamped read does not retire, just like
+    /// a pending one. Only [`Core::wait_hint`] can tell, by naming a head's
+    /// retire cycle sooner, and the latency histogram records it sooner.
     ///
-    /// Two regimes dominate a long gap and are replayed in closed form
-    /// rather than cycle by cycle: a full ROB whose head is not yet due
-    /// (every cycle up to the head's due cycle, or to the span's end, is
-    /// a pure rob-stall no-op), and
-    /// steady churn (a full ROB retiring `retire_width` due entries and
-    /// refilling exactly that many each cycle). Everything else — fill
-    /// transients, partially due heads — falls back to the real
-    /// per-cycle logic, so the end state is bit-identical either way.
+    /// # Panics
+    ///
+    /// Panics if the span was not compute-quiet after all.
     pub fn advance_compute(&mut self, start_cpu: u64, cpu_cycles: u64) {
-        /// Unreachable by construction over a vouched-for span.
-        struct NoMem;
-        impl RequestSink for NoMem {
-            fn try_read(&mut self, _core_id: u32, _addr: PhysAddr) -> Option<u64> {
-                unreachable!("compute-quiet span touched memory")
-            }
-            fn try_write(&mut self, _core_id: u32, _addr: PhysAddr) -> bool {
-                unreachable!("compute-quiet span touched memory")
-            }
-        }
         let end = start_cpu + cpu_cycles;
-        let mut now = start_cpu;
-        while now < end {
-            let mut k = self.skip_blocked(now, end);
-            if k == 0 && self.rob_full() {
-                k = self.churn_cycles(now, end - now);
-                if k > 0 {
-                    self.churn(now, k);
-                }
-            }
-            if k == 0 {
-                self.cycle(now, &mut NoMem);
-                k = 1;
-            }
-            now += k;
-        }
+        let stop = self.run_to_call(start_cpu, end, 0);
+        assert_eq!(stop, end, "compute-quiet span touched memory");
     }
 
     /// Number of upcoming cycles, at most `limit` (starting at `now`, ROB
@@ -570,7 +592,10 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// refills exactly that many gap instructions (stalling on the
     /// residual budget when `fetch_width > retire_width`), leaving the
     /// ROB full throughout. Callers must have proven the span via
-    /// [`Core::churn_cycles`] and bounded it so the gap cannot run out.
+    /// [`Core::churn_cycles`] and bounded it so that every cycle starts
+    /// with at least `retire_width` gap instructions left; a gap used up
+    /// leaves the fetch stage at its memory operation, as per-cycle fetch
+    /// would, with the ROB full.
     fn churn(&mut self, now: u64, k: u64) {
         let rw = u64::from(self.params.retire_width);
         let fw = u64::from(self.params.fetch_width);
@@ -579,11 +604,10 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
             unreachable!("churn outside a gap span")
         };
         let consumed = k * rw;
-        debug_assert!(u64::from(left) >= consumed + fw, "churn overran the gap");
-        self.fetch = FetchState::Gap {
-            left: left - consumed as u32,
-            kind,
-            addr,
+        debug_assert!(u64::from(left) >= consumed, "churn overran the gap");
+        self.fetch = match left - consumed as u32 {
+            0 => FetchState::MemOp { kind, addr },
+            left => FetchState::Gap { left, kind, addr },
         };
         self.stats.committed += consumed;
         if fw > rw {
@@ -613,9 +637,9 @@ impl<T: Iterator<Item = TraceRecord>> Core<T> {
     /// `Stalled`, ends no later than the head's `retire_at` (read again
     /// after every completion handed over during the span, which may
     /// stamp a pending head) and, with `queue_retry`, ends before the
-    /// memory system can accept the retried request. The event-wheel
-    /// driver ends such a span at the head's retire cycle, and at the
-    /// controller's next tick while the core retries.
+    /// memory system can accept the retried request: a parking caller ends
+    /// such a span at the head's retire cycle, and at the controller's
+    /// next tick while the core retries.
     pub fn note_skipped_cycles(&mut self, cpu_cycles: u64) {
         if self.done() {
             return;
@@ -847,10 +871,10 @@ mod tests {
     /// completion cycle, same issue stream. The trace crosses every
     /// regime — fill transients, steady churn, a pending read blocking
     /// the ROB inside a gap (the read latency of 400 far exceeds the ROB
-    /// drain time), and short gaps the batch cannot vouch for. Like
-    /// `System::skip_span`, the batched run hands each read
-    /// over before the span that holds its ready cycle, so a full ROB
-    /// also waits inside spans on a head stamped as due mid-span.
+    /// drain time), and short gaps the batch cannot vouch for. Like the
+    /// system's event loop, the batched run hands each read over before
+    /// the span that holds its ready cycle, so a full ROB also waits
+    /// inside spans on a head stamped as due mid-span.
     #[test]
     fn advance_compute_matches_per_cycle_execution() {
         let trace = vec![
@@ -937,7 +961,7 @@ mod tests {
     /// A full ROB behind a head stamped as due inside the span: over a
     /// long span `advance_compute` stalls in one step up to that cycle,
     /// then retires and refills exactly as per-cycle execution does, and
-    /// so does `step` over a memory cycle's window.
+    /// so does `run_to_call` over a memory cycle's window.
     #[test]
     fn a_head_due_mid_span_matches_per_cycle_execution() {
         let (at, span) = (BLOCKED_AT, 400);
@@ -948,7 +972,9 @@ mod tests {
             });
         }
         for ready_at in at + 1..at + 4 {
-            assert_matches_cycles(ready_at, 4, |core, mem| core.step(at, 4, mem));
+            assert_matches_cycles(ready_at, 4, |core, _| {
+                assert_eq!(core.run_to_call(at, at + 4, 0), at + 4);
+            });
         }
     }
 }

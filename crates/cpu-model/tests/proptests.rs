@@ -5,7 +5,7 @@
 
 use cpu_model::{
     read_trace, write_trace, Core, CoreParams, CoreStats, CoreWait, InstantMemory, ParseTraceError,
-    RequestSink, TraceRecord, CPU_PER_MEM_CYCLE,
+    RequestSink, TraceRecord,
 };
 use dram_device::{PhysAddr, ReqKind};
 use sim_rng::SmallRng;
@@ -83,88 +83,119 @@ fn completion_monotone_in_latency() {
     }
 }
 
-/// A sink that refuses requests at random and logs every call with its
-/// answer. Two sinks with the same seed answer the same call sequence
-/// alike.
-struct FlakySink {
-    rng: SmallRng,
-    next_token: u64,
-    outstanding: Vec<u64>,
-    calls: Vec<(ReqKind, u64, bool)>,
+/// One memory cycle's view of a core: stats, wait hint and occupancy.
+type Snapshot = (CoreStats, CoreWait, usize);
+
+/// A sink open or closed by 16-cycle windows, at random per window. It
+/// logs each accepted call with its cycle, and hands each read over at a
+/// random later cycle, stamped with a data cycle no earlier (sometimes the
+/// same, like a forwarded read).
+struct WindowSink {
+    seed: u64,
+    now: u64,
+    /// (token, handed over at, data cycle).
+    outstanding: Vec<(u64, u64, u64)>,
+    calls: Vec<(u64, ReqKind, u64)>,
 }
 
-impl RequestSink for FlakySink {
-    fn try_read(&mut self, _core_id: u32, addr: PhysAddr) -> Option<u64> {
-        let ok = self.rng.gen_bool(0.7);
-        self.calls.push((ReqKind::Read, addr.0, ok));
-        ok.then(|| {
-            self.next_token += 1;
-            self.outstanding.push(self.next_token);
-            self.next_token
-        })
+impl WindowSink {
+    fn open(&self) -> bool {
+        SmallRng::seed_from_u64(self.seed ^ (self.now / 16)).gen_range(0..4u32) != 0
     }
 
-    fn try_write(&mut self, _core_id: u32, addr: PhysAddr) -> bool {
-        let ok = self.rng.gen_bool(0.7);
-        self.calls.push((ReqKind::Write, addr.0, ok));
+    fn accept(&mut self, kind: ReqKind, addr: PhysAddr) -> bool {
+        let ok = self.open();
+        if ok {
+            self.calls.push((self.now, kind, addr.0));
+        }
         ok
     }
 }
 
-/// One memory cycle's view of a core: stats, wait hint and occupancy.
-type Snapshot = (CoreStats, CoreWait, usize);
-
-/// Drives `trace` four CPU cycles per memory cycle, delivering each
-/// outstanding read at random with a random completion time, and with
-/// the four cycles taken by one `step` or by four `cycle` calls.
-fn drive_in_memory_cycles(
-    trace: &[TraceRecord],
-    seed: u64,
-    batched: bool,
-) -> (Vec<Snapshot>, Vec<(ReqKind, u64, bool)>) {
-    let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
-    let mut sink = FlakySink {
-        rng: SmallRng::seed_from_u64(seed),
-        next_token: 0,
-        outstanding: Vec::new(),
-        calls: Vec::new(),
-    };
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
-    let mut log = Vec::new();
-    let mut now = 0u64;
-    while !core.done() {
-        assert!(now < 4_000_000, "core wedged");
-        // Completion times land before, inside and past this memory
-        // cycle's four CPU cycles.
-        let mut waiting = Vec::new();
-        for token in std::mem::take(&mut sink.outstanding) {
-            if rng.gen_bool(0.2) {
-                core.complete_read(token, now.saturating_sub(2) + rng.gen_range(0..12u64));
-            } else {
-                waiting.push(token);
-            }
+impl RequestSink for WindowSink {
+    fn try_read(&mut self, _core_id: u32, addr: PhysAddr) -> Option<u64> {
+        if !self.accept(ReqKind::Read, addr) {
+            return None;
         }
-        sink.outstanding = waiting;
-        if batched {
-            core.step(now, CPU_PER_MEM_CYCLE, &mut sink);
-        } else {
-            for sub in 0..CPU_PER_MEM_CYCLE {
-                core.cycle(now + sub, &mut sink);
-            }
-        }
-        log.push((core.stats().clone(), core.wait_hint(), core.rob_occupancy()));
-        now += CPU_PER_MEM_CYCLE;
+        let token = self.calls.len() as u64;
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ token.rotate_left(32));
+        let at = self.now + rng.gen_range(1..60u64);
+        let ready = at + rng.gen_range(0..3u64) * rng.gen_range(0..40u64);
+        self.outstanding.push((token, at, ready));
+        Some(token)
     }
-    (log, sink.calls)
+
+    fn try_write(&mut self, _core_id: u32, addr: PhysAddr) -> bool {
+        self.accept(ReqKind::Write, addr)
+    }
 }
 
-/// `step` over a memory cycle is four `cycle` calls: the same stats, wait
-/// hint and ROB occupancy after every memory cycle, and the same sink
-/// calls in the same order, across gap-heavy and memory-bound traces,
-/// refused requests and reads that complete early, mid-step or late.
+/// Drives `trace` against a [`WindowSink`]: with `alone`, `run_to_call`
+/// carries the core to its next possible call, a hand-over or a random
+/// chunk's end, retrying a parked request alone while the sink's window
+/// stays closed, and only the cycles it stops at run with the sink; else
+/// one `cycle` per CPU cycle. Returns the final stats, the accepted calls,
+/// and how often a parked core ran alone.
+fn drive_windowed(
+    trace: &[TraceRecord],
+    seed: u64,
+    alone: bool,
+) -> (CoreStats, Vec<(u64, ReqKind, u64)>, usize) {
+    let mut core = Core::new(0, CoreParams::msc_default(), trace.iter().copied());
+    let (outstanding, calls) = (Vec::new(), Vec::new());
+    let mut sink = WindowSink {
+        seed,
+        now: 0,
+        outstanding,
+        calls,
+    };
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xa10e);
+    let mut parked = 0;
+    while !core.done() {
+        let now = sink.now;
+        assert!(now < 4_000_000, "core wedged");
+        sink.outstanding.retain(|&(token, at, ready)| {
+            if at <= now {
+                core.complete_read(token, ready);
+            }
+            at > now
+        });
+        let mut stop = now;
+        if alone {
+            let handover = sink.outstanding.iter().map(|r| r.1).min();
+            let limit = handover
+                .unwrap_or(u64::MAX)
+                .min(now + rng.gen_range(1..200u64));
+            let refused_until = if sink.open() { 0 } else { (now / 16 + 1) * 16 };
+            let was_parked = matches!(
+                core.wait_hint(),
+                CoreWait::Stalled {
+                    queue_retry: true,
+                    ..
+                }
+            );
+            stop = core.run_to_call(now, limit, refused_until);
+            parked += usize::from(was_parked && stop > now);
+        }
+        if stop == now {
+            core.cycle(now, &mut sink);
+            stop += 1;
+        }
+        sink.now = stop;
+    }
+    (core.stats().clone(), sink.calls, parked)
+}
+
+/// A core that runs alone up to its next possible call, and calls the
+/// sink only in the cycles it stops at, matches one `cycle` per CPU
+/// cycle: the same stats and the same accepted calls on the same cycles,
+/// across gap-heavy and memory-bound traces, gap-0 bursts, refused
+/// requests retried alone while the sink stays closed, and reads stamped
+/// on the cycle they are handed over or later.
 #[test]
-fn step_matches_four_cycles() {
+fn run_to_call_matches_per_cycle_execution() {
     let mut rng = SmallRng::seed_from_u64(0x57e9);
+    let mut parked = 0;
     for case in 0..150 {
         let n = rng.gen_range(1..80usize);
         let trace: Vec<TraceRecord> = (0..n)
@@ -175,20 +206,20 @@ fn step_matches_four_cycles() {
                     ReqKind::Write
                 };
                 TraceRecord::new(
-                    rng.gen_range(0..301u32),
+                    rng.gen_range(0..301u32) * rng.gen_range(0..2u32),
                     kind,
                     PhysAddr(rng.gen_range(0..1u64 << 20) * 64),
                 )
             })
             .collect();
         let seed = rng.gen_range(0..u64::MAX);
-        let stepped = drive_in_memory_cycles(&trace, seed, true);
-        let cycled = drive_in_memory_cycles(&trace, seed, false);
-        assert!(
-            stepped == cycled,
-            "case {case}: step diverged from four cycles"
-        );
+        let (stats, calls, p) = drive_windowed(&trace, seed, true);
+        parked += p;
+        let (ref_stats, ref_calls, _) = drive_windowed(&trace, seed, false);
+        assert_eq!(stats, ref_stats, "case {case}: stats differ");
+        assert!(calls == ref_calls, "case {case}: calls differ");
     }
+    assert!(parked > 100, "{parked} parked runs alone");
 }
 
 /// Trace I/O round-trips arbitrary records through the MSC format.

@@ -786,7 +786,7 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
             .map(|(source, n)| format!("{source:?} {n}"))
             .collect();
         println!(
-            "exec: {} dense, {} skipped, {} overlapped cycles | {} controller ticks | wakes: {}",
+            "exec: {} dense, {} skipped, {} controller-only cycles | {} controller ticks | wakes: {}",
             e.dense_cycles,
             e.quiet_skipped_cycles,
             e.overlapped_span_cycles,

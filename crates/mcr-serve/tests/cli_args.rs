@@ -239,7 +239,7 @@ fn report_prints_one_exec_line() {
     let [line] = lines[..] else {
         panic!("one exec line expected: {}", o.stdout)
     };
-    // "exec: D dense, S skipped, O overlapped cycles | T controller ticks
+    // "exec: D dense, S skipped, O controller-only cycles | T controller ticks
     // | wakes: QueueCas W, RefreshDue W, ..."
     let (cycles, wakes) = line.split_once(" | wakes: ").expect("wake counts");
     let n: Vec<u64> = cycles

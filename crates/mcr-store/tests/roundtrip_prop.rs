@@ -174,7 +174,6 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
             dense_cycles: ru(rng),
             quiet_skipped_cycles: ru(rng),
             overlapped_span_cycles: ru(rng),
-            controller_alone_ticks: ru(rng),
             controller_ticks: ru(rng),
             wakes: std::array::from_fn(|_| ru(rng)),
         },

@@ -585,6 +585,12 @@ impl MemoryController {
             .filter(|&t| self.last_tick.is_none_or(|last| t > last))
     }
 
+    /// The due cycle of the store-to-load forwarded reads `core_id` enqueued
+    /// since the last tick: the next tick hands them out stamped with it.
+    pub fn forwarded_due(&self, core_id: u32) -> Option<Cycle> {
+        self.forwarded.iter().find(|f| f.1 == core_id).map(|f| f.2)
+    }
+
     /// True when the current memory cycle did or queued observable work:
     /// the span since the last [`MemoryController::tick`] entry (or the
     /// last [`MemoryController::note_skipped_cycles`]), including enqueues
