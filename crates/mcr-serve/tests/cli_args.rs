@@ -265,3 +265,20 @@ fn report_prints_one_exec_line() {
     assert!(sources.contains(&"QueueCas"), "{line}");
     assert!(armed >= ticks - 1, "{line}");
 }
+
+#[test]
+fn cache_actions_work_on_a_store_with_no_shards_yet() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_fresh_cache");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    for action in ["stats", "verify", "gc"] {
+        let o = run(&["cache", action, "--cache-dir", dir_s]);
+        assert_eq!(o.code, 0, "cache {action}: {}", o.stderr);
+    }
+    let o = run(&["cache", "stats", "--cache-dir", dir_s]);
+    let stats = sim_json::Json::parse(o.stdout.trim()).expect("stats JSON");
+    assert_eq!(stats.get("disk_entries").and_then(|v| v.as_u64()), Some(0));
+    let made = std::fs::read_dir(&dir).expect("store root").count();
+    assert_eq!(made, 0, "no shard or quarantine directory yet");
+    let _ = std::fs::remove_dir_all(&dir);
+}

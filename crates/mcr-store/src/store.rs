@@ -8,6 +8,10 @@
 //! <dir>/quarantine/<shard>-<file>.<seq>     entries that failed validation
 //! ```
 //!
+//! Opening a store creates only `<dir>`: a shard directory appears at
+//! the first publish into it, `quarantine/` at the first quarantine. A
+//! missing directory reads as an empty one.
+//!
 //! Entries are content-addressed by [`SystemConfig::config_key`]
 //! (`mcr_dram::SystemConfig::config_key`) and land in shard
 //! `key & (shards - 1)`. Publishing is atomic: the entry is fully
@@ -18,12 +22,13 @@
 //! identical bytes (reports are pure functions of their config), races
 //! between processes are harmless last-writer-wins.
 //!
-//! Every entry embeds an FNV-1a checksum of its serialized report.
-//! A reader that finds anything wrong — unparseable JSON, a checksum
-//! mismatch, a key that disagrees with the filename, a decode error —
-//! moves the file into `quarantine/` and reports a miss, so the sweep
-//! engine silently recomputes and re-publishes. Corruption can cost
-//! wall clock, never correctness.
+//! Every entry embeds an FNV-1a checksum of its report's bytes as
+//! stored. A reader that finds anything wrong — an envelope other than
+//! the writer's, a checksum mismatch, a key that disagrees with the
+//! filename, unparseable JSON, a decode error — moves the file into
+//! `quarantine/` and reports a miss, so the sweep engine silently
+//! recomputes and re-publishes. Corruption can cost wall clock, never
+//! correctness.
 
 use crate::codec::{parse_key_hex, report_from_json, report_to_json};
 use mcr_dram::{ReportStore, RunReport};
@@ -36,9 +41,20 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Entry-format version stamped into every file; bump on layout changes
-/// so older stores quarantine cleanly instead of half-decoding.
-const FORMAT: u64 = 1;
+/// Entry-format version stamped into every file, as it is written there;
+/// bump on layout changes so older stores quarantine cleanly instead of
+/// half-decoding.
+const FORMAT: &str = "1";
+
+/// The entry envelope, which [`encode_entry`] writes and [`split_entry`]
+/// reads: `{"format":1,"key":"<16 hex>","checksum":"<16 hex>","report":`,
+/// the report, then `}` and a newline. The report is the last member, so
+/// its stored bytes run from the end of [`REPORT`] to [`TAIL`].
+const HEAD: &str = "{\"format\":";
+const KEY: &str = ",\"key\":\"";
+const CHECKSUM: &str = "\",\"checksum\":\"";
+const REPORT: &str = "\",\"report\":";
+const TAIL: &str = "}\n";
 
 /// Default shard count (must be a power of two, at most 256).
 pub const DEFAULT_SHARDS: usize = 16;
@@ -130,23 +146,25 @@ pub struct GcReport {
 }
 
 impl ResultStore {
-    /// Opens (creating directories as needed) a store rooted at `dir`
-    /// with [`DEFAULT_SHARDS`] shards.
+    /// Opens a store rooted at `dir` with [`DEFAULT_SHARDS`] shards,
+    /// creating `dir` if needed (shard directories wait for their first
+    /// publish).
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failures.
+    /// Propagates the failure to create `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         Self::open_sharded(dir, DEFAULT_SHARDS)
     }
 
     /// Opens a store with an explicit shard count (a power of two in
-    /// `1..=256`; the key's low bits select the shard).
+    /// `1..=256`; the key's low bits select the shard), creating `dir` if
+    /// needed. A shard directory is created by the first publish into it.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for a bad shard count, otherwise directory-creation
-    /// failures.
+    /// `InvalidInput` for a bad shard count, otherwise the failure to
+    /// create `dir`.
     pub fn open_sharded(dir: impl Into<PathBuf>, shards: usize) -> io::Result<Self> {
         if !(1..=256).contains(&shards) || !shards.is_power_of_two() {
             return Err(io::Error::new(
@@ -155,10 +173,7 @@ impl ResultStore {
             ));
         }
         let dir = dir.into();
-        for s in 0..shards {
-            fs::create_dir_all(dir.join(format!("shard-{s:02x}")))?;
-        }
-        fs::create_dir_all(dir.join("quarantine"))?;
+        fs::create_dir_all(&dir)?;
         Ok(ResultStore {
             dir,
             shards,
@@ -265,11 +280,9 @@ impl ResultStore {
             .map(|f| f.to_string_lossy().into_owned())
             .unwrap_or_else(|| "unknown".to_string());
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let dest = self
-            .dir
-            .join("quarantine")
-            .join(format!("{shard}-{file}.{seq}"));
-        if fs::rename(path, &dest).is_err() {
+        let quarantine = self.dir.join("quarantine");
+        let dest = quarantine.join(format!("{shard}-{file}.{seq}"));
+        if in_dir(&quarantine, || fs::rename(path, &dest)).is_err() {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -279,8 +292,8 @@ impl ResultStore {
     fn load_entry(&self, path: &Path, expect_key: Option<u64>) -> Option<RunReport> {
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
-            // Vanished between the exists-check and the read: another
-            // store quarantined or republished it — a plain miss.
+            // No entry (or no shard directory yet), or another store
+            // quarantined it under us — a plain miss.
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
             // Unreadable content (e.g. not UTF-8) is corruption.
             Err(_) => {
@@ -300,11 +313,7 @@ impl ResultStore {
     /// Looks a key up without touching the hit/miss counters (used by
     /// `verify`).
     fn disk_get(&self, key: u64) -> Option<RunReport> {
-        let path = self.entry_path(key);
-        if !path.exists() {
-            return None;
-        }
-        self.load_entry(&path, Some(key))
+        self.load_entry(&self.entry_path(key), Some(key))
     }
 
     /// Full-store integrity scan: every committed entry is parsed,
@@ -407,12 +416,24 @@ impl ReportStore for ResultStore {
         let text = encode_entry(key, report);
         // Durable-before-return, best effort under I/O failure: a failed
         // publish only costs a future recompute, never correctness.
-        let committed =
-            fs::write(&tmp, text.as_bytes()).and_then(|()| fs::rename(&tmp, self.entry_path(key)));
+        let committed = in_dir(&shard_dir, || fs::write(&tmp, text.as_bytes()))
+            .and_then(|()| fs::rename(&tmp, self.entry_path(key)));
         if committed.is_err() {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
             let _ = fs::remove_file(&tmp);
         }
+    }
+}
+
+/// Runs `op`, and once more after creating `dir` when it fails with
+/// `NotFound`: shard and quarantine directories are made on first use.
+fn in_dir(dir: &Path, op: impl Fn() -> io::Result<()>) -> io::Result<()> {
+    match op() {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            fs::create_dir_all(dir)?;
+            op()
+        }
+        done => done,
     }
 }
 
@@ -441,52 +462,35 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes one store entry: format stamp, key, checksum over the
-/// serialized report text, and the report itself.
+/// report's bytes, and the report itself, serialized once.
 fn encode_entry(key: u64, report: &RunReport) -> String {
-    let report_json = report_to_json(report);
-    let report_text = report_json.to_string();
-    let entry = Json::obj([
-        ("format", Json::from_u64_lossless(FORMAT)),
-        ("key", Json::str(format!("{key:016x}"))),
-        (
-            "checksum",
-            Json::str(format!("{:016x}", fnv1a64(report_text.as_bytes()))),
-        ),
-        ("report", report_json),
-    ]);
-    let mut text = entry.to_string();
-    text.push('\n');
-    text
+    let mut body = String::new();
+    report_to_json(report).write(&mut body);
+    let checksum = fnv1a64(body.as_bytes());
+    format!("{HEAD}{FORMAT}{KEY}{key:016x}{CHECKSUM}{checksum:016x}{REPORT}{body}{TAIL}")
 }
 
-/// Parses and validates one entry: format, key (against `expect_key`
-/// when given), checksum over the re-serialized report member, then the
-/// full report decode.
+/// Splits an entry into its key, checksum and stored report bytes.
+/// `None` unless the text has exactly the envelope [`encode_entry`]
+/// writes, with this build's format stamp.
+fn split_entry(text: &str) -> Option<(u64, u64, &str)> {
+    let rest = text.strip_prefix(HEAD)?.strip_prefix(FORMAT)?;
+    let (key, rest) = rest.strip_prefix(KEY)?.split_at_checked(16)?;
+    let (checksum, rest) = rest.strip_prefix(CHECKSUM)?.split_at_checked(16)?;
+    let body = rest.strip_prefix(REPORT)?.strip_suffix(TAIL)?;
+    Some((parse_key_hex(key)?, parse_key_hex(checksum)?, body))
+}
+
+/// Validates and decodes one entry: envelope and format, key (against
+/// `expect_key` when given), checksum over the report bytes as stored,
+/// then the full report decode.
 fn decode_entry(text: &str, expect_key: Option<u64>) -> Result<RunReport, ()> {
-    let doc = Json::parse(text).map_err(|_| ())?;
-    if doc.get("format").and_then(Json::as_u64_lossless) != Some(FORMAT) {
+    let (key, checksum, body) = split_entry(text).ok_or(())?;
+    if expect_key.is_some_and(|k| k != key) || fnv1a64(body.as_bytes()) != checksum {
         return Err(());
     }
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .and_then(parse_key_hex)
-        .ok_or(())?;
-    if expect_key.is_some_and(|k| k != key) {
-        return Err(());
-    }
-    let report_json = doc.get("report").ok_or(())?;
-    let checksum = doc
-        .get("checksum")
-        .and_then(Json::as_str)
-        .and_then(parse_key_hex)
-        .ok_or(())?;
-    // The serializer is deterministic, so re-serializing the parsed
-    // report member reproduces the exact bytes the checksum covered.
-    if fnv1a64(report_json.to_string().as_bytes()) != checksum {
-        return Err(());
-    }
-    report_from_json(report_json).map_err(|_| ())
+    let report_json = Json::parse(body).map_err(|_| ())?;
+    report_from_json(&report_json).map_err(|_| ())
 }
 
 fn counter_of(n: u64) -> Counter {
@@ -498,7 +502,7 @@ fn counter_of(n: u64) -> Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcr_dram::{System, SystemConfig};
+    use mcr_dram::{McrMode, System, SystemConfig};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -511,10 +515,157 @@ mod tests {
     }
 
     fn sample_report(len: usize) -> (u64, RunReport) {
-        let cfg = SystemConfig::single_core("libq", len);
-        let key = cfg.config_key();
-        let report = System::try_build(&cfg).expect("valid config").run();
-        (key, report)
+        run(&SystemConfig::single_core("libq", len))
+    }
+
+    fn run(cfg: &SystemConfig) -> (u64, RunReport) {
+        let report = System::try_build(cfg).expect("valid config").run();
+        (cfg.config_key(), report)
+    }
+
+    /// Subdirectory names under a store's root, sorted.
+    fn subdirs(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("store dir")
+            .flatten()
+            .filter(|e| e.path().is_dir())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Reference encoder: the envelope built as a `Json::obj` and
+    /// serialized whole. `encode_entry` must match it byte for byte, so
+    /// stores written either way read back alike.
+    fn encode_entry_dom(key: u64, report: &RunReport) -> String {
+        let report_json = report_to_json(report);
+        let checksum = fnv1a64(report_json.to_string().as_bytes());
+        let entry = Json::obj([
+            ("format", Json::from_u64_lossless(1)),
+            ("key", Json::str(format!("{key:016x}"))),
+            ("checksum", Json::str(format!("{checksum:016x}"))),
+            ("report", report_json),
+        ]);
+        format!("{entry}\n")
+    }
+
+    #[test]
+    fn open_creates_only_the_root() {
+        let dir = tmp_dir("lazy");
+        let store = ResultStore::open(&dir).expect("open");
+        assert!(subdirs(&dir).is_empty(), "open made {:?}", subdirs(&dir));
+        assert_eq!(store.lookup(0x1234), None);
+        let stats = store.stats();
+        assert_eq!(stats.misses.get(), 1);
+        assert_eq!(stats.quarantined.get(), 0);
+        assert_eq!(stats.io_errors.get(), 0);
+        assert_eq!(stats.disk_entries_per_shard, vec![0; DEFAULT_SHARDS]);
+        assert_eq!(store.len(), 0);
+        assert!(store.is_empty());
+        let v = store.verify();
+        assert!(v.is_clean());
+        assert_eq!((v.intact, v.stale_tmp), (0, 0));
+        assert_eq!(
+            store.gc(),
+            GcReport {
+                tmp_removed: 0,
+                quarantine_removed: 0
+            }
+        );
+        assert!(subdirs(&dir).is_empty(), "a read made {:?}", subdirs(&dir));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_creates_its_shard() {
+        let dir = tmp_dir("first-publish");
+        let (key, report) = sample_report(1_200);
+        let store = ResultStore::open(&dir).expect("open");
+        store.publish(key, &report);
+        let shard = format!("shard-{:02x}", store.shard_of(key));
+        assert_eq!(subdirs(&dir), vec![shard]);
+        assert_eq!(store.stats().io_errors.get(), 0);
+        // A second key in another shard makes that shard too.
+        let other = key ^ 1;
+        store.publish(other, &report);
+        assert_eq!(subdirs(&dir).len(), 2);
+        assert_eq!(store.len(), 2);
+
+        let second = ResultStore::open(&dir).expect("second store");
+        assert_eq!(second.lookup(key).as_ref(), Some(&report));
+        assert_eq!(second.stats().hits_disk.get(), 1);
+        assert!(!dir.join("quarantine").exists());
+
+        // The first quarantine makes `quarantine/`.
+        fs::write(second.entry_path(other), b"{}").expect("corrupt");
+        assert_eq!(second.lookup(other), None);
+        assert_eq!(second.stats().quarantined.get(), 1);
+        assert_eq!(second.stats().io_errors.get(), 0);
+        assert_eq!(
+            fs::read_dir(dir.join("quarantine")).expect("dir").count(),
+            1
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_are_byte_identical() {
+        let mut nan = sample_report(800).1;
+        nan.avg_read_latency = f64::NAN;
+        nan.edp = f64::NEG_INFINITY;
+        let cases = [
+            sample_report(1_200),
+            run(&SystemConfig::single_core("comm1", 1_000).with_mode(McrMode::headline())),
+            run(&SystemConfig::single_core("black", 600).with_powerdown(16)),
+            (0, nan),
+            (u64::MAX, sample_report(400).1),
+        ];
+        for (key, report) in &cases {
+            let text = encode_entry(*key, report);
+            assert_eq!(text, encode_entry_dom(*key, report), "key {key:016x}");
+            let back = decode_entry(&text, Some(*key)).expect("decodes");
+            assert_eq!(encode_entry(*key, &back), text);
+        }
+    }
+
+    #[test]
+    fn checksum_covers_the_stored_bytes() {
+        let dir = tmp_dir("stored-bytes");
+        let (key, report) = sample_report(1_200);
+        let store = ResultStore::open(&dir).expect("open");
+        store.publish(key, &report);
+        let path = store.entry_path(key);
+        let text = fs::read_to_string(&path).expect("read");
+        let member = "\"report\":";
+        let at = text.find(member).expect("report member") + member.len();
+        let (head, body) = text.split_at(at);
+
+        // Whitespace inside the report: the same document, other bytes.
+        let spaced = format!("{head}{}", body.replacen(",\"", ", \"", 1));
+        assert_eq!(
+            Json::parse(&spaced).expect("still JSON"),
+            Json::parse(&text).expect("JSON")
+        );
+        // One digit of the report flipped: still JSON, another report.
+        let digit = body
+            .find(|c: char| ('1'..='8').contains(&c))
+            .expect("a digit");
+        let mut flipped = text.clone().into_bytes();
+        flipped[at + digit] += 1;
+        let flipped = String::from_utf8(flipped).expect("ASCII flip");
+        assert!(Json::parse(&flipped).is_ok());
+
+        for (i, tampered) in [spaced, flipped].into_iter().enumerate() {
+            assert_ne!(tampered, text);
+            fs::write(&path, tampered).expect("tamper");
+            let fresh = ResultStore::open(&dir).expect("reopen");
+            assert_eq!(fresh.lookup(key), None, "case {i}");
+            assert_eq!(fresh.stats().quarantined.get(), 1, "case {i}");
+            assert!(!path.exists(), "case {i}");
+            fresh.publish(key, &report);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -593,6 +744,8 @@ mod tests {
     fn verify_and_gc_walk_the_whole_store() {
         let dir = tmp_dir("verify");
         let (key, report) = sample_report(1_200);
+        // Filed under a key in shard 0, so the publish creates shard 0.
+        let key = key & !(DEFAULT_SHARDS as u64 - 1);
         let store = ResultStore::open(&dir).expect("open");
         store.publish(key, &report);
         assert!(store.verify().is_clean());
