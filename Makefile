@@ -33,9 +33,11 @@ loc:
 
 # The benchmark (benchmark/, a workspace of its own) builds the
 # simulator crates as path dependencies; the workspace suite never
-# compiles it, so run its tests here.
+# compiles it, so run its tests here. `--locked` (here and in
+# benchmark-gate) fails instead of silently rewriting
+# benchmark/Cargo.lock when a simulator crate gains a dependency.
 benchmark-test:
-	$(CARGO) test $(OFFLINE) --manifest-path benchmark/Cargo.toml -q
+	$(CARGO) test $(OFFLINE) --locked --manifest-path benchmark/Cargo.toml -q
 
 # The benchmark at full trace length for half a second per workload: its
 # seed-2015 reports must match the pinned digests and the dense drive's
@@ -43,8 +45,8 @@ benchmark-test:
 # so only this target checks the pinned digests). A second seed, which
 # has no pinned digest, repeats the wheel-vs-dense check on other traces.
 benchmark-gate:
-	$(CARGO) run --release $(OFFLINE) -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5
-	$(CARGO) run --release $(OFFLINE) -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5 --seed 7
+	$(CARGO) run --release $(OFFLINE) --locked -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5
+	$(CARGO) run --release $(OFFLINE) --locked -q --manifest-path benchmark/Cargo.toml -- --workload all --seconds 0.5 --seed 7
 
 # Golden-report snapshots (tests/goldens/): byte-exact scalar outcomes of
 # the Table-3 modes. Runs as part of `make test` too; this target gives

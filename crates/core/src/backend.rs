@@ -36,18 +36,18 @@ use std::collections::{HashMap, VecDeque};
 
 /// TL-DRAM near-segment ACTIVATE → READ latency (cycles): short
 /// bitlines charge fast (Lee et al., Table 3-equivalent).
-pub const TLDRAM_NEAR_TRCD: u32 = 6;
+const TLDRAM_NEAR_TRCD: u32 = 6;
 /// TL-DRAM near-segment ACTIVATE → PRECHARGE latency (cycles).
-pub const TLDRAM_NEAR_TRAS: u32 = 16;
+const TLDRAM_NEAR_TRAS: u32 = 16;
 /// TL-DRAM far-segment `tRCD` (cycles): one cycle *worse* than the
 /// DDR3 baseline — the isolation transistor sits in the charge path.
-pub const TLDRAM_FAR_TRCD: u32 = 12;
+const TLDRAM_FAR_TRCD: u32 = 12;
 /// TL-DRAM far-segment `tRAS` (cycles), likewise slightly degraded.
-pub const TLDRAM_FAR_TRAS: u32 = 29;
+const TLDRAM_FAR_TRAS: u32 = 29;
 /// CLR-DRAM coupled-row `tRCD` (cycles): two cells drive one bitline.
-pub const CLRDRAM_COUPLED_TRCD: u32 = 7;
+const CLRDRAM_COUPLED_TRCD: u32 = 7;
 /// CLR-DRAM coupled-row `tRAS` (cycles).
-pub const CLRDRAM_COUPLED_TRAS: u32 = 17;
+const CLRDRAM_COUPLED_TRAS: u32 = 17;
 
 /// TL-DRAM near-segment size in rows per 512-row subarray.
 pub const DEFAULT_NEAR_ROWS: u64 = 32;

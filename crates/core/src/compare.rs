@@ -24,9 +24,17 @@
 //! ```
 
 use crate::backend::BackendKind;
-use crate::report::csv_field;
-use crate::sweep::{json_escape, json_f64, Sweep, SweepResults};
+use crate::sweep::{Sweep, SweepResults};
 use crate::system::RunReport;
+
+/// One CSV field, quoted per RFC 4180 when it holds a comma or a quote.
+fn csv_field(s: &str) -> String {
+    if s.contains(',') || s.contains('"') {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
+    }
+}
 
 /// One backend's line in a [`CompareTable`].
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +51,7 @@ pub struct CompareRow {
 }
 
 /// Head-to-head comparison table over one trace: one `CompareRow` per
-/// backend, in campaign order, with text/CSV/JSON renderings that are
+/// backend, in campaign order, with text and CSV renderings that are
 /// pure functions of the per-backend reports (no volatile fields).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareTable {
@@ -164,42 +172,6 @@ impl CompareTable {
         }
         out
     }
-
-    /// Deterministic JSON rendering (stable key order, `null` speedup
-    /// when no baseline row exists).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"target\": \"{}\",\n  \"len\": {},\n  \"seed\": {},\n  \"rows\": [\n",
-            json_escape(&self.target),
-            self.len,
-            self.seed
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            let speedup = r.speedup.map_or_else(|| "null".to_string(), json_f64);
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"backend\": \"{}\", \"label\": \"{}\", ",
-                    "\"exec_cpu_cycles\": {}, \"avg_read_latency\": {}, ",
-                    "\"edp\": {}, \"reads_done\": {}, ",
-                    "\"refresh\": {{\"normal\": {}, \"fast\": {}, \"skipped\": {}}}, ",
-                    "\"speedup_vs_baseline\": {}}}{}\n"
-                ),
-                json_escape(&r.backend),
-                json_escape(&r.label),
-                r.report.exec_cpu_cycles,
-                json_f64(r.report.avg_read_latency),
-                json_f64(r.report.edp),
-                r.report.reads_done,
-                r.report.controller.refresh.normal,
-                r.report.controller.refresh.fast,
-                r.report.controller.refresh.skipped,
-                speedup,
-                if i + 1 < self.rows.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +179,13 @@ mod tests {
     use super::*;
     use crate::mode::McrMode;
     use crate::sweep::SweepBuilder;
+
+    #[test]
+    fn csv_roundtrips_structure() {
+        assert_eq!(csv_field("libq"), "libq");
+        assert_eq!(csv_field("weird,label"), "\"weird,label\"");
+        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+    }
 
     fn libq_table(backends: &[BackendKind], jobs: usize) -> CompareTable {
         let sweep = SweepBuilder::new(2_000)
@@ -255,18 +234,14 @@ mod tests {
         assert_eq!(csv.lines().count(), table.rows.len() + 1);
         assert!(csv.starts_with("backend,exec_cpu_cycles"));
 
-        let json = table.to_json();
-        assert!(json.contains("\"speedup_vs_baseline\": 1"));
-
-        // The same campaign on two workers renders byte-identically.
-        assert_eq!(json, libq_table(&BackendKind::all(), 2).to_json());
+        // The same campaign on two workers builds the same table.
+        assert_eq!(table, libq_table(&BackendKind::all(), 2));
     }
 
     #[test]
     fn speedup_is_null_without_a_baseline_row() {
         let table = libq_table(&[BackendKind::TlDram, BackendKind::ClrDram], 1);
         assert!(table.rows.iter().all(|r| r.speedup.is_none()));
-        assert!(table.to_json().contains("\"speedup_vs_baseline\": null"));
         assert!(table.to_text().lines().skip(2).all(|l| l.ends_with('-')));
     }
 }

@@ -45,8 +45,10 @@
 //! * [`sweep`] — the deterministic parallel experiment engine: declare a
 //!   grid of configs (targets × backends × modes × mechanisms × alloc
 //!   ratios × seeds) with [`SweepBuilder`], run it across a scoped worker
-//!   pool with content-addressed result memoization, and export JSON.
-//!   `jobs = 1` and `jobs = N` produce identical results.
+//!   pool with content-addressed result memoization. `jobs = 1` and
+//!   `jobs = N` produce identical results. The crate writes no JSON:
+//!   `mcr-serve` renders results, compare tables and telemetry as
+//!   `sim-json` trees for the CLI and the service.
 //!
 //! ## Quickstart
 //!
@@ -76,7 +78,6 @@ mod mechanisms;
 mod mode;
 mod mode_change;
 mod policy;
-mod report;
 pub mod sweep;
 mod system;
 mod telemetry;
@@ -94,7 +95,6 @@ pub use mechanisms::Mechanisms;
 pub use mode::{McrMode, ModeError};
 pub use mode_change::{ModeChangePlan, OsVisibleMemory};
 pub use policy::McrPolicy;
-pub use report::telemetry_to_json;
 pub use sweep::{
     CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep, SweepBuilder,
     SweepExecStats, SweepPoint, SweepResults,

@@ -843,8 +843,8 @@ pub struct PointResult {
 /// Work-distribution accounting for one sweep run, carried on
 /// [`SweepResults::exec`]. Everything here is *volatile* — wall clock
 /// and the steal schedule vary run to run — which is why it lives
-/// outside [`SweepResults::to_json`] and the bit-identity contract:
-/// the serialized results stay byte-equal across jobs counts while the
+/// outside the exported results and the bit-identity contract: the
+/// serialized results stay byte-equal across jobs counts while the
 /// scheduling story remains observable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepExecStats {
@@ -871,7 +871,7 @@ pub struct SweepResults {
     /// Worker count actually used.
     pub jobs: usize,
     /// Scheduling/memo accounting for this run (volatile; excluded from
-    /// [`SweepResults::to_json`]).
+    /// the exported results).
     pub exec: SweepExecStats,
 }
 
@@ -902,66 +902,6 @@ impl SweepResults {
             merged.merge(&p.report.telemetry);
         }
         merged
-    }
-
-    /// Serializes the results (labels, cache keys, timing, and headline
-    /// metrics) as a JSON document — no external serializer involved.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"jobs\": {},\n  \"wall_ns\": {},\n  \"cache_hits\": {},\n  \"points\": [\n",
-            self.jobs,
-            self.wall.as_nanos(),
-            self.cache_hits()
-        ));
-        for (i, p) in self.points.iter().enumerate() {
-            let r = &p.report;
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"label\": \"{}\", \"key\": \"{:016x}\", ",
-                    "\"cache_hit\": {}, \"wall_ns\": {}, ",
-                    "\"exec_cpu_cycles\": {}, \"avg_read_latency\": {}, ",
-                    "\"edp\": {}, \"reads_done\": {}, \"instructions\": {}, ",
-                    "\"refresh\": {{\"normal\": {}, \"fast\": {}, \"skipped\": {}}}}}{}\n"
-                ),
-                json_escape(&p.label),
-                p.key,
-                p.cache_hit,
-                p.wall.as_nanos(),
-                r.exec_cpu_cycles,
-                json_f64(r.avg_read_latency),
-                json_f64(r.edp),
-                r.reads_done,
-                r.instructions,
-                r.controller.refresh.normal,
-                r.controller.refresh.fast,
-                r.controller.refresh.skipped,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// JSON has no NaN/Infinity literals; map them to null.
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -1147,16 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn json_export_is_wellformed_enough() {
-        let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
-        let json = sweep.run().to_json();
-        assert!(json.contains("\"points\": ["));
-        assert!(json.contains("\"exec_cpu_cycles\":"));
-        assert!(!json.contains("NaN"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
     fn expired_budget_aborts_and_generous_budget_completes() {
         let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
         let cancelled = CancelToken::new();
@@ -1199,11 +1129,5 @@ mod tests {
             panic!("unbounded budget expired")
         };
         assert_eq!(plain.points[0].report, budgeted.points[0].report);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

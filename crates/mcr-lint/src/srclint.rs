@@ -1,6 +1,6 @@
 //! Textual source lint over the workspace's library crates.
 //!
-//! Five rules, all error-level (library `unwrap`/`expect` calls are
+//! Four rules, all error-level (library `unwrap`/`expect` calls are
 //! clippy's `unwrap_used`/`expect_used`, warned in every crate root):
 //!
 //! * `src/truncating-cast` — no `as u8`/`u16`/`u32`/`i8`/`i16`/`i32`
@@ -28,13 +28,6 @@
 //!   client pins a server thread (or an OOM via an endless line)
 //!   forever. Bound every socket read with a deadline and a length
 //!   guard (DESIGN.md §5g).
-//! * `src/backend-timing-leak` — no references to backend-specific
-//!   timing constants (`TLDRAM_*`, `CLRDRAM_*`) outside the owning
-//!   backend module (files whose path names `backend`). Those numbers
-//!   are one architecture's private mechanism parameters; code that
-//!   reads them elsewhere hard-codes a backend and silently breaks the
-//!   pluggable-backend `DevicePolicy` seam (DESIGN.md §5l). Go through
-//!   `DevicePolicy::timing_classes` instead.
 //!
 //! Escape hatch: a `// lint: allow(<rule>)` comment on the offending line
 //! or the line directly above suppresses that rule there. Test modules
@@ -55,13 +48,6 @@ pub const RULE_PANICKING_WORKER: &str = "src/panicking-sweep-worker";
 pub const RULE_EDGE_OVERSHOOT: &str = "src/edge-overshoot-guard";
 /// Rule id: no unbounded blocking reads in socket-handling files.
 pub const RULE_UNBOUNDED_NET_READ: &str = "src/unbounded-net-read";
-/// Rule id: no backend-specific timing constants outside their backend.
-pub const RULE_BACKEND_TIMING_LEAK: &str = "src/backend-timing-leak";
-
-/// Constant-name prefixes owned by individual architecture backends;
-/// outside the backend module they mark a leaked mechanism parameter
-/// for [`RULE_BACKEND_TIMING_LEAK`].
-const BACKEND_TIMING_PREFIXES: [&str; 2] = ["TLDRAM_", "CLRDRAM_"];
 
 /// Identifiers that mark a line as timing arithmetic for
 /// [`RULE_TRUNCATING_CAST`] (matched case-insensitively).
@@ -274,9 +260,6 @@ pub fn lint_file(path_label: &str, text: &str) -> Vec<Diagnostic> {
     // time, far from the read call itself.
     let is_net_file = scrubbed.contains("TcpStream");
     let net_guarded = scrubbed.contains("set_read_timeout") || scrubbed.contains("set_nonblocking");
-    // The backend module owns its architectures' timing constants; any
-    // other file naming them has hard-coded one backend.
-    let is_backend_file = path_label.contains("backend");
     let allowed = |idx: usize, code: &str| {
         line_allows(raw_lines[idx], code) || (idx > 0 && line_allows(raw_lines[idx - 1], code))
     };
@@ -353,20 +336,6 @@ pub fn lint_file(path_label: &str, text: &str) -> Vec<Diagnostic> {
                     break;
                 }
             }
-        }
-        if !is_backend_file
-            && BACKEND_TIMING_PREFIXES.iter().any(|p| line.contains(p))
-            && !allowed(idx, RULE_BACKEND_TIMING_LEAK)
-        {
-            diags.push(Diagnostic::error(
-                RULE_BACKEND_TIMING_LEAK,
-                loc.clone(),
-                "backend-specific timing constant referenced outside its \
-                 backend module; consume the numbers through \
-                 `DevicePolicy::timing_classes` so the code stays \
-                 backend-agnostic",
-                "workspace rule (pluggable backends, DESIGN.md §5l)",
-            ));
         }
         if is_sweep {
             if worker.is_none() && line.contains("let work") {
@@ -565,24 +534,6 @@ mod tests {
             "    // lint: allow(unbounded-net-read)\n    r.read_line(",
         );
         assert!(lint_file("crates/x/src/client.rs", &allowed).is_empty());
-    }
-
-    #[test]
-    fn backend_timing_constants_stay_in_the_backend_module() {
-        let bad = "fn f() -> u32 { TLDRAM_NEAR_TRCD + 1 }\n";
-        let d = lint_file("crates/mem-controller/src/scheduler.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].code, RULE_BACKEND_TIMING_LEAK);
-        let clr = "fn g() -> u32 { CLRDRAM_COUPLED_TRAS }\n";
-        assert_eq!(lint_file("crates/x/src/lib.rs", clr).len(), 1);
-        // The owning module may use its own numbers freely.
-        assert!(lint_file("crates/core/src/backend.rs", bad).is_empty());
-        // Comments and strings never trip the rule.
-        let doc = "// mirrors TLDRAM_NEAR_TRCD\nlet msg = \"CLRDRAM_COUPLED_TRCD\";\n";
-        assert!(lint_file("crates/x/src/lib.rs", doc).is_empty());
-        // The escape hatch works like every other rule.
-        let allowed = "// lint: allow(backend-timing-leak)\nfn f() -> u32 { TLDRAM_FAR_TRAS }\n";
-        assert!(lint_file("crates/x/src/lib.rs", allowed).is_empty());
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! without fixtures fails the completeness test at the bottom.
 
 use mcr_lint::srclint::{
-    self, RULE_BACKEND_TIMING_LEAK, RULE_EDGE_OVERSHOOT, RULE_PANICKING_WORKER,
-    RULE_TRUNCATING_CAST, RULE_UNBOUNDED_NET_READ,
+    self, RULE_EDGE_OVERSHOOT, RULE_PANICKING_WORKER, RULE_TRUNCATING_CAST, RULE_UNBOUNDED_NET_READ,
 };
 use std::path::PathBuf;
 
 /// Every rule, with the short fixture stem and the path label the rule
 /// cares about (the sweep rule only fires in `sweep.rs`).
-const RULES: [(&str, &str, &str); 5] = [
+const RULES: [(&str, &str, &str); 4] = [
     (
         RULE_TRUNCATING_CAST,
         "truncating-cast",
@@ -30,11 +29,6 @@ const RULES: [(&str, &str, &str); 5] = [
     (
         RULE_UNBOUNDED_NET_READ,
         "unbounded-net-read",
-        "crates/demo/src/lib.rs",
-    ),
-    (
-        RULE_BACKEND_TIMING_LEAK,
-        "backend-timing-leak",
         "crates/demo/src/lib.rs",
     ),
 ];
@@ -78,10 +72,6 @@ fn context_gated_rules_need_their_context() {
     // The sweep-worker positive snippet is clean outside a sweep.rs file.
     let sweep = fixture("panicking-sweep-worker_pos.rs");
     assert!(srclint::lint_file("crates/demo/src/lib.rs", &sweep).is_empty());
-    // The backend-timing positive snippet is legal inside the backend
-    // module that owns the constants.
-    let leak = fixture("backend-timing-leak_pos.rs");
-    assert!(srclint::lint_file("crates/core/src/backend.rs", &leak).is_empty());
 }
 
 #[test]
@@ -94,7 +84,6 @@ fn every_rule_constant_has_fixtures() {
         RULE_PANICKING_WORKER,
         RULE_EDGE_OVERSHOOT,
         RULE_UNBOUNDED_NET_READ,
-        RULE_BACKEND_TIMING_LEAK,
     ] {
         assert!(covered.contains(&code), "rule {code} has no fixtures");
         let stem = code.strip_prefix("src/").unwrap_or(code);

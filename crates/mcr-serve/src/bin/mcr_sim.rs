@@ -23,11 +23,11 @@
 
 use mcr_dram::experiments::Outcome;
 use mcr_dram::{
-    telemetry_to_json, CompareTable, McrMode, RunReport, Sweep, SweepResults, System, SystemConfig,
-    DEFAULT_SEED, WEDGE_CAP,
+    CompareTable, McrMode, RunReport, Sweep, SweepResults, System, SystemConfig, DEFAULT_SEED,
+    WEDGE_CAP,
 };
-use mcr_serve::protocol::{parse_mode, SweepSpec, DEFAULT_LEN};
-use mcr_serve::{Client, ProtocolError, RunSpec, ServeConfig, Server};
+use mcr_serve::protocol::{compare_json, parse_mode, results_json, SweepSpec, DEFAULT_LEN};
+use mcr_serve::{telemetry_json, Client, ProtocolError, RunSpec, ServeConfig, Server};
 use mcr_store::ResultStore;
 use sim_json::Json;
 use std::fmt::Write as _;
@@ -377,12 +377,23 @@ fn dump_trace(cfg: &SystemConfig, path: &str) -> Result<(), String> {
     let mut out = String::new();
     for (channel, cmd) in &cmds {
         let a = cmd.addr;
-        let t_rfc = cmd.t_rfc.map_or("null".to_string(), |t| t.to_string());
-        let _ = writeln!(
-            out,
-            "{{\"cycle\": {}, \"channel\": {channel}, \"cmd\": \"{}\", \"rank\": {}, \"bank\": {}, \"row\": {}, \"col\": {}, \"class\": {}, \"auto_pre\": {}, \"t_rfc\": {t_rfc}}}",
-            cmd.cycle, cmd.kind, a.rank, a.bank, a.row, a.col, cmd.class.0, cmd.auto_pre
-        );
+        let line = Json::obj([
+            ("cycle", Json::from(cmd.cycle)),
+            ("channel", Json::from(*channel as u64)),
+            ("cmd", Json::str(cmd.kind.to_string())),
+            ("rank", Json::from(u64::from(a.rank))),
+            ("bank", Json::from(u64::from(a.bank))),
+            ("row", Json::from(a.row)),
+            ("col", Json::from(u64::from(a.col))),
+            ("class", Json::from(u64::from(cmd.class.0))),
+            ("auto_pre", Json::from(cmd.auto_pre)),
+            (
+                "t_rfc",
+                cmd.t_rfc.map_or(Json::Null, |t| Json::from(u64::from(t))),
+            ),
+        ]);
+        line.write(&mut out);
+        out.push('\n');
     }
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("trace: {} commands written to {path}", cmds.len());
@@ -658,7 +669,7 @@ fn compare_main(argv: &[String]) -> Result<ExitCode, String> {
     let results = run_sweep(&sweep, p.get::<String>("--cache-dir")?.as_deref())?;
     let table = CompareTable::new(target, &sweep, &results);
     if p.on("--json") {
-        print!("{}", table.to_json());
+        println!("{}", compare_json(&table));
     } else if p.on("--csv") {
         print!("{}", table.to_csv());
     } else {
@@ -737,9 +748,9 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
     let run_from_store = run.cache_hit;
     let (base, run) = (&base.report, &run.report);
     if p.on("--json") {
-        print!("{}", results.to_json());
+        println!("{}", results_json(&results));
         if p.on("--metrics") {
-            print!("{}", telemetry_to_json(&run.telemetry));
+            println!("{}", telemetry_json(&run.telemetry));
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -752,7 +763,7 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
             spec.mode, o.exec_reduction, o.latency_reduction, o.edp_reduction
         );
         if p.on("--metrics") {
-            print!("{}", telemetry_to_json(&run.telemetry));
+            println!("{}", telemetry_json(&run.telemetry));
         }
         return Ok(ExitCode::SUCCESS);
     }
@@ -821,7 +832,7 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
     }
     if p.on("--metrics") {
         println!();
-        print!("{}", telemetry_to_json(&run.telemetry));
+        println!("{}", telemetry_json(&run.telemetry));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -53,4 +53,4 @@ mod telemetry;
 pub use client::{Client, ClientError};
 pub use protocol::{JobRequest, JobSpec, ProtocolError, Request, RunSpec};
 pub use server::{ServeConfig, Server};
-pub use telemetry::ServeTelemetry;
+pub use telemetry::{telemetry_json, ServeTelemetry};

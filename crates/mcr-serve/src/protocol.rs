@@ -20,9 +20,10 @@
 //! with a [`ProtocolError`] naming the offending key, so a typo'd
 //! request fails loudly instead of silently running defaults.
 
+use crate::telemetry::{finite, telemetry_json};
 use mcr_dram::{
-    telemetry_to_json, BackendKind, ConfigError, FaultPlan, McrMode, Mechanisms, RowCacheConfig,
-    Sweep, SweepBuilder, SweepResults, SystemConfig, DEFAULT_SEED,
+    BackendKind, CompareTable, ConfigError, FaultPlan, McrMode, Mechanisms, RowCacheConfig,
+    RunReport, Sweep, SweepBuilder, SweepResults, SystemConfig, DEFAULT_SEED,
 };
 use sim_json::{Json, JsonError};
 use trace_gen::Mix;
@@ -843,8 +844,83 @@ pub fn render_panic(id: Option<&str>, config_key: Option<u64>) -> String {
     .to_string()
 }
 
-/// Renders a completed job: the sweep results (re-parsed through the
-/// codec, so the response is one compact line), optional per-point
+/// A report's refresh slots by kind: normal, fast, skipped.
+fn refresh_json(r: &RunReport) -> Json {
+    let refresh = &r.controller.refresh;
+    Json::obj([
+        ("normal", Json::from(refresh.normal)),
+        ("fast", Json::from(refresh.fast)),
+        ("skipped", Json::from(refresh.skipped)),
+    ])
+}
+
+/// The results of one sweep run: labels, cache keys (16 hex digits),
+/// timing and headline metrics per point. The `wall_ns`, `cache_hit(s)`
+/// and `jobs` members are volatile; everything else is bit-identical
+/// across jobs counts and across local vs. submitted runs.
+pub fn results_json(results: &SweepResults) -> Json {
+    let points = results
+        .points
+        .iter()
+        .map(|p| {
+            let r = &p.report;
+            Json::obj([
+                ("label", Json::str(p.label.as_str())),
+                ("key", Json::str(format!("{:016x}", p.key))),
+                ("cache_hit", Json::from(p.cache_hit)),
+                ("wall_ns", Json::Num(p.wall.as_nanos() as f64)),
+                ("exec_cpu_cycles", Json::from(r.exec_cpu_cycles)),
+                ("avg_read_latency", finite(r.avg_read_latency)),
+                ("edp", finite(r.edp)),
+                ("reads_done", Json::from(r.reads_done)),
+                ("instructions", Json::from(r.instructions)),
+                ("refresh", refresh_json(r)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("jobs", Json::from(results.jobs as u64)),
+        ("wall_ns", Json::Num(results.wall.as_nanos() as f64)),
+        ("cache_hits", Json::from(results.cache_hits() as u64)),
+        ("points", Json::Arr(points)),
+    ])
+}
+
+/// The head-to-head table of a `compare` campaign: one row per
+/// backend, `null` speedup when the campaign ran without a baseline.
+/// Carries no volatile member. A seed above 2^53 exports as a decimal
+/// string ([`Json::from_u64_lossless`]).
+pub fn compare_json(table: &CompareTable) -> Json {
+    let rows = table
+        .rows
+        .iter()
+        .map(|row| {
+            let r = &row.report;
+            Json::obj([
+                ("backend", Json::str(row.backend.as_str())),
+                ("label", Json::str(row.label.as_str())),
+                ("exec_cpu_cycles", Json::from(r.exec_cpu_cycles)),
+                ("avg_read_latency", finite(r.avg_read_latency)),
+                ("edp", finite(r.edp)),
+                ("reads_done", Json::from(r.reads_done)),
+                ("refresh", refresh_json(r)),
+                (
+                    "speedup_vs_baseline",
+                    row.speedup.map_or(Json::Null, finite),
+                ),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("target", Json::str(table.target.as_str())),
+        ("len", Json::from(table.len as u64)),
+        // The CLI takes any u64 seed; past 2^53 an f64 would round it.
+        ("seed", Json::from_u64_lossless(table.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// Renders a completed job: the sweep results, optional per-point
 /// reliability (campaigns), optional merged telemetry.
 pub fn render_job_ok(
     req: &JobRequest,
@@ -852,12 +928,6 @@ pub fn render_job_ok(
     queue_ms: u64,
     service_ms: u64,
 ) -> String {
-    let result = match Json::parse(&results.to_json()) {
-        Ok(v) => v,
-        Err(e) => {
-            return render_error(&format!("internal: results emitter produced bad JSON: {e}"))
-        }
-    };
     let mut members: Vec<(String, Json)> = vec![
         ("status".into(), Json::str("ok")),
         (
@@ -867,7 +937,7 @@ pub fn render_job_ok(
         ("kind".into(), Json::str(req.spec.kind())),
         ("queue_ms".into(), Json::from(queue_ms)),
         ("service_ms".into(), Json::from(service_ms)),
-        ("result".into(), result),
+        ("result".into(), results_json(results)),
     ];
     if let JobSpec::Campaign(_) = req.spec {
         members.push(("reliability".into(), reliability_json(results)));
@@ -880,14 +950,10 @@ pub fn render_job_ok(
         members.push(("clean".into(), Json::from(clean)));
     }
     if req.metrics {
-        match Json::parse(&telemetry_to_json(&results.merged_telemetry())) {
-            Ok(v) => members.push(("telemetry".into(), v)),
-            Err(e) => {
-                return render_error(&format!(
-                    "internal: telemetry emitter produced bad JSON: {e}"
-                ))
-            }
-        }
+        members.push((
+            "telemetry".into(),
+            telemetry_json(&results.merged_telemetry()),
+        ));
     }
     Json::Obj(members).to_string()
 }
@@ -1107,6 +1173,52 @@ mod tests {
             assert!(!line.contains('\n'), "multi-line response: {line}");
             let v = Json::parse(&line).expect("response parses");
             assert!(v.get("status").is_some());
+        }
+    }
+
+    #[test]
+    fn json_export_is_wellformed_enough() {
+        let sweep = SweepBuilder::new(1_500).workload("libq").build().unwrap();
+        let json = results_json(&sweep.run());
+        let points = json.get("points").and_then(Json::as_array).expect("points");
+        assert!(!points.is_empty());
+        for p in points {
+            assert!(p.get("exec_cpu_cycles").and_then(Json::as_u64).is_some());
+            for key in ["avg_read_latency", "edp"] {
+                assert!(p.get(key).and_then(Json::as_f64).is_some(), "{key}: {p}");
+            }
+        }
+        assert_eq!(Json::parse(&json.to_string()), Ok(json));
+    }
+
+    #[test]
+    fn compare_json_exports_null_speedups_without_a_baseline() {
+        let sweep = SweepBuilder::new(2_000)
+            .workload("libq")
+            .backends([BackendKind::TlDram, BackendKind::ClrDram])
+            .mode(McrMode::headline())
+            .build()
+            .expect("valid grid");
+        let json = compare_json(&CompareTable::new("libq", &sweep, &sweep.run()));
+        let rows = json.get("rows").and_then(Json::as_array).expect("rows");
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert_eq!(row.get("speedup_vs_baseline"), Some(&Json::Null), "{row}");
+        }
+    }
+
+    #[test]
+    fn compare_json_keeps_full_range_seeds() {
+        for seed in [DEFAULT_SEED, (1 << 53) + 1, u64::MAX] {
+            let table = CompareTable {
+                target: "libq".into(),
+                len: 300,
+                seed,
+                rows: Vec::new(),
+            };
+            let json = Json::parse(&compare_json(&table).to_string()).expect("parses");
+            let got = json.get("seed").and_then(Json::as_u64_lossless);
+            assert_eq!(got, Some(seed));
         }
     }
 }

@@ -1,10 +1,110 @@
-//! Service-side observability, built from the same primitives
-//! (`mcr-telemetry` counters and power-of-two histograms) as the
-//! simulator's own instrumentation, so the `stats` answer and the
-//! shutdown summary are deterministic integer state.
+//! Exported metrics, in one histogram shape.
+//!
+//! [`telemetry_json`] renders a run's [`Telemetry`] section (what
+//! `mcr_sim --metrics` prints and a `"metrics": true` reply carries);
+//! [`ServeTelemetry`] holds the service's own counters and histograms
+//! (the `stats` answer and the shutdown summary). Both are built from
+//! the same `mcr-telemetry` primitives and render every histogram
+//! through one function, so they share one JSON shape.
 
+use mcr_dram::Telemetry;
 use mcr_telemetry::{Counter, LatencyHistogram};
 use sim_json::Json;
+
+/// JSON has no NaN/Infinity literals: non-finite numbers become
+/// `null`, so a built tree equals its own parsed serialization.
+pub(crate) fn finite(x: f64) -> Json {
+    if x.is_finite() {
+        Json::from(x)
+    } else {
+        Json::Null
+    }
+}
+
+/// The one exported histogram shape: count, sum, min, max, mean, the
+/// p50/p95/p99 percentiles and the non-empty `[upper_bound, count]`
+/// buckets. An empty histogram exports `null` for min, max, mean and
+/// the percentiles.
+fn histogram_json(h: &LatencyHistogram) -> Json {
+    let opt = |v: Option<u64>| v.map_or(Json::Null, Json::from);
+    let buckets = h
+        .nonzero_buckets()
+        .into_iter()
+        .map(|(ub, n)| Json::Arr(vec![Json::from(ub), Json::from(n)]))
+        .collect();
+    Json::obj([
+        ("count", Json::from(h.count())),
+        ("sum", Json::from(h.sum())),
+        ("min", opt(h.min())),
+        ("max", opt(h.max())),
+        ("mean", finite(h.mean())),
+        ("p50", opt(h.p50())),
+        ("p95", opt(h.p95())),
+        ("p99", opt(h.p99())),
+        ("buckets", Json::Arr(buckets)),
+    ])
+}
+
+/// Renders a run's [`Telemetry`] section as one JSON object: the
+/// refresh, power-down and mode-change counts, the scheduler's
+/// decisions, the latency and queue-depth histograms, the retention
+/// and guardband counters, and the per-bank command counts.
+/// Deterministic: same telemetry, same tree.
+pub fn telemetry_json(t: &Telemetry) -> Json {
+    let c = &t.controller;
+    let banks = t
+        .banks
+        .iter()
+        .map(|b| {
+            Json::obj([
+                ("channel", Json::from(b.channel as u64)),
+                ("rank", Json::from(b.rank as u64)),
+                ("bank", Json::from(b.bank as u64)),
+                ("activates", Json::from(b.activates)),
+                ("reads", Json::from(b.reads)),
+                ("writes", Json::from(b.writes)),
+                ("precharges", Json::from(b.precharges)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("refreshes_normal", Json::from(t.refreshes_normal)),
+        ("refreshes_fast", Json::from(t.refreshes_fast)),
+        ("powerdown_entries", Json::from(t.powerdown_entries)),
+        ("mode_changes", Json::from(t.mode_changes)),
+        (
+            "sched",
+            Json::obj([
+                ("activates", Json::from(c.sched_activates.get())),
+                ("cas_read", Json::from(c.sched_cas_read.get())),
+                ("cas_write", Json::from(c.sched_cas_write.get())),
+                ("precharges", Json::from(c.sched_precharges.get())),
+                ("refreshes", Json::from(c.sched_refreshes.get())),
+            ]),
+        ),
+        ("act_to_data", histogram_json(&t.act_to_data)),
+        ("read_latency", histogram_json(&c.read_latency)),
+        ("read_queue_depth", histogram_json(&c.read_queue_depth)),
+        ("write_queue_depth", histogram_json(&c.write_queue_depth)),
+        ("core_read_latency", histogram_json(&t.core_read_latency)),
+        (
+            "retention",
+            Json::obj([
+                ("checks", Json::from(t.retention_checks)),
+                ("violations", Json::from(t.retention_violations)),
+                ("escapes", Json::from(t.retention_escapes)),
+                ("retries", Json::from(c.retention_retries.get())),
+                ("guardband_degrades", Json::from(c.guardband_degrades.get())),
+                ("guardband_rearms", Json::from(c.guardband_rearms.get())),
+            ]),
+        ),
+        (
+            "retention_detect_latency",
+            histogram_json(&t.retention_detect_latency),
+        ),
+        ("banks", Json::Arr(banks)),
+    ])
+}
 
 /// Counters and histograms the server maintains across its lifetime.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -42,19 +142,6 @@ pub struct ServeTelemetry {
     pub service_ms: LatencyHistogram,
     /// Pure simulation wall time per job, in milliseconds.
     pub sim_ms: LatencyHistogram,
-}
-
-/// Renders a histogram the way the simulator's JSON reports do:
-/// count/sum plus resolved percentiles (`null` when empty).
-fn histogram_json(h: &LatencyHistogram) -> Json {
-    let pct = |v: Option<u64>| v.map(Json::from).unwrap_or(Json::Null);
-    Json::obj([
-        ("count", Json::from(h.count())),
-        ("sum", Json::from(h.sum())),
-        ("p50", pct(h.p50())),
-        ("p95", pct(h.p95())),
-        ("max", pct(h.max())),
-    ])
 }
 
 impl ServeTelemetry {
@@ -114,9 +201,55 @@ mod tests {
         let svc = v.get("service_ms").expect("histogram present");
         assert_eq!(svc.get("count").and_then(Json::as_u64), Some(2));
         assert!(svc.get("p50").and_then(Json::as_u64).is_some());
+        // The same shape as the run telemetry's histograms.
+        assert_eq!(svc, &histogram_json(&t.service_ms));
+        assert_eq!(svc.get("min").and_then(Json::as_u64), Some(12));
+        assert_eq!(svc.get("mean").and_then(Json::as_f64), Some(26.0));
+        assert_eq!(
+            svc.get("buckets").and_then(Json::as_array).map(<[_]>::len),
+            Some(2)
+        );
         // Single-line, reparsable.
         let line = v.to_string();
         assert!(!line.contains('\n'));
         assert!(Json::parse(&line).is_ok());
+    }
+
+    #[test]
+    fn telemetry_exports_are_deterministic_and_complete() {
+        let mut t = Telemetry {
+            refreshes_normal: 7,
+            ..Default::default()
+        };
+        t.act_to_data.record(40);
+        t.act_to_data.record(60);
+        t.banks.push(mcr_dram::BankCommandCounts {
+            channel: 0,
+            rank: 1,
+            bank: 2,
+            activates: 3,
+            reads: 4,
+            writes: 5,
+            precharges: 6,
+        });
+        let json = telemetry_json(&t);
+        assert_eq!(json, telemetry_json(&t));
+        assert_eq!(json.get("refreshes_normal").and_then(Json::as_u64), Some(7));
+        let act = json.get("act_to_data").expect("act_to_data histogram");
+        assert_eq!(act.get("count").and_then(Json::as_u64), Some(2));
+        let banks = json.get("banks").and_then(Json::as_array).expect("banks");
+        assert_eq!(banks.len(), 1);
+        assert_eq!(banks[0].get("bank").and_then(Json::as_u64), Some(2));
+    }
+
+    #[test]
+    fn empty_histograms_export_null_in_json() {
+        let json = telemetry_json(&Telemetry::default());
+        let h = json.get("read_latency").expect("read_latency histogram");
+        for key in ["min", "max", "mean", "p50", "p95", "p99"] {
+            assert_eq!(h.get(key), Some(&Json::Null), "{key}");
+        }
+        assert_eq!(h.get("buckets"), Some(&Json::Arr(Vec::new())));
+        assert_eq!(json.get("banks"), Some(&Json::Arr(Vec::new())));
     }
 }

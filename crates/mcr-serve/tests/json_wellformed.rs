@@ -1,10 +1,11 @@
-//! The in-tree parser validating the workspace's hand-rolled JSON
-//! emitters: everything the simulator writes (`telemetry_to_json`,
-//! `SweepResults::to_json`, the golden snapshots on disk) must parse
-//! back through `sim-json` — the same codec the service uses on the
-//! wire.
+//! The exported documents' content, checked on the `sim-json` trees
+//! that `mcr-serve` builds for them (`telemetry_json`, `results_json`),
+//! and every golden snapshot on disk parsed back through `sim-json` —
+//! the same codec the service uses on the wire.
 
-use mcr_dram::{telemetry_to_json, McrMode, SweepBuilder, System, SystemConfig, Telemetry};
+use mcr_dram::{McrMode, SweepBuilder, System, SystemConfig, Telemetry};
+use mcr_serve::protocol::results_json;
+use mcr_serve::telemetry_json;
 use sim_json::Json;
 
 #[test]
@@ -12,8 +13,7 @@ fn telemetry_emitter_output_parses() {
     // A real instrumented run, so the histograms are populated.
     let cfg = SystemConfig::single_core("libq", 3_000).with_mode(McrMode::headline());
     let report = System::try_build(&cfg).expect("valid config").run();
-    let doc = telemetry_to_json(&report.telemetry);
-    let v = Json::parse(&doc).unwrap_or_else(|e| panic!("telemetry JSON is malformed: {e}\n{doc}"));
+    let v = telemetry_json(&report.telemetry);
     let sched = v.get("sched").expect("sched section");
     assert!(
         sched.get("cas_read").and_then(Json::as_u64).unwrap_or(0) > 0,
@@ -29,8 +29,11 @@ fn telemetry_emitter_output_parses() {
     );
 
     // The all-default (empty) telemetry exercises the null percentiles.
-    let empty = telemetry_to_json(&Telemetry::default());
-    Json::parse(&empty).unwrap_or_else(|e| panic!("empty telemetry JSON is malformed: {e}"));
+    let empty = telemetry_json(&Telemetry::default());
+    let h = empty.get("read_latency").expect("read_latency histogram");
+    for key in ["p50", "p95", "p99"] {
+        assert_eq!(h.get(key), Some(&Json::Null), "{key}");
+    }
 }
 
 #[test]
@@ -43,15 +46,14 @@ fn sweep_results_emitter_output_parses() {
         .build()
         .expect("valid grid")
         .run();
-    let doc = results.to_json();
-    let v = Json::parse(&doc).unwrap_or_else(|e| panic!("sweep JSON is malformed: {e}\n{doc}"));
+    let v = results_json(&results);
     let points = v
         .get("points")
         .and_then(Json::as_array)
         .expect("points array");
     assert_eq!(points.len(), 2);
     for p in points {
-        // The emitter writes cache keys as fixed-width hex strings.
+        // Cache keys export as fixed-width hex strings.
         let key = p.get("key").and_then(Json::as_str).expect("key field");
         assert_eq!(key.len(), 16, "16-hex-digit key, got {key:?}");
         assert!(p.get("exec_cpu_cycles").and_then(Json::as_u64).is_some());

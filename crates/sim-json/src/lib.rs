@@ -5,11 +5,11 @@
 //! precedent: the workspace must stay offline-buildable, so instead of
 //! pulling `serde_json` we pin a small, fully-tested codec here.
 //!
-//! The workspace historically only *emitted* JSON by hand
-//! (`mcr_dram::telemetry_to_json`, `SweepResults::to_json`, the golden
-//! snapshots). This crate adds the other direction — parsing — which the
-//! `mcr-serve` protocol needs, and which lets tests validate the
-//! hand-rolled emitters instead of trusting them.
+//! It is the workspace's only JSON writer: `mcr-serve` builds every
+//! exported document (run telemetry, sweep results, compare tables,
+//! service replies, command-trace lines) as a [`Json`] tree, and the
+//! result store encodes its entries with it. It is also the parser
+//! the `mcr-serve` protocol reads requests with.
 //!
 //! Design points:
 //!
@@ -23,8 +23,7 @@
 //!   [`JsonError`] carrying a [`JsonErrorKind`] and a byte offset; the
 //!   parser never panics (fuzzed in `tests/proptests.rs`).
 //! * **Finite numbers only.** JSON has no NaN/Infinity literals; the
-//!   serializer renders non-finite numbers as `null`, matching the
-//!   workspace's existing emitters.
+//!   serializer renders non-finite numbers as `null`.
 //! * **Bounded recursion.** Nesting deeper than [`MAX_DEPTH`] is a typed
 //!   error, not a stack overflow.
 //!
@@ -324,9 +323,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// Renders a number the way the workspace's hand-rolled emitters do:
-/// whole in-range values as integers, everything else via Rust's
-/// shortest-round-trip float formatting, non-finite as `null`.
+/// Renders a number: whole values within ±2^53 as integers, everything
+/// else via Rust's shortest-round-trip float formatting, non-finite as
+/// `null`.
 fn write_num(n: f64, out: &mut String) {
     use fmt::Write as _;
     if !n.is_finite() {

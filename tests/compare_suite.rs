@@ -14,7 +14,7 @@ use mcr_dram::{
     registered_backends, BackendKind, BackendSpec, CompareTable, McrMode, Sweep, SweepBuilder,
     System, SystemConfig, DEFAULT_SEED,
 };
-use mcr_serve::protocol::SweepSpec;
+use mcr_serve::protocol::{compare_json, results_json, SweepSpec};
 use mcr_serve::{Client, ServeConfig, Server};
 use sim_json::Json;
 use std::path::{Path, PathBuf};
@@ -53,7 +53,9 @@ fn compare_table_matches_golden() {
     // workload/len/seed — frozen byte-for-byte. Any drift is a real
     // behaviour change in one of the backend models.
     let sweep = libq_compare(GOLDEN_LEN, 1);
-    let rendered = CompareTable::new("libq", &sweep, &sweep.run()).to_json();
+    let table = CompareTable::new("libq", &sweep, &sweep.run());
+    // What `mcr_sim compare --json` prints: one compact line.
+    let rendered = format!("{}\n", compare_json(&table));
     let path = golden_path("compare_libq");
     if blessing() {
         std::fs::write(&path, &rendered)
@@ -96,8 +98,8 @@ fn worker_count_never_changes_compare_results() {
         );
     }
     assert_eq!(
-        CompareTable::new("libq", &serial_sweep, &serial).to_json(),
-        CompareTable::new("libq", &parallel_sweep, &parallel).to_json(),
+        compare_json(&CompareTable::new("libq", &serial_sweep, &serial)).to_string(),
+        compare_json(&CompareTable::new("libq", &parallel_sweep, &parallel)).to_string(),
         "rendered tables must not depend on worker count"
     );
 }
@@ -193,8 +195,7 @@ fn submitted_and_local_compare_are_bit_identical() {
             &backends,
         )
         .expect("valid compare");
-        let local_json = spec.sweep(Some(1)).expect("local sweep").run().to_json();
-        let mut local = Json::parse(&local_json).expect("local results parse");
+        let mut local = results_json(&spec.sweep(Some(1)).expect("local sweep").run());
         let reply = client
             .request(&Json::parse(request).expect("request parses"))
             .expect("request round-trips");

@@ -532,7 +532,7 @@ fn warm_cache_survives_server_restart() {
         ..RunSpec::default()
     };
     let mut local =
-        Json::parse(&spec.sweep(Some(1)).expect("local sweep").run().to_json()).expect("parses");
+        mcr_serve::protocol::results_json(&spec.sweep(Some(1)).expect("local sweep").run());
     let mut remote = second.get("result").cloned().expect("result body");
     strip_volatile(&mut local);
     strip_volatile(&mut remote);

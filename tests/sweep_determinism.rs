@@ -9,7 +9,7 @@ use mcr_dram::{
     CancelToken, ConfigError, McrMode, Mechanisms, RowCacheConfig, RunBudget, SweepBuilder, System,
     SystemConfig,
 };
-use mcr_serve::{protocol, Client, RunSpec, ServeConfig, Server};
+use mcr_serve::{protocol, telemetry_json, Client, RunSpec, ServeConfig, Server};
 use mcr_store::ResultStore;
 use sim_json::Json;
 use std::path::PathBuf;
@@ -193,7 +193,8 @@ fn strip_volatile(doc: &mut Json) {
 fn submitted_and_local_runs_are_bit_identical() {
     // The exact request the CLI would send with:
     //   mcr_sim submit - <<< '{"cmd":"run","workload":"libq",...}'
-    let request = r#"{"cmd": "run", "workload": "libq", "mode": "4/4x/100", "len": 1500}"#;
+    let request = r#"{"cmd": "run", "workload": "libq", "mode": "4/4x/100", "len": 1500,
+                      "metrics": true}"#;
     // ... and the RunSpec the CLI builds locally for the same flags.
     let spec = RunSpec {
         workload: Some("libq".into()),
@@ -201,8 +202,8 @@ fn submitted_and_local_runs_are_bit_identical() {
         len: 1_500,
         ..RunSpec::default()
     };
-    let local_json = spec.sweep(Some(1)).expect("local sweep").run().to_json();
-    let mut local = Json::parse(&local_json).expect("local results parse");
+    let local_results = spec.sweep(Some(1)).expect("local sweep").run();
+    let mut local = protocol::results_json(&local_results);
 
     let server = Server::bind(
         "127.0.0.1:0",
@@ -225,6 +226,13 @@ fn submitted_and_local_runs_are_bit_identical() {
         "reply: {reply:?}"
     );
     let mut remote = reply.get("result").cloned().expect("result body");
+    // The merged telemetry a `"metrics": true` reply carries is the
+    // local run's, byte for byte.
+    let telemetry = reply.get("telemetry").expect("telemetry member");
+    assert_eq!(
+        telemetry.to_string(),
+        telemetry_json(&local_results.merged_telemetry()).to_string()
+    );
     client
         .request(&Json::parse(r#"{"cmd": "shutdown"}"#).expect("shutdown parses"))
         .expect("shutdown answered");
@@ -316,8 +324,7 @@ fn spawned_processes_share_one_cache_dir() {
         len: LEN,
         ..RunSpec::default()
     };
-    let mut local = Json::parse(&spec.sweep(Some(1)).expect("local sweep").run().to_json())
-        .expect("local results parse");
+    let mut local = protocol::results_json(&spec.sweep(Some(1)).expect("local sweep").run());
     strip_volatile(&mut local);
 
     let bin = env!("CARGO_BIN_EXE_mcr_sim");
