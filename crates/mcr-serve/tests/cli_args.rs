@@ -282,3 +282,37 @@ fn cache_actions_work_on_a_store_with_no_shards_yet() {
     assert_eq!(made, 0, "no shard or quarantine directory yet");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The sweep keys of a `--json` document, in point order.
+fn keys(doc: &sim_json::Json) -> Vec<String> {
+    let points = doc
+        .get("points")
+        .and_then(|p| p.as_array())
+        .expect("points");
+    let key = |p: &sim_json::Json| p.get("key").and_then(|k| k.as_str()).map(str::to_owned);
+    points.iter().map(|p| key(p).expect("key")).collect()
+}
+
+#[test]
+fn string_seed_runs_the_cli_key() {
+    use mcr_serve::protocol::{parse_request, results_json, JobSpec, Request};
+    let args = ["--workload", "libq", "--mode", "4/4x/100", "--len", "300"];
+    let mut seen = Vec::new();
+    for seed in ["9007199254740993", "9007199254740992"] {
+        let o = run(&[&args[..], &["--seed", seed, "--json"]].concat());
+        assert_eq!(o.code, 0, "stderr: {}", o.stderr);
+        let cli = sim_json::Json::parse(o.stdout.trim()).expect("--json output");
+        let request = format!(
+            r#"{{"cmd": "run", "workload": "libq", "mode": "4/4x/100", "len": 300,
+                 "seed": "{seed}"}}"#
+        );
+        let Ok(Request::Job(job)) = parse_request(&request) else {
+            panic!("{request} parses")
+        };
+        assert!(matches!(job.spec, JobSpec::Run(_)));
+        let results = job.spec.sweep(Some(1)).expect("valid spec").run();
+        assert_eq!(keys(&results_json(&results)), keys(&cli), "seed {seed}");
+        seen.push(keys(&cli));
+    }
+    assert_ne!(seen[0], seen[1], "the two seeds are distinct configs");
+}

@@ -25,5 +25,5 @@
 pub mod codec;
 mod store;
 
-pub use codec::{report_from_json, report_to_json, CodecError};
+pub use codec::{decode_report, report_to_json, CodecError};
 pub use store::{GcReport, ResultStore, StoreStats, VerifyReport, DEFAULT_SHARDS};

@@ -30,10 +30,9 @@
 //! recomputes and re-publishes. Corruption can cost wall clock, never
 //! correctness.
 
-use crate::codec::{parse_key_hex, report_from_json, report_to_json};
+use crate::codec::{decode_report, parse_key_hex, report_to_json};
 use mcr_dram::{ReportStore, RunReport};
 use mcr_telemetry::Counter;
-use sim_json::Json;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -489,8 +488,7 @@ fn decode_entry(text: &str, expect_key: Option<u64>) -> Result<RunReport, ()> {
     if expect_key.is_some_and(|k| k != key) || fnv1a64(body.as_bytes()) != checksum {
         return Err(());
     }
-    let report_json = Json::parse(body).map_err(|_| ())?;
-    report_from_json(&report_json).map_err(|_| ())
+    decode_report(body).map_err(|_| ())
 }
 
 fn counter_of(n: u64) -> Counter {
@@ -503,6 +501,7 @@ fn counter_of(n: u64) -> Counter {
 mod tests {
     use super::*;
     use mcr_dram::{McrMode, System, SystemConfig};
+    use sim_json::Json;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -665,6 +664,46 @@ mod tests {
             assert!(!path.exists(), "case {i}");
             fresh.publish(key, &report);
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reordered_members_are_quarantined() {
+        let dir = tmp_dir("reordered");
+        let (key, report) = sample_report(1_200);
+        let store = ResultStore::open(&dir).expect("open");
+        store.publish(key, &report);
+        let path = store.entry_path(key);
+        let text = fs::read_to_string(&path).expect("read");
+        let (_, _, body) = split_entry(&text).expect("the writer's envelope");
+        // Two neighbouring members swapped: the same members, valid JSON,
+        // and a checksum recomputed over the new bytes.
+        let first = format!(",\"total_mem_cycles\":{}", report.total_mem_cycles);
+        let second = format!(",\"reads_done\":{}", report.reads_done);
+        let swapped = body.replacen(&format!("{first}{second}"), &format!("{second}{first}"), 1);
+        assert_ne!(swapped, body);
+        assert!(Json::parse(&swapped).is_ok());
+        let err = decode_report(&swapped).expect_err("out of the writer's order");
+        assert_eq!(err.path, "report.total_mem_cycles");
+        let checksum = fnv1a64(swapped.as_bytes());
+        let entry = format!(
+            "{HEAD}{FORMAT}{KEY}{key:016x}{CHECKSUM}{checksum:016x}{REPORT}{swapped}{TAIL}"
+        );
+        assert_eq!(split_entry(&entry), Some((key, checksum, swapped.as_str())));
+        fs::write(&path, entry).expect("rewrite");
+
+        let fresh = ResultStore::open(&dir).expect("reopen");
+        assert_eq!(
+            fresh.lookup(key),
+            None,
+            "a reordered entry must read as a miss"
+        );
+        assert_eq!(fresh.stats().quarantined.get(), 1);
+        assert!(!path.exists());
+        assert_eq!(
+            fs::read_dir(dir.join("quarantine")).expect("dir").count(),
+            1
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,14 +1,15 @@
 //! Seeded property tests for the store's codec and entry format: a
 //! report — randomized or produced by a real (faulted, guardband-
 //! degraded) simulation — must survive `RunReport` → sim-json text →
-//! store entry → disk → back with every bit intact. Failures print the
+//! store entry → disk → back with every bit intact, and the text
+//! decoder must be total over damaged input. Failures print the
 //! iteration seed, so any counterexample replays exactly.
 
 use mcr_dram::{FaultPlan, McrMode, ReportStore, RunReport, System, SystemConfig, Telemetry};
-use mcr_store::{report_from_json, report_to_json, ResultStore};
+use mcr_store::{decode_report, report_to_json, ResultStore};
 use mcr_telemetry::{Counter, LatencyHistogram, HISTOGRAM_BUCKETS};
 use mem_controller::{ControllerStats, CtlTelemetry, RefreshStats};
-use sim_json::Json;
+use sim_json::{Json, Reader, Token};
 use sim_rng::SmallRng;
 use std::path::PathBuf;
 
@@ -180,17 +181,73 @@ fn random_report(rng: &mut SmallRng) -> RunReport {
     }
 }
 
-/// The full persistence path for one report: value codec, text codec,
-/// and a store publish → reopen (cold hot tier) → lookup.
+/// Every float the writer put in `text`, in document order: number
+/// tokens through `str::parse::<f64>`, non-finite ones by name.
+fn parsed_floats(text: &str) -> Vec<f64> {
+    const FLOATS: [&str; 7] = [
+        "avg_read_latency",
+        "act_pre_pj",
+        "read_pj",
+        "write_pj",
+        "refresh_pj",
+        "background_pj",
+        "edp",
+    ];
+    let mut reader = Reader::new(text);
+    // The member the next value belongs to: after a float, only a member
+    // name or a closer follows, and a float list holds only floats.
+    let mut member = String::new();
+    let mut out = Vec::new();
+    while let Some(token) = reader.next_token().expect("well-formed") {
+        let float = FLOATS.contains(&member.as_str()) || member == "per_core_read_latency";
+        match token {
+            Token::Key(key) => member = key.into_owned(),
+            Token::Num(n) if float => out.push(n.text().parse().expect("a float")),
+            Token::Str(s) if float => out.push(match &*s {
+                "NaN" => f64::NAN,
+                "inf" => f64::INFINITY,
+                "-inf" => f64::NEG_INFINITY,
+                other => panic!("float string {other:?}"),
+            }),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The report's floats in the order the writer puts them.
+fn report_floats(r: &RunReport) -> Vec<f64> {
+    let e = &r.energy;
+    [
+        r.avg_read_latency,
+        e.act_pre_pj,
+        e.read_pj,
+        e.write_pj,
+        e.refresh_pj,
+        e.background_pj,
+        r.edp,
+    ]
+    .into_iter()
+    .chain(r.per_core_read_latency.iter().copied())
+    .collect()
+}
+
+/// The full persistence path for one report: text codec, and a store
+/// publish → reopen (cold hot tier) → lookup.
 fn assert_full_round_trip(store: &ResultStore, key: u64, report: &RunReport, seed: u64) {
-    let encoded = report_to_json(report);
-    let decoded = report_from_json(&encoded).expect("value codec decodes");
-    assert_eq!(&decoded, report, "value codec diverged (seed {seed})");
-    let reparsed = Json::parse(&encoded.to_string()).expect("serialized text parses");
+    let text = report_to_json(report).to_string();
+    let decoded = decode_report(&text).expect("text codec decodes");
+    assert_eq!(&decoded, report, "text codec diverged (seed {seed})");
     assert_eq!(
-        &report_from_json(&reparsed).expect("text codec decodes"),
-        report,
-        "text codec diverged (seed {seed})"
+        report_to_json(&decoded).to_string(),
+        text,
+        "re-encoding diverged (seed {seed})"
+    );
+    let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(report_floats(&decoded)),
+        bits(parsed_floats(&text)),
+        "a decoded f64 differs from its token's parse (seed {seed})"
     );
     store.publish(key, report);
     assert_eq!(
@@ -263,8 +320,57 @@ fn non_finite_floats_round_trip_as_values() {
     report.avg_read_latency = f64::INFINITY;
     report.energy.read_pj = f64::NEG_INFINITY;
     let text = report_to_json(&report).to_string();
-    let back = report_from_json(&Json::parse(&text).expect("parses")).expect("decodes");
+    let back = decode_report(&text).expect("decodes");
     assert!(back.edp.is_nan());
     assert_eq!(back.avg_read_latency, f64::INFINITY);
     assert_eq!(back.energy.read_pj, f64::NEG_INFINITY);
+}
+
+/// Damaged report text decodes to an error, never a panic, and never to
+/// a report other than the one the bytes spell. Every prefix is an
+/// error. A single-byte change either fails, or (a digit changed into
+/// another, say) decodes to a report whose encoding is the same JSON
+/// document as the changed bytes; so a change that leaves the document
+/// equal, such as another spelling of the same float, decodes to the
+/// original report.
+#[test]
+fn decode_is_total_over_prefixes_and_byte_changes() {
+    let cfg = SystemConfig::single_core("libq", 1_200);
+    let report = System::try_build(&cfg).expect("valid config").run();
+    let text = report_to_json(&report).to_string();
+    for end in 0..text.len() {
+        assert!(
+            decode_report(&text[..end]).is_err(),
+            "prefix of {end} bytes"
+        );
+    }
+    // Every byte class the grammar and the decoder tell apart.
+    let swaps = b"\x01 \"+,-.059:E[\\]fntux{}";
+    let mut bytes = text.clone().into_bytes();
+    let (mut errors, mut decoded) = (0, 0);
+    for at in 0..bytes.len() {
+        let was = bytes[at];
+        for &b in swaps.iter().filter(|&&b| b != was) {
+            bytes[at] = b;
+            let changed = std::str::from_utf8(&bytes).expect("ASCII swap");
+            match decode_report(changed) {
+                Err(_) => errors += 1,
+                Ok(back) => {
+                    decoded += 1;
+                    let again = report_to_json(&back).to_string();
+                    assert_eq!(
+                        Json::parse(&again).expect("encoding parses"),
+                        Json::parse(changed).expect("a decoded text parses"),
+                        "byte {at} set to {:?}: {changed}",
+                        char::from(b)
+                    );
+                }
+            }
+        }
+        bytes[at] = was;
+    }
+    assert!(
+        decoded > 0 && errors > 10 * decoded,
+        "{decoded} decoded, {errors} errors"
+    );
 }
