@@ -722,7 +722,7 @@ pub struct RunExecStats {
 /// randomness flows from the config's seed, which is what lets the
 /// [`crate::sweep`] engine cache and parallelize runs freely. Equality
 /// ignores the drive-dependent [`RunReport::exec`] section.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// CPU cycle at which the last core retired its final instruction —
     /// the paper's execution-time metric.
