@@ -9,8 +9,8 @@ OFFLINE ?= --offline
 # docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
 # snapshots) and its wheel-vs-dense and golden tests again on a release
 # build, the mcr-lint static
-# passes (source lint + timing/mode-table/region checks), the exhaustive
-# protocol model check + wake-soundness certification, the command-stream
+# passes (source lint + timing/mode-table/region checks), the bounded
+# (state-capped) protocol model check + wake-soundness certification, the command-stream
 # audit of the release build (the online auditor is armed by default only
 # in debug builds), then a seeded
 # fault-injection chaos campaign, the service loopback smoke test, the
@@ -65,13 +65,15 @@ clippy:
 test:
 	$(CARGO) test $(OFFLINE) --workspace -q
 
-# The wheel-vs-dense equivalence suite, the goldens and the random-trace
-# net of the event loop on a release build: the benchmark and every timed
-# run drive release builds, where `debug_assert!`s are compiled out and
+# The wheel-vs-dense equivalence suite, the goldens, the random-trace
+# net of the event loop, and the JSON reader and store codec suites on a
+# release build: the benchmark, every timed run and every warm store hit
+# drive release builds, where `debug_assert!`s are compiled out and
 # overflow wraps.
 test-release:
 	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --test event_wheel_equivalence --test golden_reports
 	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --lib random_traces_match_the_dense_drive
+	$(CARGO) test --release $(OFFLINE) -q -p sim-json -p mcr-store
 
 fmt-check:
 	$(CARGO) fmt --all --check
@@ -81,9 +83,11 @@ fmt-check:
 lint:
 	$(CARGO) run $(OFFLINE) -q -p mcr-lint -- src config
 
-# Exhaustive protocol model check + event-wheel wake-soundness
-# certification (DESIGN.md §5i): enumerates every reachable abstract
-# state, proves the wheel's edges never overshoot, replays the shipped
+# Bounded (state-capped) protocol model check + event-wheel wake-soundness
+# certification (DESIGN.md §5i): enumerates reachable abstract states
+# breadth-first up to `ModelSpec::max_states` (200,000, with a
+# `model/state-cap` warning when it stops there), proves the wheel's
+# edges never overshoot, replays the shipped
 # counterexamples and writes BENCH_model.json at the repo root. Fails
 # past MCR_MODEL_BUDGET_MS (default 120000) of wall clock.
 model:

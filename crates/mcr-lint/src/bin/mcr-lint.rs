@@ -5,7 +5,7 @@
 //! cargo run -p mcr-lint -- src            # source lint only
 //! cargo run -p mcr-lint -- config         # timing/mode-table/region checks only
 //! cargo run -p mcr-lint -- audit          # refresh replay + full-suite protocol audit
-//! cargo run -p mcr-lint -- model          # exhaustive model check + wake certification
+//! cargo run -p mcr-lint -- model          # bounded (state-capped) model check + wake certification
 //! cargo run -p mcr-lint -- all            # everything
 //! cargo run -p mcr-lint -- --json model   # machine-readable diagnostics on stdout
 //! ```
