@@ -3,21 +3,20 @@
 CARGO ?= cargo
 OFFLINE ?= --offline
 
-.PHONY: check build doc loc test test-release benchmark-test benchmark-gate golden bless clippy fmt-check lint model audit chaos serve-smoke compare claims bench bench-wallclock bless-bench clean
+.PHONY: check build doc loc test test-release benchmark-test benchmark-gate golden bless clippy fmt-check lint model audit serve-smoke compare claims bench bench-wallclock bless-bench clean
 
 # Full gate: build everything, lint with warnings denied, build the
-# docs with warnings denied, enforce formatting, run the suite (which includes the golden-report
-# snapshots) and its wheel-vs-dense and golden tests again on a release
-# build, the mcr-lint static
-# passes (source lint + timing/mode-table/region checks), the bounded
-# (state-capped) protocol model check + wake-soundness certification, the command-stream
-# audit of the release build (the online auditor is armed by default only
-# in debug builds), then a seeded
-# fault-injection chaos campaign, the service loopback smoke test, the
+# docs with warnings denied, enforce formatting, run the suite (which
+# includes the golden-report snapshots and the escalating fault-rate
+# check in tests/reliability.rs) and its wheel-vs-dense and golden tests
+# again on a release build, the mcr-lint static passes (source lint +
+# timing/mode-table/region checks), the bounded (state-capped) protocol
+# model check + wake-soundness certification, the command-stream audit
+# on the release build, the service loopback smoke test, the
 # cross-backend compare smoke, the benchmark's digest gate at full trace
 # length, and the wall-clock gate (event wheel, persistent store,
 # per-backend throughput).
-check: build clippy doc fmt-check test test-release benchmark-test benchmark-gate golden lint model audit chaos serve-smoke compare bench-wallclock
+check: build clippy doc fmt-check test test-release benchmark-test benchmark-gate golden lint model audit serve-smoke compare bench-wallclock
 
 build:
 	$(CARGO) build $(OFFLINE) --workspace --all-targets
@@ -66,14 +65,16 @@ test:
 	$(CARGO) test $(OFFLINE) --workspace -q
 
 # The wheel-vs-dense equivalence suite, the goldens, the random-trace
-# net of the event loop, and the JSON reader and store codec suites on a
-# release build: the benchmark, every timed run and every warm store hit
-# drive release builds, where `debug_assert!`s are compiled out and
-# overflow wraps.
+# net of the event loop, the JSON reader and store codec suites, and the
+# check that the audit front end arms the auditor itself, on a release
+# build: the benchmark, every timed run, every warm store hit and `make
+# audit` drive release builds, where `debug_assert!`s are compiled out,
+# overflow wraps and no channel arms its auditor by default.
 test-release:
 	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --test event_wheel_equivalence --test golden_reports
 	$(CARGO) test --release $(OFFLINE) -q -p mcr-dram --lib random_traces_match_the_dense_drive
 	$(CARGO) test --release $(OFFLINE) -q -p sim-json -p mcr-store
+	$(CARGO) test --release $(OFFLINE) -q -p mcr-lint --test fault_injection audit_system_point_arms_the_auditor_in_any_build
 
 fmt-check:
 	$(CARGO) fmt --all --check
@@ -94,26 +95,15 @@ model:
 	$(CARGO) run $(OFFLINE) --release -q -p mcr-lint -- model
 
 # Protocol audit: Fig. 9 refresh-schedule replays plus a full-system
-# command-stream audit of the fig9/fig11-style configuration suite, with
-# the online auditor compiled in (release build + protocol-audit feature).
-# Built in a target directory of its own: the feature changes every
-# crate above dram-device, so sharing target/release would rebuild them
-# for `model` and again here on every `make check`.
+# command-stream audit of the fig9/fig11-style configuration suite. The
+# audit arms the online auditor on every run itself, so it runs on the
+# same release build as `model`.
 audit:
-	$(CARGO) run $(OFFLINE) --release --target-dir target/audit -p mcr-lint --features protocol-audit -- audit
-
-# Seeded retention-fault chaos campaign (DESIGN.md §5f): a clean control
-# run, then escalating fault rates; fails on any retention escape or any
-# lost read. CHAOS_SEED replays a specific campaign.
-CHAOS_SEED ?= 2015
-chaos:
-	$(CARGO) run $(OFFLINE) -q -p mcr-serve --bin mcr_sim -- \
-		--workload libq --mode 2/4x/100 --len 8000 \
-		--chaos --fault-seed $(CHAOS_SEED)
+	$(CARGO) run $(OFFLINE) --release -q -p mcr-lint -- audit
 
 # Loopback end-to-end smoke of the simulation service (DESIGN.md §5g):
 # binds an ephemeral port, drives sweeps / deadlines / load shedding /
-# campaigns and the connection guards (read deadline, line cap,
+# drains and the connection guards (read deadline, line cap,
 # malformed lines) over real sockets, and exercises the serve+submit CLI.
 serve-smoke:
 	$(CARGO) test $(OFFLINE) -p mcr-serve --test serve_smoke -q

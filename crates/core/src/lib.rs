@@ -96,8 +96,8 @@ pub use mode::{McrMode, ModeError};
 pub use mode_change::{ModeChangePlan, OsVisibleMemory};
 pub use policy::McrPolicy;
 pub use sweep::{
-    CancelToken, PointResult, ReportStore, ResultCache, RunBudget, Sweep, SweepBuilder,
-    SweepExecStats, SweepPoint, SweepResults,
+    CancelToken, PointResult, ReportStore, ResultCache, Sweep, SweepBuilder, SweepExecStats,
+    SweepPoint, SweepResults,
 };
 pub use system::{
     ConfigError, MappingKind, ReliabilityReport, RunExecStats, RunReport, System, SystemConfig,

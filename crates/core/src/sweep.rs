@@ -11,7 +11,7 @@
 //!   [`SweepBuilder::jobs`]). Each worker starts with a contiguous chunk
 //!   of points in its own deque and, once drained, steals half the
 //!   remaining queue of the richest victim — so heterogeneous-cost grids
-//!   (a fault campaign next to zero-rate controls) keep every worker
+//!   (a quad-core mix next to single-core points) keep every worker
 //!   busy instead of straggling on one long tail. Results land in
 //!   pre-allocated, order-preserving slots, so the output order always
 //!   equals the input order and `jobs = 1` and `jobs = N` produce
@@ -51,16 +51,15 @@ use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
 use crate::system::{ConfigError, RunReport, System, SystemConfig};
 use crate::telemetry::Telemetry;
-use dram_device::Cycle;
 use trace_gen::Mix;
 
 /// Cooperative cancellation handle shared between a sweep (or single
 /// [`System`] run) and whoever supervises it — e.g. the `mcr-serve`
-/// worker pool enforcing per-request deadlines. Usually carried inside a
-/// [`RunBudget`] rather than passed around on its own.
+/// worker pool enforcing per-request deadlines. It is the one argument
+/// of [`System::run_budgeted`] and [`Sweep::run_budgeted_traced`].
 ///
 /// Cancellation is *cooperative*: the running simulation polls
-/// [`CancelToken::is_cancelled`] between work chunks (at budget-poll
+/// [`CancelToken::is_cancelled`] between work chunks (at poll
 /// boundaries within a run — which the event wheel crosses in
 /// microseconds when the simulated system idles — and between grid
 /// points), abandons cleanly, and the driver reports `None` instead of a
@@ -87,11 +86,6 @@ impl CancelToken {
         }
     }
 
-    /// The deadline this token carries, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Requests cancellation (visible to every clone of this token).
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
@@ -101,65 +95,6 @@ impl CancelToken {
     /// deadline (when set) has passed.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// Typed resource budget for a run or sweep: how far it may simulate and
-/// how long it may take on the wall clock. Replaces the old positional
-/// `CancelToken` argument of `run_cancellable` — every limit is named,
-/// optional, and composable:
-///
-/// * [`RunBudget::max_cycles`] — hard cap on *simulated* memory cycles;
-///   reaching it without finishing expires the run.
-/// * [`RunBudget::deadline`] — wall-clock instant after which the budget
-///   reads as expired (the `mcr-serve` per-request deadline maps here).
-/// * [`RunBudget::cancel`] — cooperative [`CancelToken`] polled alongside
-///   the deadline (supervisor-driven aborts, shutdown).
-///
-/// The default budget is unbounded: [`System::run_budgeted`] then only
-/// enforces its internal wedge cap, exactly like [`System::run`].
-#[derive(Clone, Debug, Default)]
-pub struct RunBudget {
-    /// Hard cap on simulated memory cycles (`None` = no cap; the wedge
-    /// bound still applies).
-    pub max_cycles: Option<Cycle>,
-    /// Wall-clock deadline after which the budget reads as expired.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation handle checked alongside the deadline.
-    pub cancel: Option<CancelToken>,
-}
-
-impl RunBudget {
-    /// A budget with no limits — the run goes to completion.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// Caps the simulated length at `max_cycles` memory cycles.
-    pub fn with_max_cycles(mut self, max_cycles: Cycle) -> Self {
-        self.max_cycles = Some(max_cycles);
-        self
-    }
-
-    /// Expires the budget at wall-clock `deadline`.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// True once the wall-clock deadline passed or the attached token
-    /// fired. The simulated-cycle cap is enforced by the run loop itself
-    /// ([`System::run_budgeted`]), not here — it is a property of the
-    /// simulation position, not of wall time.
-    pub fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -396,29 +331,6 @@ impl SweepBuilder {
         self
     }
 
-    /// Appends a seeded fault-rate campaign: one explicit point per rate,
-    /// each arming `base` with a [`mcr_faults::FaultPlan`] that injects
-    /// weak cells, dropped refreshes and late refreshes at that rate.
-    /// The plan seed (not the config seed) drives every fault decision,
-    /// so a failing rate replays exactly from its label. Rate `0.0`
-    /// produces a point that is behaviourally identical to the unfaulted
-    /// `base` — the campaign's built-in control. Unlike the service's
-    /// `fault_rate` plan (`mcr_serve::protocol::fault_plan`), this plan
-    /// injects no sense glitches.
-    pub fn fault_campaign(mut self, base: &SystemConfig, rates: &[f64], fault_seed: u64) -> Self {
-        for &rate in rates {
-            let plan = mcr_faults::FaultPlan::new(fault_seed)
-                .with_weak_cells(rate, 0.5)
-                .with_refresh_drops(rate)
-                .with_late_refreshes(rate, 1_000);
-            self = self.point(
-                format!("fault-rate-{rate}-seed-{fault_seed}"),
-                base.clone().with_fault_plan(plan),
-            );
-        }
-        self
-    }
-
     /// Expands the grid, validates every point
     /// ([`SystemConfig::validate`]), and returns the ready-to-run sweep.
     ///
@@ -582,18 +494,24 @@ impl Sweep {
     /// sharded disk-backed store from `mcr-store`, which persists
     /// results across processes and restarts.
     pub fn run_with_store(&self, store: &dyn ReportStore) -> SweepResults {
-        match self.run_budgeted(store, &RunBudget::unbounded()) {
+        match self.run_budgeted_traced(store, &CancelToken::new(), &|_| {}) {
             Some(results) => results,
-            None => unreachable!("an unbounded RunBudget never expires"),
+            None => unreachable!("a token nobody cancels never fires"),
         }
     }
 
-    /// Like [`Sweep::run_with_store`], but bounded by a [`RunBudget`]:
-    /// workers re-check the budget between points and (via
-    /// [`System::run_budgeted`]) at poll boundaries within a point, so a
-    /// deadline or cancellation bounds how long the sweep can overshoot,
-    /// and a `max_cycles` cap bounds how far any point may simulate.
-    /// Returns `None` when the budget ran out — partial results are
+    /// Like [`Sweep::run_with_store`], but bounded by `cancel`: workers
+    /// re-check the token between points and (via
+    /// [`System::run_budgeted`]) at poll boundaries within a point, so its
+    /// deadline or cancellation bounds how long the sweep can overshoot.
+    /// Before each point is looked up or simulated, `on_start` gets that
+    /// point's config key. Supervisors (e.g. the `mcr-serve` worker pool)
+    /// use the hook to record which point a worker was running, so a
+    /// contained panic can name the offending config key in its error
+    /// response. The hook runs inside the worker closure and must not
+    /// panic (source lint `panicking-sweep-worker`).
+    ///
+    /// Returns `None` when the token fired — partial results are
     /// discarded as a set, but every point that *completed* was already
     /// published to `store` the moment its simulation finished (never
     /// batched, regardless of which worker's deque it sat in), so a
@@ -608,25 +526,10 @@ impl Sweep {
     /// [`SweepResults`] is bit-identical for any jobs count and any
     /// steal schedule ([`SweepResults::exec`] carries the volatile
     /// scheduling counters, outside the serialized results).
-    pub fn run_budgeted(
-        &self,
-        store: &dyn ReportStore,
-        budget: &RunBudget,
-    ) -> Option<SweepResults> {
-        self.run_budgeted_traced(store, budget, &|_| {})
-    }
-
-    /// Like [`Sweep::run_budgeted`], but calls `on_start` with each
-    /// point's config key just before that point is looked up or
-    /// simulated. Supervisors (e.g. the `mcr-serve` worker pool) use
-    /// the hook to record which point a worker was running, so a
-    /// contained panic can name the offending config key in its error
-    /// response. The hook runs inside the worker closure and must not
-    /// panic (source lint `panicking-sweep-worker`).
     pub fn run_budgeted_traced(
         &self,
         store: &dyn ReportStore,
-        budget: &RunBudget,
+        cancel: &CancelToken,
         on_start: &(dyn Fn(u64) + Sync),
     ) -> Option<SweepResults> {
         let jobs = self.jobs();
@@ -646,7 +549,7 @@ impl Sweep {
         // failures travel out through the slot as a `Result` instead and
         // are re-raised on the driving thread below.
         let work = |worker: usize| loop {
-            if budget.expired() {
+            if cancel.is_cancelled() {
                 break;
             }
             let i = match pop_local(&deques[worker]) {
@@ -668,13 +571,13 @@ impl Sweep {
                 Some(report) => (Ok(Some(report)), true),
                 None => {
                     // Validated in `build`, so `try_build` cannot fail;
-                    // `run_budgeted` yields `None` when the budget runs
-                    // out mid-simulation (the point is abandoned, not
+                    // `run_budgeted` yields `None` when the token fires
+                    // mid-simulation (the point is abandoned, not
                     // published).
                     let report =
-                        System::try_build(&point.config).map(|sys| sys.run_budgeted(budget));
+                        System::try_build(&point.config).map(|sys| sys.run_budgeted(cancel));
                     if let Ok(Some(r)) = &report {
-                        // Publish immediately — even if the budget expires
+                        // Publish immediately — even if the token fires
                         // on the very next poll, this point survives into
                         // the store (durably, for persistent tiers).
                         store.publish(key, r);
@@ -700,7 +603,7 @@ impl Sweep {
                     wall,
                     cache_hit,
                 })),
-                Ok(None) => None, // budget ran out mid-point; slot stays empty
+                Ok(None) => None, // cancelled mid-point; slot stays empty
                 Err(e) => Some(Err(e)),
             };
             if let Some(result) = result {
@@ -736,8 +639,7 @@ impl Sweep {
             match inner {
                 Some(Ok(p)) => points.push(p),
                 Some(Err(e)) => panic!("sweep point failed despite pre-validation: {e}"),
-                // An empty slot means the budget ran out (expired mid-run,
-                // or a point exhausted `max_cycles`) before this point
+                // An empty slot means the token fired before this point
                 // produced a report.
                 None => return None,
             }
@@ -938,7 +840,7 @@ mod tests {
             .unwrap();
         let started: StdMutex<Vec<u64>> = StdMutex::new(Vec::new());
         let results = sweep
-            .run_budgeted_traced(&ResultCache::new(), &RunBudget::unbounded(), &|key| {
+            .run_budgeted_traced(&ResultCache::new(), &CancelToken::new(), &|key| {
                 started.lock().unwrap().push(key);
             })
             .expect("unbounded budget completes");
@@ -1089,44 +991,33 @@ mod tests {
     #[test]
     fn expired_budget_aborts_and_generous_budget_completes() {
         let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
+        let run =
+            |cancel: &CancelToken| sweep.run_budgeted_traced(&ResultCache::new(), cancel, &|_| {});
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert!(
-            sweep
-                .run_budgeted(
-                    &ResultCache::new(),
-                    &RunBudget::unbounded().with_cancel(cancelled)
-                )
-                .is_none(),
+            run(&cancelled).is_none(),
             "pre-cancelled token must abort the sweep"
         );
-        let expired = RunBudget::unbounded().with_deadline(Instant::now());
-        assert!(expired.expired(), "past deadline reads as expired");
-        assert!(sweep.run_budgeted(&ResultCache::new(), &expired).is_none());
-        let generous =
-            RunBudget::unbounded().with_deadline(Instant::now() + Duration::from_secs(3600));
-        assert!(!generous.expired());
-        let r = sweep.run_budgeted(&ResultCache::new(), &generous);
-        assert!(r.is_some(), "a far-future deadline must not expire");
-    }
-
-    #[test]
-    fn exhausted_cycle_cap_aborts_the_sweep() {
-        let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
-        // Two cycles is never enough to retire a 1 500-op trace.
-        let starved = RunBudget::unbounded().with_max_cycles(2);
-        assert!(sweep.run_budgeted(&ResultCache::new(), &starved).is_none());
-        let roomy = RunBudget::unbounded().with_max_cycles(500_000_000);
-        assert!(sweep.run_budgeted(&ResultCache::new(), &roomy).is_some());
+        let expired = CancelToken::with_deadline(Instant::now());
+        assert!(expired.is_cancelled(), "past deadline reads as cancelled");
+        assert!(run(&expired).is_none());
+        let generous = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        assert!(!generous.is_cancelled());
+        assert!(
+            run(&generous).is_some(),
+            "a far-future deadline must not expire"
+        );
     }
 
     #[test]
     fn budgeted_and_plain_runs_agree() {
         let sweep = SweepBuilder::new(LEN).workload("libq").build().unwrap();
         let plain = sweep.run();
-        let Some(budgeted) = sweep.run_budgeted(&ResultCache::new(), &RunBudget::unbounded())
+        let Some(budgeted) =
+            sweep.run_budgeted_traced(&ResultCache::new(), &CancelToken::new(), &|_| {})
         else {
-            panic!("unbounded budget expired")
+            panic!("an uncancelled token fired")
         };
         assert_eq!(plain.points[0].report, budgeted.points[0].report);
     }

@@ -10,6 +10,7 @@ use crate::layout::RegionMap;
 use crate::mechanisms::Mechanisms;
 use crate::mode::McrMode;
 use crate::policy::McrPolicy;
+use crate::sweep::CancelToken;
 use crate::telemetry::Telemetry;
 use circuit_model::{CircuitParams, LeakageModel, TimingSolver};
 use cpu_model::{Core, CoreParams, RequestSink, TraceRecord, CPU_PER_MEM_CYCLE};
@@ -804,7 +805,7 @@ impl RunReport {
 /// A ready-to-run full system.
 ///
 /// Drive it either with [`System::run`] / [`System::run_budgeted`] (to
-/// completion, optionally under a [`crate::sweep::RunBudget`]) or
+/// completion, optionally under a [`CancelToken`]) or
 /// incrementally with [`System::run_until`], which allows runtime
 /// MCR-mode changes via [`System::reconfigure`] between calls.
 ///
@@ -874,9 +875,9 @@ impl std::fmt::Debug for System {
 /// Core id used for cache-copy traffic; its completions are dropped.
 const COPY_CORE: u32 = u32::MAX;
 
-/// How often [`System::run_budgeted`] re-checks its
-/// [`crate::sweep::RunBudget`], in memory cycles: a poll boundary only
-/// stops the cores and brings the controller up to it.
+/// How often [`System::run_budgeted`] re-checks its [`CancelToken`], in
+/// memory cycles: a poll boundary only stops the cores and brings the
+/// controller up to it.
 const BUDGET_POLL_CYCLES: Cycle = 100_000;
 
 /// Cycle bound past which an unbudgeted run is declared wedged. Generous:
@@ -1372,20 +1373,19 @@ impl System {
     /// Panics if the simulation exceeds a generous cycle bound (indicates
     /// a scheduling deadlock — a simulator bug, not a configuration error).
     pub fn run(self) -> RunReport {
-        match self.run_budgeted(&crate::sweep::RunBudget::unbounded()) {
+        match self.run_budgeted(&CancelToken::new()) {
             Some(report) => report,
-            None => unreachable!("an unbounded RunBudget never expires"),
+            None => unreachable!("a token nobody cancels never fires"),
         }
     }
 
-    /// Runs to completion unless `budget` runs out first — its deadline
-    /// passes, its [`crate::sweep::CancelToken`] fires, or `mem_now`
-    /// reaches its cycle cap. Returns `None` when the budget expired —
-    /// the partially-advanced simulation is discarded, which is what a
+    /// Runs to completion unless `cancel` fires first (it is cancelled,
+    /// or its deadline passes). Returns `None` when it fired — the
+    /// partially-advanced simulation is discarded, which is what a
     /// deadline-bound service wants (a half-run report would be neither
     /// reproducible nor comparable).
     ///
-    /// The budget is re-checked every 100k simulated cycles. Chunked
+    /// The token is re-checked every 100k simulated cycles. Chunked
     /// advancing does not perturb results: [`System::run_until`] lands on exact
     /// cycle boundaries, so any chunking produces the same [`RunReport`]
     /// as [`System::run`] — `chunked_runs_match_one_run` in
@@ -1393,38 +1393,21 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics on the wedge bound when the budget sets no cycle cap.
-    pub fn run_budgeted(mut self, budget: &crate::sweep::RunBudget) -> Option<RunReport> {
+    /// Panics past the wedge bound ([`WEDGE_CAP`]).
+    pub fn run_budgeted(mut self, cancel: &CancelToken) -> Option<RunReport> {
         loop {
-            let target = match budget.max_cycles {
-                Some(cap) => {
-                    if self.mem_now >= cap && !self.done() {
-                        return None;
-                    }
-                    cap.min(self.mem_now.saturating_add(BUDGET_POLL_CYCLES))
-                }
-                None => self.mem_now.saturating_add(BUDGET_POLL_CYCLES),
-            };
-            if self.run_until(target) {
+            if self.run_until(self.mem_now.saturating_add(BUDGET_POLL_CYCLES)) {
                 return Some(self.report());
             }
-            if budget.expired() {
+            if cancel.is_cancelled() {
                 return None;
             }
-            if budget.max_cycles.is_none() {
-                assert!(
-                    self.mem_now < WEDGE_CAP,
-                    "simulation wedged at cycle {}",
-                    self.mem_now
-                );
-            }
+            assert!(
+                self.mem_now < WEDGE_CAP,
+                "simulation wedged at cycle {}",
+                self.mem_now
+            );
         }
-    }
-
-    /// True when the command-stream protocol auditor is armed (debug
-    /// builds and the `protocol-audit` feature of `dram-device`).
-    pub fn audit_enabled(&self) -> bool {
-        self.controller.audit_enabled()
     }
 
     /// Arms (or disarms) the command-stream protocol auditor on every

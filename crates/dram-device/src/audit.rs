@@ -10,9 +10,10 @@
 //!
 //! The auditor runs in two modes:
 //!
-//! * **online** — a [`ProtocolAuditor`] embedded in the channel (enabled in
-//!   debug builds and under the `protocol-audit` cargo feature) observes
-//!   each command as it is issued;
+//! * **online** — a [`ProtocolAuditor`] embedded in the channel (armed by
+//!   default in debug builds, and in any build by
+//!   [`crate::Channel::set_audit_enabled`]) observes each command as it is
+//!   issued;
 //! * **replay** — [`audit_commands`] replays a recorded `&[Command]` slice,
 //!   which is what fault-injection tests and the `mcr-lint` tool use.
 //!
@@ -223,10 +224,10 @@ impl AuditConfig {
     }
 }
 
-/// True when protocol auditing is compiled to be on by default (debug
-/// builds, or any build with the `protocol-audit` cargo feature).
+/// True when a new channel arms its protocol auditor by default: in
+/// debug builds. Any build arms it with [`crate::Channel::set_audit_enabled`].
 pub fn audit_default_enabled() -> bool {
-    cfg!(any(feature = "protocol-audit", debug_assertions))
+    cfg!(debug_assertions)
 }
 
 #[derive(Debug, Clone)]

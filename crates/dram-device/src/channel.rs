@@ -186,9 +186,9 @@ impl Channel {
     /// A channel with the given geometry and timing, all banks precharged,
     /// and a single registered row-timing class (class 0 = baseline).
     ///
-    /// The protocol auditor is armed automatically in debug builds and
-    /// under the `protocol-audit` cargo feature (see
-    /// [`audit_default_enabled`]).
+    /// The protocol auditor is armed automatically in debug builds (see
+    /// [`audit_default_enabled`]); [`Channel::set_audit_enabled`] arms it
+    /// in any build.
     pub fn new(geometry: Geometry, timing: TimingSet) -> Self {
         let baseline = RowTiming {
             t_rcd: timing.t_rcd,

@@ -104,8 +104,8 @@ impl FaultPlan {
     /// A one-knob chaos plan: `rate` scales every fault class at once
     /// (weak cells at `rate`, refresh drops at `rate / 4`, late
     /// refreshes at `rate / 4`, sense glitches at `rate / 50`). Only
-    /// tests use it: `mcr_sim --fault-rate` and `make chaos` build their
-    /// plans with `mcr_serve::protocol::fault_plan` instead.
+    /// tests use it; no command-line flag or service request arms a
+    /// fault plan.
     pub fn chaos(seed: u64, rate: f64) -> Self {
         let rate = rate.clamp(0.0, 1.0);
         FaultPlan::new(seed)

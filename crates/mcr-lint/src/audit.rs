@@ -14,8 +14,7 @@
 //!   any recorded violation into a diagnostic.
 
 pub use dram_device::{
-    audit_commands, audit_default_enabled, AuditConfig, CloneFrame, ProtocolAuditor, Severity,
-    Violation, ViolationClass,
+    audit_commands, AuditConfig, CloneFrame, ProtocolAuditor, Severity, Violation, ViolationClass,
 };
 
 use crate::Diagnostic;
@@ -206,8 +205,8 @@ fn run_to_completion(sys: &mut System) {
 }
 
 /// Builds and runs one [`SystemConfig`] to completion with the online
-/// protocol auditor armed and collects what the auditor saw, without
-/// panicking the way [`System::report`] does on violations.
+/// protocol auditor armed (in any build) and collects what the auditor
+/// saw, without panicking the way [`System::report`] does on violations.
 ///
 /// # Errors
 ///
@@ -215,6 +214,7 @@ fn run_to_completion(sys: &mut System) {
 /// rejected.
 pub fn audit_system_point(label: &str, config: &SystemConfig) -> Result<PointAudit, ConfigError> {
     let mut sys = System::try_build(config)?;
+    sys.set_audit_enabled(true);
     run_to_completion(&mut sys);
     sys.audit_finish_now();
     let mut errors = Vec::new();
@@ -238,19 +238,8 @@ pub fn audit_system_point(label: &str, config: &SystemConfig) -> Result<PointAud
 /// Refresh-Skipping, a region boundary, the combined 2x + 4x layout, and a
 /// runtime mode change. Every command issued in every run flows through
 /// the online protocol auditor; any error-severity violation becomes a
-/// diagnostic.
-///
-/// Returns a single `audit/disarmed` error when the auditor is compiled
-/// out (release build without the `protocol-audit` feature).
+/// diagnostic. The auditor is armed per run, so any build audits.
 pub fn audit_suite(trace_len: usize) -> Vec<Diagnostic> {
-    if !audit_default_enabled() {
-        return vec![Diagnostic::error(
-            "audit/disarmed",
-            "suite",
-            "protocol auditor is compiled out; rebuild with --features protocol-audit",
-            "paper Sec. 4 (protocol rules)",
-        )];
-    }
     let mode = |m, k, l| match McrMode::new(m, k, l) {
         Ok(mode) => mode,
         Err(e) => unreachable!("suite modes are Table 1 literals: {e:?}"),
@@ -344,6 +333,7 @@ pub fn audit_suite(trace_len: usize) -> Vec<Diagnostic> {
             return out.finish();
         }
     };
+    sys.set_audit_enabled(true);
     sys.run_until(2_000);
     if let Err(e) = sys.reconfigure(mode(2, 2, 1.0)) {
         out.push(Diagnostic::error(

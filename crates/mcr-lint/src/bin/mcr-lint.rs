@@ -11,11 +11,10 @@
 //! ```
 //!
 //! Exits 0 when no error-level diagnostic was produced, 1 otherwise, 2 on
-//! usage/I-O problems. The `audit` pass needs the online auditor compiled
-//! in (`--features protocol-audit`, or any debug build); its suite run
-//! replays `SUITE_TRACE_LEN` (4000) requests per point. The `model` pass
-//! honors `MCR_MODEL_BUDGET_MS` and writes `BENCH_model.json` at the repo
-//! root. With `--json` the human lines are replaced by one JSON object
+//! usage/I-O problems. The `audit` pass arms the online auditor itself, in
+//! any build; its suite run replays `SUITE_TRACE_LEN` (4000) requests per
+//! point. The `model` pass honors `MCR_MODEL_BUDGET_MS` and writes
+//! `BENCH_model.json` at the repo root. With `--json` the human lines are replaced by one JSON object
 //! (`{passes, errors, warnings, diagnostics: [{level, code, location,
 //! message, citation}]}`); exit codes are unchanged.
 

@@ -6,10 +6,14 @@
 //! and precisely attributed. All sixteen classes are exercised (the
 //! retention-escape class only arises from live margin events, so its
 //! replay-side sibling — the `retention_limit` budget — stands in here).
+//! The last test drives live margin events through a whole system instead,
+//! to check that `audit_system_point` arms the online auditor itself.
 
 use dram_device::{Command, CommandKind, Cycle, DramAddress, RowTiming, RowTimingClass, TimingSet};
+use mcr_dram::{FaultPlan, McrMode, SystemConfig};
 use mcr_lint::audit::{
-    audit_commands, AuditConfig, CloneFrame, Severity, Violation, ViolationClass,
+    audit_commands, audit_system_point, AuditConfig, CloneFrame, Severity, Violation,
+    ViolationClass,
 };
 
 fn cmd(kind: CommandKind, rank: u8, bank: u8, row: u64, cycle: Cycle) -> Command {
@@ -343,4 +347,17 @@ fn relaxed_class_moves_the_injection_point() {
     assert!(audit_commands(&ok, &c).is_empty());
     let bad = vec![act, cmd(CommandKind::Read, 0, 0, 3, 5)];
     assert_single(&audit_commands(&bad, &c), ViolationClass::TrcdViolation);
+}
+
+#[test]
+fn audit_system_point_arms_the_auditor_in_any_build() {
+    // The armed detector catches glitched senses, and the online auditor
+    // logs each catch as a warning: warnings appear only if it saw the
+    // stream, which no release-build channel arms it for by default.
+    let config = SystemConfig::single_core("libq", 2_000)
+        .with_mode(McrMode::new(2, 4, 1.0).expect("Table 1 mode"))
+        .with_fault_plan(FaultPlan::new(0x0fa7_17ed).with_sense_glitches(0.05));
+    let audit = audit_system_point("glitches", &config).expect("valid point");
+    assert!(audit.errors.is_empty(), "{:?}", audit.errors);
+    assert!(audit.warnings > 0, "no warning recorded: auditor disarmed");
 }

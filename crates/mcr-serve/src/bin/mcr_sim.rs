@@ -28,7 +28,7 @@ use mcr_dram::{
 };
 use mcr_serve::protocol::{compare_json, parse_mode, results_json, SweepSpec, DEFAULT_LEN};
 use mcr_serve::{telemetry_json, Client, ProtocolError, RunSpec, ServeConfig, Server};
-use mcr_store::ResultStore;
+use mcr_store::{ResultStore, DEFAULT_SHARDS};
 use sim_json::Json;
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
@@ -81,9 +81,6 @@ const LOCAL: Cmd = Cmd {
         ("--json", "", "emit the sweep results as JSON"),
         ("--metrics", "", "append the MCR point's telemetry as JSON"),
         ("--trace-out", "FILE", "re-run the MCR point and dump its trailing DRAM\ncommands (ACT/RD/WR/PRE/REF/MRS) as JSONL"),
-        ("--fault-rate", "F", "arm retention-fault injection at rate F (0..1)"),
-        ("--fault-seed", "N", "fault-plan seed (default: --seed value)"),
-        ("--chaos", "", "seeded randomized fault campaign across rates;\nprints the failing seed for replay on failure"),
         ("--list", "", "list workloads and mixes and exit"),
     ],
 };
@@ -400,54 +397,6 @@ fn dump_trace(cfg: &SystemConfig, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Chaos campaign rates: a zero-rate control plus escalating injection.
-const CHAOS_RATES: [f64; 4] = [0.0, 0.02, 0.10, 0.25];
-
-/// Runs the seeded chaos campaign: one run per [`CHAOS_RATES`] entry,
-/// each with a fault plan derived from `fault_seed`, checking the
-/// reliability invariants after every run. On any failure the message
-/// names the exact `--fault-rate`/`--fault-seed` pair that replays it.
-fn run_chaos(cfg: &SystemConfig, fault_seed: u64) -> Result<(), String> {
-    let control = std::panic::catch_unwind(|| System::try_build(cfg).map(System::run))
-        .map_err(|_| "control run (no faults) panicked".to_string())?
-        .map_err(|e| format!("invalid configuration: {e}"))?;
-    for (i, &rate) in CHAOS_RATES.iter().enumerate() {
-        let seed = fault_seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9);
-        let faulted = cfg
-            .clone()
-            .with_fault_plan(mcr_serve::protocol::fault_plan(rate, seed));
-        let replay = format!("replay: --fault-rate {rate} --fault-seed {seed}");
-        let r = std::panic::catch_unwind(|| System::try_build(&faulted).map(System::run))
-            .map_err(|_| format!("chaos run panicked (audit violation?); {replay}"))?
-            .map_err(|e| format!("invalid chaos configuration: {e}"))?;
-        let rel = &r.reliability;
-        if rel.retention_escapes != 0 {
-            return Err(format!(
-                "{} retention escape(s) with the detector armed; {replay}",
-                rel.retention_escapes
-            ));
-        }
-        if r.reads_done != control.reads_done {
-            return Err(format!(
-                "faulted run completed {} reads, control {}; {replay}",
-                r.reads_done, control.reads_done
-            ));
-        }
-        println!(
-            "chaos rate {rate:<5} seed {seed:>20}: {} retries, {} dropped, {} late, \
-             {} degrades, {} rearms, exec {:+.2}% vs control",
-            rel.retention_retries,
-            rel.refresh_dropped,
-            rel.refresh_late,
-            rel.guardband_degrades,
-            rel.guardband_rearms,
-            (r.exec_cpu_cycles as f64 / control.exec_cpu_cycles.max(1) as f64 - 1.0) * 100.0,
-        );
-    }
-    println!("chaos campaign passed ({} rates)", CHAOS_RATES.len());
-    Ok(())
-}
-
 fn print_report(label: &str, r: &RunReport) {
     println!(
         "{label:<22} exec {:>11} cpu-cycles | read-lat {:>6.2} | EDP {:.4e} J*s | hits {:.2}",
@@ -603,7 +552,7 @@ fn cache_main(argv: &[String]) -> Result<ExitCode, String> {
                 "{}",
                 Json::obj([
                     ("dir", Json::str(dir)),
-                    ("shards", Json::from(st.shards as u64)),
+                    ("shards", Json::from(DEFAULT_SHARDS as u64)),
                     ("disk_entries", Json::from(st.disk_entries())),
                     ("disk_entries_per_shard", Json::Arr(per_shard)),
                     ("quarantined", Json::from(st.quarantined.get())),
@@ -701,15 +650,12 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
     }
     // The same spec a `run` request builds server-side, so local and
     // submitted runs are byte-identical (tests/sweep_determinism.rs).
-    // `RunSpec::configs` checks the target, the mechanisms case and the
-    // fault rate.
+    // `RunSpec::configs` checks the target and the mechanisms case.
     let mut spec = RunSpec {
         workload: p.get("--workload")?,
         mix: p.get("--mix")?,
         row_cache: p.get("--row-cache")?,
         mechanisms_case: p.get("--mechanisms")?,
-        fault_rate: p.get("--fault-rate")?,
-        fault_seed: p.get("--fault-seed")?,
         ..RunSpec::default()
     };
     p.mode("--mode", &mut spec.mode)?;
@@ -723,14 +669,6 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
         ProtocolError::Schema(_) => usage_error(e),
         _ => e.to_string(),
     })?;
-    if p.on("--chaos") {
-        let fault_seed = spec.fault_seed.unwrap_or(spec.seed);
-        let mut chaos_cfg = cfg.clone();
-        chaos_cfg.fault_plan = None; // the campaign arms its own plans
-        println!("chaos campaign: target {target}, fault seed {fault_seed}");
-        run_chaos(&chaos_cfg, fault_seed)?;
-        return Ok(ExitCode::SUCCESS);
-    }
     // One two-point sweep: the engine validates both configs (a proper
     // error instead of a panic on bad flag combinations) and runs them in
     // parallel when --jobs allows.
@@ -809,25 +747,6 @@ fn local_main(argv: &[String]) -> Result<ExitCode, String> {
         println!(
             "row cache: {} hits, {} misses, {} promotions, {} evictions",
             c.hits, c.misses, c.promotions, c.evictions
-        );
-    }
-    let rel = &run.reliability;
-    if rel.fault_injection {
-        println!(
-            "faults (seed {}): {} margin checks, {} violations, {} retries, {} escapes",
-            rel.fault_seed,
-            rel.retention_checks,
-            rel.retention_violations,
-            rel.retention_retries,
-            rel.retention_escapes
-        );
-        println!(
-            "guardband: {} degrades, {} rearms, {} degraded cycles | refresh {} dropped, {} late",
-            rel.guardband_degrades,
-            rel.guardband_rearms,
-            rel.guardband_degraded_cycles,
-            rel.refresh_dropped,
-            rel.refresh_late
         );
     }
     if p.on("--metrics") {

@@ -9,8 +9,6 @@
 //!   configuration), same field vocabulary as the `mcr_sim` flags.
 //! * `sweep` — a full experiment grid (workloads × modes × mechanisms ×
 //!   alloc ratios × seeds), the service face of [`SweepBuilder`].
-//! * `campaign` — a seeded fault-injection campaign: a zero-fault
-//!   control point plus one point per requested rate.
 //! * `compare` — the cross-architecture head-to-head: one trace
 //!   replayed once per requested backend. It is a `sweep` with one
 //!   target, one mode, one seed and a backend axis
@@ -18,12 +16,14 @@
 //!
 //! Parsing is strict: unknown fields and type mismatches are rejected
 //! with a [`ProtocolError`] naming the offending key, so a typo'd
-//! request fails loudly instead of silently running defaults.
+//! request fails loudly instead of silently running defaults. Fault
+//! injection is not part of the schema: it is armed in code, through
+//! `SystemConfig::with_fault_plan`.
 
 use crate::telemetry::{finite, telemetry_json};
 use mcr_dram::{
-    BackendKind, CompareTable, ConfigError, FaultPlan, McrMode, Mechanisms, RowCacheConfig,
-    RunReport, Sweep, SweepBuilder, SweepResults, SystemConfig, DEFAULT_SEED,
+    BackendKind, CompareTable, ConfigError, McrMode, Mechanisms, RowCacheConfig, RunReport, Sweep,
+    SweepBuilder, SweepResults, SystemConfig, DEFAULT_SEED,
 };
 use sim_json::{Json, JsonError, MAX_EXACT_INT};
 use trace_gen::Mix;
@@ -149,18 +149,6 @@ pub fn parse_backends(names: &[String]) -> Result<Vec<BackendKind>, ProtocolErro
         .collect()
 }
 
-/// Fault plan used for `"fault_rate"` requests and the CLI's
-/// `--fault-rate`: weak cells (at half retention), dropped and late
-/// refreshes all at `rate`, plus sense glitches at a tenth of it, all
-/// driven by `seed`.
-pub fn fault_plan(rate: f64, seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_weak_cells(rate, 0.5)
-        .with_refresh_drops(rate)
-        .with_late_refreshes(rate, 1_000)
-        .with_sense_glitches(rate / 10.0)
-}
-
 /// One parsed request line.
 #[derive(Debug)]
 pub enum Request {
@@ -196,8 +184,6 @@ pub enum JobSpec {
     /// Full experiment grid; with a backend axis, the cross-architecture
     /// `compare` campaign.
     Sweep(SweepSpec),
-    /// Fault-injection campaign.
-    Campaign(CampaignSpec),
 }
 
 impl JobSpec {
@@ -208,7 +194,6 @@ impl JobSpec {
             JobSpec::Run(_) => "run",
             JobSpec::Sweep(s) if s.backends.is_empty() => "sweep",
             JobSpec::Sweep(_) => "compare",
-            JobSpec::Campaign(_) => "campaign",
         }
     }
 
@@ -218,7 +203,6 @@ impl JobSpec {
         match self {
             JobSpec::Run(_) => 2,
             JobSpec::Sweep(s) => s.point_count(),
-            JobSpec::Campaign(c) => c.rates.len() + 1,
         }
     }
 
@@ -227,7 +211,6 @@ impl JobSpec {
         match self {
             JobSpec::Run(r) => r.len,
             JobSpec::Sweep(s) => s.len,
-            JobSpec::Campaign(c) => c.base.len,
         }
     }
 
@@ -242,7 +225,6 @@ impl JobSpec {
         match self {
             JobSpec::Run(r) => r.sweep(jobs),
             JobSpec::Sweep(s) => s.sweep(jobs),
-            JobSpec::Campaign(c) => c.sweep(jobs),
         }
     }
 }
@@ -273,10 +255,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Fig. 17 mechanisms case (1–4); `None` means all mechanisms on.
     pub mechanisms_case: Option<u32>,
-    /// Arm retention-fault injection at this rate.
-    pub fault_rate: Option<f64>,
-    /// Fault-plan seed; defaults to `seed`.
-    pub fault_seed: Option<u64>,
 }
 
 impl Default for RunSpec {
@@ -290,8 +268,6 @@ impl Default for RunSpec {
             row_cache: None,
             seed: DEFAULT_SEED,
             mechanisms_case: None,
-            fault_rate: None,
-            fault_seed: None,
         }
     }
 }
@@ -330,19 +306,12 @@ impl RunSpec {
                 promote_threshold: threshold,
             });
         }
-        if let Some(rate) = self.fault_rate {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(schema(format!("fault_rate must be in [0, 1], got {rate}")));
-            }
-            cfg = cfg.with_fault_plan(fault_plan(rate, self.fault_seed.unwrap_or(self.seed)));
-        }
         let mut base = cfg.clone();
         base.mode = McrMode::off();
         base.region_map = None;
         base.mechanisms = Mechanisms::none();
         base.alloc_ratio = 0.0;
         base.row_cache = None;
-        base.fault_plan = None;
         Ok((base, cfg, target))
     }
 
@@ -474,48 +443,6 @@ impl SweepSpec {
         for &ratio in &self.allocs {
             builder = builder.alloc_ratio(ratio);
         }
-        build(builder, jobs)
-    }
-}
-
-/// A seeded fault-injection campaign: the base configuration run clean
-/// (the control) plus one faulted point per rate.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    /// Target configuration; its `fault_rate` must be unset (the
-    /// campaign arms its own plans).
-    pub base: RunSpec,
-    /// Injection rates, each in `[0, 1]`.
-    pub rates: Vec<f64>,
-    /// Seed driving every fault plan of the campaign.
-    pub fault_seed: u64,
-}
-
-impl CampaignSpec {
-    /// Builds the control + campaign sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Schema`] for empty/out-of-range rates or a base
-    /// spec that arms its own faults; see also [`RunSpec::configs`].
-    pub fn sweep(&self, jobs: Option<usize>) -> Result<Sweep, ProtocolError> {
-        if self.base.fault_rate.is_some() {
-            return Err(schema(
-                "campaign base must not set fault_rate (the campaign arms its own plans)",
-            ));
-        }
-        if self.rates.is_empty() {
-            return Err(schema("campaign needs at least one rate"));
-        }
-        for &rate in &self.rates {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(schema(format!("rate must be in [0, 1], got {rate}")));
-            }
-        }
-        let (_, cfg, target) = self.base.configs()?;
-        let builder = SweepBuilder::new(self.base.len)
-            .point(format!("control {target}"), cfg.clone())
-            .fault_campaign(&cfg, &self.rates, self.fault_seed);
         build(builder, jobs)
     }
 }
@@ -697,13 +624,11 @@ fn run_spec_from(f: &Fields<'_>) -> Result<RunSpec, ProtocolError> {
         row_cache: f.u32_opt("row_cache")?,
         seed: f.seed_opt("seed")?.unwrap_or(DEFAULT_SEED),
         mechanisms_case: f.u32_opt("mechanisms")?,
-        fault_rate: f.f64_opt("fault_rate")?,
-        fault_seed: f.seed_opt("fault_seed")?,
     })
 }
 
-/// Field names a `run` spec understands (also the campaign base).
-const RUN_FIELDS: [&str; 10] = [
+/// Field names a `run` spec understands.
+const RUN_FIELDS: [&str; 8] = [
     "workload",
     "mix",
     "mode",
@@ -712,8 +637,6 @@ const RUN_FIELDS: [&str; 10] = [
     "row_cache",
     "seed",
     "mechanisms",
-    "fault_rate",
-    "fault_seed",
 ];
 
 /// Parses one request line.
@@ -776,14 +699,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 Ok(JobSpec::Sweep(spec))
             },
         ),
-        "campaign" => job(&f, &[&RUN_FIELDS[..], &["rates"]].concat(), |f| {
-            let base = run_spec_from(f)?;
-            Ok(JobSpec::Campaign(CampaignSpec {
-                fault_seed: base.fault_seed.unwrap_or(base.seed),
-                base,
-                rates: f.list("rates", "numbers", Json::as_f64)?,
-            }))
-        }),
         "compare" => job(
             &f,
             &["workload", "mix", "mode", "len", "seed", "backends"],
@@ -799,7 +714,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             },
         ),
         other => Err(schema(format!(
-            "unknown cmd {other:?} (want ping, stats, shutdown, run, sweep, campaign, or compare)"
+            "unknown cmd {other:?} (want ping, stats, shutdown, run, sweep, or compare)"
         ))),
     }
 }
@@ -943,8 +858,8 @@ pub fn compare_json(table: &CompareTable) -> Json {
     ])
 }
 
-/// Renders a completed job: the sweep results, optional per-point
-/// reliability (campaigns), optional merged telemetry.
+/// Renders a completed job: the sweep results, optional merged
+/// telemetry.
 pub fn render_job_ok(
     req: &JobRequest,
     results: &SweepResults,
@@ -962,16 +877,6 @@ pub fn render_job_ok(
         ("service_ms".into(), Json::from(service_ms)),
         ("result".into(), results_json(results)),
     ];
-    if let JobSpec::Campaign(_) = req.spec {
-        members.push(("reliability".into(), reliability_json(results)));
-        // Clean: no retention escape, and every faulted point finished
-        // as many reads as the control (the first point).
-        let reads0 = results.points.first().map(|p| p.report.reads_done);
-        let clean = results.points.iter().all(|p| {
-            p.report.reliability.retention_escapes == 0 && Some(p.report.reads_done) == reads0
-        });
-        members.push(("clean".into(), Json::from(clean)));
-    }
     if req.metrics {
         members.push((
             "telemetry".into(),
@@ -979,28 +884,6 @@ pub fn render_job_ok(
         ));
     }
     Json::Obj(members).to_string()
-}
-
-/// Per-point reliability summary for campaign responses.
-fn reliability_json(results: &SweepResults) -> Json {
-    Json::Arr(
-        results
-            .points
-            .iter()
-            .map(|p| {
-                let rel = &p.report.reliability;
-                Json::obj([
-                    ("label", Json::str(p.label.as_str())),
-                    ("escapes", Json::from(rel.retention_escapes)),
-                    ("retries", Json::from(rel.retention_retries)),
-                    ("dropped", Json::from(rel.refresh_dropped)),
-                    ("late", Json::from(rel.refresh_late)),
-                    ("degrades", Json::from(rel.guardband_degrades)),
-                    ("reads_done", Json::from(p.report.reads_done)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -1148,20 +1031,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn campaign_rejects_armed_base_and_bad_rates() {
-        let e = parse_request(
-            r#"{"cmd": "campaign", "workload": "libq", "rates": [0.1], "fault_rate": 0.5}"#,
-        )
-        .expect("parses")
-        .job_sweep_err();
-        assert!(e.to_string().contains("campaign base"), "{e}");
-        let e = parse_request(r#"{"cmd": "campaign", "workload": "libq", "rates": [1.5]}"#)
-            .expect("parses")
-            .job_sweep_err();
-        assert!(e.to_string().contains("[0, 1]"), "{e}");
-    }
-
     impl Request {
         /// Test helper: building the job's sweep must fail.
         fn job_sweep_err(self) -> ProtocolError {
@@ -1268,7 +1137,6 @@ mod tests {
         for seed in ["9007199254740993", "9007199254740992"] {
             for request in [
                 format!(r#"{{"cmd": "run", "workload": "libq", "seed": {seed}}}"#),
-                format!(r#"{{"cmd": "run", "workload": "libq", "fault_seed": {seed}}}"#),
                 format!(r#"{{"cmd": "sweep", "workloads": ["libq"], "seeds": [1, {seed}]}}"#),
                 format!(r#"{{"cmd": "compare", "workload": "libq", "seed": {seed}}}"#),
             ] {
@@ -1286,11 +1154,14 @@ mod tests {
             },
             other => panic!("{request}: {other:?}"),
         };
-        let spec = run(
-            r#"{"cmd": "run", "workload": "libq", "seed": "9007199254740993",
-                           "fault_seed": "18446744073709551615"}"#,
+        assert_eq!(
+            run(r#"{"cmd": "run", "workload": "libq", "seed": "9007199254740993"}"#).seed,
+            seed
         );
-        assert_eq!((spec.seed, spec.fault_seed), (seed, Some(u64::MAX)));
+        assert_eq!(
+            run(r#"{"cmd": "run", "workload": "libq", "seed": "18446744073709551615"}"#).seed,
+            u64::MAX
+        );
         assert_eq!(
             run(r#"{"cmd": "run", "seed": 9007199254740991}"#).seed,
             seed - 2

@@ -17,8 +17,8 @@
 //!   Request lines longer than [`ServeConfig::max_line_len`] drop the
 //!   connection.
 //! * **Deadlines** — a job carrying `deadline_ms` runs under a
-//!   [`RunBudget`] with that wall-clock deadline; the simulation
-//!   cooperatively aborts at the next budget-poll boundary (the
+//!   [`CancelToken`] carrying that wall-clock deadline; the simulation
+//!   cooperatively aborts at the next poll boundary (the
 //!   event-wheel core crosses idle stretches in microseconds, so the
 //!   overshoot is small) and the client receives `"status": "timeout"`.
 //! * **Graceful shutdown** — a `shutdown` request flips the service
@@ -44,8 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use mcr_dram::{ReportStore, ResultCache, RunBudget, RunReport, Sweep};
-use mcr_store::ResultStore;
+use mcr_dram::{CancelToken, ReportStore, ResultCache, RunReport, Sweep};
+use mcr_store::{ResultStore, DEFAULT_SHARDS};
 use sim_json::Json;
 
 use crate::protocol::{
@@ -474,9 +474,9 @@ fn run_job(shared: &Shared, job: Job) {
         lock(&shared.telemetry).timeouts.inc();
         render_timeout(job.req.id.as_deref(), deadline_ms)
     } else {
-        let budget = job
+        let cancel = job
             .deadline
-            .map(|d| RunBudget::unbounded().with_deadline(d))
+            .map(CancelToken::with_deadline)
             .unwrap_or_default();
         let sim_start = Instant::now();
         // Tracks the config_key the worker was simulating, so a panic
@@ -484,7 +484,7 @@ fn run_job(shared: &Shared, job: Job) {
         let active_key = AtomicU64::new(u64::MAX);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             job.sweep
-                .run_budgeted_traced(&shared.cache, &budget, &|key| {
+                .run_budgeted_traced(&shared.cache, &cancel, &|key| {
                     active_key.store(key, Ordering::Relaxed)
                 })
         }));
@@ -556,7 +556,7 @@ fn store_json(shared: &Shared) -> Json {
             let st = store.stats();
             Json::obj([
                 ("backend", Json::str("disk")),
-                ("shards", Json::from(st.shards as u64)),
+                ("shards", Json::from(DEFAULT_SHARDS as u64)),
                 ("warm_entries", Json::from(shared.warm_entries)),
                 ("disk_entries", Json::from(st.disk_entries())),
                 ("hot_entries", Json::from(st.hot_entries as u64)),

@@ -50,6 +50,19 @@ fn unknown_flags_fail_with_exit_one() {
 }
 
 #[test]
+fn fault_injection_flags_are_unknown() {
+    // Fault injection is armed in code (`SystemConfig::with_fault_plan`),
+    // not from the command line.
+    for args in [
+        &["--workload", "libq", "--chaos"][..],
+        &["--workload", "libq", "--fault-rate", "0.1"],
+        &["--workload", "libq", "--fault-seed", "7"],
+    ] {
+        assert_usage_error(args, &format!("unknown flag {:?}", args[2]));
+    }
+}
+
+#[test]
 fn missing_values_name_the_flag() {
     // Existing flags.
     assert_usage_error(&["--len"], "--len needs a value");

@@ -12,7 +12,7 @@ use sim_json::Json;
 use sim_rng::SmallRng;
 
 /// One valid line per request kind, with the kind a job reports.
-const SEEDS: [(&str, Option<&str>); 7] = [
+const SEEDS: [(&str, Option<&str>); 6] = [
     (r#"{"cmd": "ping", "id": "p"}"#, None),
     (r#"{"cmd": "stats"}"#, None),
     (r#"{"cmd": "shutdown"}"#, None),
@@ -28,11 +28,6 @@ const SEEDS: [(&str, Option<&str>); 7] = [
         Some("sweep"),
     ),
     (
-        r#"{"cmd": "campaign", "workload": "libq", "mode": "2/4x/100", "len": 4000,
-            "rates": [0.0, 0.1], "fault_seed": 2015}"#,
-        Some("campaign"),
-    ),
-    (
         r#"{"cmd": "compare", "workload": "libq", "len": 800, "seed": 9,
             "backends": ["mcr", "tldram"]}"#,
         Some("compare"),
@@ -40,7 +35,7 @@ const SEEDS: [(&str, Option<&str>); 7] = [
 ];
 
 /// Every member name the parser knows, plus near misses.
-const KEYS: [&str; 24] = [
+const KEYS: [&str; 22] = [
     "cmd",
     "id",
     "deadline_ms",
@@ -53,8 +48,6 @@ const KEYS: [&str; 24] = [
     "row_cache",
     "seed",
     "mechanisms",
-    "fault_rate",
-    "fault_seed",
     "workloads",
     "mixes",
     "modes",
@@ -171,6 +164,22 @@ fn unmutated_seeds_parse_as_their_kind() {
             (Request::Ping | Request::Stats | Request::Shutdown, None) => {}
             (req, kind) => panic!("{line}: parsed as {req:?}, expected {kind:?}"),
         }
+    }
+}
+
+#[test]
+fn fault_injection_is_not_part_of_the_schema() {
+    let e = parse_request(r#"{"cmd": "campaign", "workload": "libq", "rates": [0.1]}"#)
+        .expect_err("campaign is no request kind");
+    assert!(e.to_string().starts_with("unknown cmd \"campaign\""), "{e}");
+    for key in ["fault_rate", "fault_seed"] {
+        let line = format!(r#"{{"cmd": "run", "workload": "libq", "{key}": 0.1}}"#);
+        let e = parse_request(&line).expect_err(&line);
+        assert!(
+            e.to_string()
+                .starts_with(&format!("unknown field \"{key}\"")),
+            "{line}: {e}"
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! (`mcr_dram::ResultCache`) dies with the process; this crate supplies
 //! the [`ReportStore`](mcr_dram::ReportStore) tier that doesn't:
 //!
-//! * [`ResultStore`] — N-way sharded by `config_key` bits, disk-backed
+//! * [`ResultStore`] — sharded [`DEFAULT_SHARDS`] ways by `config_key` bits, disk-backed
 //!   with an in-memory hot tier, atomic write-then-rename publishing,
 //!   FNV-1a-checksummed entries and quarantine-on-corruption (a bad
 //!   entry is moved aside and silently recomputed, never trusted).

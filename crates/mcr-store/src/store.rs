@@ -14,7 +14,7 @@
 //!
 //! Entries are content-addressed by [`SystemConfig::config_key`]
 //! (`mcr_dram::SystemConfig::config_key`) and land in shard
-//! `key & (shards - 1)`. Publishing is atomic: the entry is fully
+//! `key & (DEFAULT_SHARDS - 1)`. Publishing is atomic: the entry is fully
 //! written to a process-unique `.tmp` name in the same directory, then
 //! `rename`d over the final name — readers only ever open `*.json`
 //! files, so they see either the old entry, the new entry, or nothing,
@@ -55,7 +55,9 @@ const CHECKSUM: &str = "\",\"checksum\":\"";
 const REPORT: &str = "\",\"report\":";
 const TAIL: &str = "}\n";
 
-/// Default shard count (must be a power of two, at most 256).
+/// The store's shard count, a power of two: a key's low four bits pick
+/// its shard. Every store uses it, so any store reads every entry of a
+/// directory another store wrote.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// A sharded, disk-backed, content-addressed [`ReportStore`] with an
@@ -72,7 +74,6 @@ pub const DEFAULT_SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    shards: usize,
     hot: Vec<Mutex<HashMap<u64, RunReport>>>,
     hits_hot: AtomicU64,
     hits_disk: AtomicU64,
@@ -88,8 +89,6 @@ pub struct ResultStore {
 /// and `mcr_sim cache stats` render it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Shard count the store was opened with.
-    pub shards: usize,
     /// Entries currently held in the in-memory hot tier.
     pub hot_entries: usize,
     /// Committed on-disk entries per shard (scanned at snapshot time).
@@ -153,30 +152,13 @@ impl ResultStore {
     ///
     /// Propagates the failure to create `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_sharded(dir, DEFAULT_SHARDS)
-    }
-
-    /// Opens a store with an explicit shard count (a power of two in
-    /// `1..=256`; the key's low bits select the shard), creating `dir` if
-    /// needed. A shard directory is created by the first publish into it.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidInput` for a bad shard count, otherwise the failure to
-    /// create `dir`.
-    pub fn open_sharded(dir: impl Into<PathBuf>, shards: usize) -> io::Result<Self> {
-        if !(1..=256).contains(&shards) || !shards.is_power_of_two() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("shard count must be a power of two in 1..=256, got {shards}"),
-            ));
-        }
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(ResultStore {
             dir,
-            shards,
-            hot: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            hot: (0..DEFAULT_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             hits_hot: AtomicU64::new(0),
             hits_disk: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -192,9 +174,9 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The shard a key lands in: its low `log2(shards)` bits.
+    /// The shard a key lands in: its low `log2(DEFAULT_SHARDS)` bits.
     pub fn shard_of(&self, key: u64) -> usize {
-        (key & (self.shards as u64 - 1)) as usize
+        (key & (DEFAULT_SHARDS as u64 - 1)) as usize
     }
 
     fn shard_dir(&self, shard: usize) -> PathBuf {
@@ -225,7 +207,7 @@ impl ResultStore {
     }
 
     fn disk_occupancy(&self) -> Vec<u64> {
-        (0..self.shards)
+        (0..DEFAULT_SHARDS)
             .map(|s| {
                 committed_entries(&self.shard_dir(s))
                     .map(|v| v.len() as u64)
@@ -237,7 +219,6 @@ impl ResultStore {
     /// Accounting snapshot (scans the shard directories for occupancy).
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            shards: self.shards,
             hot_entries: self.hot_len(),
             disk_entries_per_shard: self.disk_occupancy(),
             hits_hot: counter_of(self.hits_hot.load(Ordering::Relaxed)),
@@ -325,7 +306,7 @@ impl ResultStore {
             corrupt: Vec::new(),
             stale_tmp: 0,
         };
-        for s in 0..self.shards {
+        for s in 0..DEFAULT_SHARDS {
             let dir = self.shard_dir(s);
             let Ok(entries) = fs::read_dir(&dir) else {
                 continue;
@@ -364,7 +345,7 @@ impl ResultStore {
             tmp_removed: 0,
             quarantine_removed: 0,
         };
-        for s in 0..self.shards {
+        for s in 0..DEFAULT_SHARDS {
             let Ok(entries) = fs::read_dir(self.shard_dir(s)) else {
                 continue;
             };
@@ -730,11 +711,10 @@ mod tests {
     #[test]
     fn shard_selection_uses_low_key_bits() {
         let dir = tmp_dir("shards");
-        let store = ResultStore::open_sharded(&dir, 8).expect("open");
+        let store = ResultStore::open(&dir).expect("open");
         assert_eq!(store.shard_of(0x10), 0);
         assert_eq!(store.shard_of(0x17), 7);
-        assert!(ResultStore::open_sharded(tmp_dir("bad"), 12).is_err());
-        assert!(ResultStore::open_sharded(tmp_dir("bad2"), 512).is_err());
+        assert_eq!(store.shard_of(0x1f), DEFAULT_SHARDS - 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,8 +14,6 @@
 //! ```
 //!
 //! (or `make bless`), then review the diff like any other code change.
-//! The goldens assume the default `telemetry` feature; run this suite
-//! with default features.
 
 use mcr_dram::{McrMode, RunReport, System, SystemConfig};
 use std::path::{Path, PathBuf};

@@ -156,6 +156,15 @@ fn disarmed_detector_escapes_are_audit_errors() {
     // here, not a test failure.
 }
 
+/// Weak cells at half retention, dropped and late refreshes, all at
+/// `rate`.
+fn refresh_faults(rate: f64, seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .with_weak_cells(rate, 0.5)
+        .with_refresh_drops(rate)
+        .with_late_refreshes(rate, 1_000)
+}
+
 #[test]
 fn fault_campaign_is_bit_identical_across_jobs() {
     // The plan's stateless per-query RNG keeps seeded campaigns
@@ -163,8 +172,14 @@ fn fault_campaign_is_bit_identical_across_jobs() {
     // whether it runs serially or on eight workers.
     let rates = [0.0, 0.05, 0.25];
     let build = |jobs: usize| {
-        SweepBuilder::new(4_000)
-            .fault_campaign(&mcr_config(4_000), &rates, 0xDEAD)
+        rates
+            .iter()
+            .fold(SweepBuilder::new(4_000), |builder, &rate| {
+                builder.point(
+                    format!("fault-rate-{rate}"),
+                    mcr_config(4_000).with_fault_plan(refresh_faults(rate, 0xDEAD)),
+                )
+            })
             .jobs(jobs)
             .build()
             .expect("campaign builds")
@@ -183,6 +198,36 @@ fn fault_campaign_is_bit_identical_across_jobs() {
         reads.windows(2).all(|w| w[0] == w[1]),
         "reads differ: {reads:?}"
     );
+}
+
+#[test]
+fn escalating_fault_rates_escape_nothing_and_lose_no_reads() {
+    // Escalating injection on libq at 2/4x/100: with the detector armed
+    // no corruption may escape, and every faulted run serves as many
+    // reads as the fault-free control. Each rate's plan seed derives
+    // from one campaign seed, so a failing rate replays from its message.
+    let cfg = SystemConfig::single_core("libq", 8_000)
+        .with_mode(McrMode::new(2, 4, 1.0).expect("Table 1 mode"));
+    let control = System::build(&cfg).run();
+    let campaign_seed: u64 = 2015;
+    let mut retries = 0;
+    for (i, rate) in [0.0, 0.02, 0.10, 0.25].into_iter().enumerate() {
+        let seed = campaign_seed
+            .wrapping_add(i as u64)
+            .wrapping_mul(0x9e37_79b9);
+        let plan = refresh_faults(rate, seed).with_sense_glitches(rate / 10.0);
+        let r = System::build(&cfg.clone().with_fault_plan(plan)).run();
+        assert_eq!(
+            r.reliability.retention_escapes, 0,
+            "rate {rate}, plan seed {seed}: corruption escaped"
+        );
+        assert_eq!(
+            r.reads_done, control.reads_done,
+            "rate {rate}, plan seed {seed}: reads were lost"
+        );
+        retries += r.reliability.retention_retries;
+    }
+    assert!(retries > 0, "no fault reached the margin detector");
 }
 
 #[test]

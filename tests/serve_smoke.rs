@@ -117,8 +117,8 @@ fn over_deadline_requests_time_out() {
     });
     let mut c = Client::connect(addr).expect("connect");
 
-    // A deadline no full-length simulation can meet: the RunBudget
-    // expires at the first budget-poll boundary inside the run.
+    // A deadline no full-length simulation can meet: the CancelToken
+    // fires at the first poll boundary inside the run.
     let late = req(
         &mut c,
         r#"{"cmd": "run", "id": "late", "workload": "libq",
@@ -228,38 +228,6 @@ fn burst_sheds_load_and_drain_rejects_new_work() {
     assert_eq!(t.rejected_queue_full.get(), 1, "C was shed");
     assert_eq!(t.rejected_draining.get(), 1, "E was refused");
     assert_eq!(t.timeouts.get(), 0);
-}
-
-#[test]
-fn campaign_jobs_report_reliability() {
-    let (addr, handle) = start(ServeConfig {
-        workers: 2,
-        queue_cap: 4,
-        ..ServeConfig::default()
-    });
-    let mut c = Client::connect(addr).expect("connect");
-    let reply = req(
-        &mut c,
-        r#"{"cmd": "campaign", "id": "chaos-lite", "workload": "libq",
-            "mode": "2/4x/100", "len": 4000, "rates": [0.0, 0.1],
-            "fault_seed": 2015}"#,
-    );
-    assert_eq!(status(&reply), "ok", "response: {reply:?}");
-    let rel = reply
-        .get("reliability")
-        .and_then(Json::as_array)
-        .expect("reliability array");
-    assert_eq!(rel.len(), 3, "control + one point per rate");
-    for point in rel {
-        assert_eq!(
-            point.get("escapes").and_then(Json::as_u64),
-            Some(0),
-            "no retention escapes with the detector armed: {point:?}"
-        );
-    }
-    assert_eq!(reply.get("clean").and_then(Json::as_bool), Some(true));
-    req(&mut c, r#"{"cmd": "shutdown"}"#);
-    handle.join().expect("server thread");
 }
 
 #[test]

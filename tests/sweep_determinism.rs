@@ -6,7 +6,7 @@
 //! run executed locally produce bit-identical sweep results.
 
 use mcr_dram::{
-    CancelToken, ConfigError, McrMode, Mechanisms, RowCacheConfig, RunBudget, SweepBuilder, System,
+    CancelToken, ConfigError, McrMode, Mechanisms, RowCacheConfig, SweepBuilder, System,
     SystemConfig,
 };
 use mcr_serve::{protocol, telemetry_json, Client, RunSpec, ServeConfig, Server};
@@ -371,12 +371,11 @@ fn spawned_processes_share_one_cache_dir() {
 #[test]
 fn budget_expiry_still_publishes_completed_points() {
     // Regression: points that finish before the budget expires must
-    // already be in the store when `run_budgeted` gives up — a cancelled
+    // already be in the store when `run_budgeted_traced` gives up — a cancelled
     // sweep may cost the un-run tail, never completed work.
     let dir = store_dir("budget");
     let store = ResultStore::open(&dir).expect("open store");
     let cancel = CancelToken::new();
-    let budget = RunBudget::unbounded().with_cancel(cancel.clone());
     let published_at_cancel = std::thread::scope(|scope| {
         let watcher = {
             let store = &store;
@@ -395,7 +394,7 @@ fn budget_expiry_still_publishes_completed_points() {
                 0
             })
         };
-        let outcome = grid(2).run_budgeted(&store, &budget);
+        let outcome = grid(2).run_budgeted_traced(&store, &cancel, &|_| {});
         let seen = watcher.join().expect("watcher thread");
         assert!(seen >= 1, "a point must have been published before cancel");
         if let Some(results) = &outcome {
